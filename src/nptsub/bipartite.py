@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadRank, ShapeMismatch
-from .linalg import eigh, eigvalsh, hermitize, is_hermitian
+from .linalg import eigvalsh, hermitize, is_hermitian
 
 #: Seedable generator + Gaussian recipe recorded in file metadata.
 GENERATOR_NAME = "pcg64+box-muller"
@@ -120,7 +120,7 @@ def partial_transpose(A: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     A = np.asarray(A)
     if A.shape != (d, d):
         raise ShapeMismatch(f"expected {(d, d)} matrix for dims {dims}, got {A.shape}")
-    return A.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(d, d).copy()
+    return A.reshape(m, n, m, n).transpose(0, 3, 2, 1).copy().reshape(d, d)
 
 
 def count_negative_eigenvalues(
@@ -132,7 +132,7 @@ def count_negative_eigenvalues(
     calling round-off negative.  Returns (count, the offending eigenvalues
     in ascending order).
     """
-    w = eigh(A).eigenvalues
+    w = eigvalsh(A)
     tau = max(abs_floor, rel * abs(float(w[-1])))
     neg = w[w < -tau]
     return int(neg.size), neg

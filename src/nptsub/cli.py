@@ -32,7 +32,7 @@ from .bipartite import (
     random_density_matrix,
 )
 from .errors import NoConvergence, NotInSubspace
-from .linalg import eigh, hermiticity_defect, is_hermitian, project_psd
+from .linalg import eigvalsh, hermiticity_defect, is_hermitian, project_psd
 from .sdp import construct_via_dual_cone, solve_construction_sdp
 from .subspace import (
     build_subspace,
@@ -211,7 +211,7 @@ def verify_matrix(
     hermitian = is_hermitian(mat, rtol=tol_herm)
     trace = float(np.trace(mat).real)
     if hermitian:
-        lo = float(eigh(mat).eigenvalues[0])
+        lo = float(eigvalsh(mat)[0])
         psd = lo >= -tol_psd
         count, negs = count_negative_eigenvalues(partial_transpose(mat, dims))
         negatives = [float(x) for x in negs]
@@ -261,7 +261,7 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
         rng = np.random.Generator(np.random.PCG64(seed + i))
         ens = sample_mixture_in_subspace(basis, rank=min(3, basis.dim), rng=rng)
         rho = ens.to_density_matrix()
-        w = eigh(partial_transpose(rho.mat, dims)).eigenvalues
+        w = eigvalsh(partial_transpose(rho.mat, dims))
         if not w[0] < -1e-12 * float(w[-1]):
             failures.append((seed + i, f"not NPT: min PT eigenvalue {w[0]:.3e}"))
             continue

@@ -34,6 +34,25 @@ def hermitize(A: np.ndarray) -> np.ndarray:
     return (A + A.conj().T) / 2
 
 
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    """Hermitian part of a square matrix that passes the Hermiticity check.
+
+    Raises ShapeMismatch for a non-square input and NotHermitian if A fails
+    the Hermiticity tolerance.
+    """
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
+    H = hermitize(A)
+    # an input equal to its Hermitian part has zero defect: skip the check
+    if not (A == H).all() and not is_hermitian(A):
+        raise NotHermitian(
+            f"matrix is not Hermitian within tolerance "
+            f"(defect {hermiticity_defect(A):.3e})"
+        )
+    return H
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
@@ -47,15 +66,15 @@ class Spectrum:
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    V = V.copy()
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    The columns are unit vectors, so every pivot is nonzero.
+    """
+    cols = np.arange(V.shape[1])
     idx = np.abs(V).argmax(axis=0)
-    for k in range(V.shape[1]):
-        pivot = V[idx[k], k]
-        mag = abs(pivot)
-        if mag > 0.0:
-            V[:, k] *= pivot.conjugate() / mag
-            V[idx[k], k] = V[idx[k], k].real  # kill residual imaginary dust
+    pivot = V[idx, cols]
+    V = V * (pivot.conj() / np.abs(pivot))
+    V[idx, cols] = V[idx, cols].real  # kill residual imaginary dust
     return V
 
 
@@ -70,16 +89,9 @@ def eigh(A: np.ndarray) -> Spectrum:
     Raises NotHermitian if A fails the Hermiticity tolerance, and
     NoConvergence if the underlying QR iteration gives up.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
-    if not is_hermitian(A):
-        raise NotHermitian(
-            f"matrix is not Hermitian within tolerance "
-            f"(defect {hermiticity_defect(A):.3e})"
-        )
+    H = _hermitian_part(A)
     try:
-        w, V = np.linalg.eigh(hermitize(A))
+        w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
     return Spectrum(eigenvalues=w, eigenvectors=_fix_phases(V))
@@ -87,20 +99,22 @@ def eigh(A: np.ndarray) -> Spectrum:
 
 def eigvalsh(A: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (no vectors)."""
-    A = np.asarray(A, dtype=complex)
-    if not is_hermitian(A):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(hermitize(A))
+    return np.linalg.eigvalsh(_hermitian_part(A))
 
 
 def project_psd(A: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix to Hermitian A.
 
-    Clamps negative eigenvalues at zero and reconstructs.
+    Clamps negative eigenvalues at zero and reconstructs; a PSD input comes
+    back as its Hermitian part.  Skips the phase convention of ``eigh``,
+    which cannot change the projection.  Raises ShapeMismatch and
+    NotHermitian like ``eigh``.
     """
-    spec = eigh(A)
-    w = np.maximum(spec.eigenvalues, 0.0)
-    V = spec.eigenvectors
+    H = _hermitian_part(A)
+    w, V = np.linalg.eigh(H)
+    if w[0] >= 0.0:
+        return H
+    w = np.maximum(w, 0.0)
     return hermitize((V * w) @ V.conj().T)
 
 

@@ -1,22 +1,35 @@
 """Semidefinite programs behind the extremal-state constructions.
 
-Three problems, one solver family (operator splitting over products of PSD
-cones, built entirely from in-package primitives):
+Three problems (G = partial transpose):
 
 * ``solve_construction_sdp``   maximize d subject to rho^G <= I - d P over
-  density matrices rho (G = partial transpose);
+  density matrices rho;
 * ``optimize_over_ppt``        optimize a Hermitian objective over the PPT
   states {sigma >= 0, sigma^G >= 0, Tr sigma = 1};
 * ``decompose_dual_cone``      split X into X1 + X2^G with X1, X2 >= 0,
   which succeeds exactly when X is in the dual cone of the PPT states.
 
+The first two run on one splitting core, ``_split``: an over-relaxed
+iteration between an affine set and the product of two PSD cones, with
+scaled duals and a penalty beta rebalanced from the residuals.  Each
+problem supplies only two steps:
+
+* its affine step, the closed-form proximal point of its affine set:
+  pairs (rho, S) with S = I - d P - rho^G and Tr rho = 1 for the
+  construction, pairs (sigma, sigma^G) with Tr sigma = 1 (pulled along
+  W / beta) for the PPT optimization;
+* its certify step, which turns the current iterates into certified bounds
+  and decides when to stop.
+
 Solver internals are never trusted: every reported objective is certified
 post hoc from rounded iterates.  Lower bounds come from exactly feasible
 points (eigenvalue rounding), upper bounds from exactly verifiable dual
-certificates, and iteration stops once the certified gap closes.  The PPT
-optimizer finishes with an active-set polish: the kernels of the primal
-optimum pin the faces carrying the dual pair, where the remaining problem
-is linear least squares and solves to machine precision.
+certificates (the PSD parts of -beta u), and iteration stops once the
+certified gap closes.  The PPT certify step ends with an active-set
+polish: the kernels of the primal optimum pin the faces carrying the dual
+pair, where the remaining problem is linear least squares and solves to
+machine precision.  All three solvers work through the package's public
+primitives ``project_psd``, ``eigvalsh`` and ``partial_transpose``.
 """
 
 from __future__ import annotations
@@ -25,9 +38,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bipartite import BipartiteDims, DensityMatrix
+from .bipartite import (
+    BipartiteDims,
+    DensityMatrix,
+    count_negative_eigenvalues,
+    partial_transpose,
+)
 from .errors import DegenerateSubspace, NoConvergence, NotHermitian, NotInDualCone
-from .linalg import frob_inner, hermitize, is_hermitian
+from .linalg import eigvalsh, frob_inner, hermitize, is_hermitian, project_psd
 from .subspace import Projector
 
 #: Objective clamp when the projector is zero and d is unbounded.
@@ -39,31 +57,8 @@ DEFAULT_MAX_ITER = 200_000
 _OVER_RELAX = 1.7
 
 
-def _pt(M: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Partial transpose on the second factor (view-based, solver internal)."""
-    d = m * n
-    return M.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(d, d)
-
-
-def _proj_psd(M: np.ndarray) -> np.ndarray:
-    """Fast PSD projection for the solver hot loop (input Hermitian)."""
-    w, V = np.linalg.eigh(M)
-    if w[0] >= 0.0:
-        return M
-    w = np.maximum(w, 0.0)
-    return hermitize((V * w) @ V.conj().T)
-
-
 def _tr(M: np.ndarray) -> float:
     return float(np.trace(M).real)
-
-
-def _lmin(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(M))[0])
-
-
-def _lmax(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(M))[-1])
 
 
 def _round_to_state(M: np.ndarray, dims: BipartiteDims) -> np.ndarray:
@@ -125,6 +120,52 @@ def _projector_matrix(P) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# the splitting core:  affine set  x  (PSD x PSD)
+# --------------------------------------------------------------------------
+
+def _split(z1, z2, affine, certify, max_iter: int, cert_every: int) -> int:
+    """Over-relaxed splitting between an affine set and two PSD cones.
+
+    Starts from the cone points (z1, z2) with zero scaled duals u1, u2 and
+    penalty beta = 1.  Each iteration takes the affine step
+    ``affine(z1 - u1, z2 - u2, beta) -> (x1, x2)``, over-relaxes it, and
+    projects each block plus its dual onto the PSD cone.  Every 100
+    iterations beta is doubled or halved (rescaling u) when the primal and
+    dual residuals are more than 10x apart.  At every ``cert_every``-th
+    and at the last iteration, ``certify(it, z1, u1, u2, beta)`` updates
+    the caller's certified bounds and returns True to stop.  Returns the
+    number of iterations run.
+    """
+    beta = 1.0
+    u1 = np.zeros_like(z1)
+    u2 = np.zeros_like(z2)
+    it = 0
+    for it in range(1, max_iter + 1):
+        x1, x2 = affine(z1 - u1, z2 - u2, beta)
+        h1 = _OVER_RELAX * x1 + (1.0 - _OVER_RELAX) * z1
+        h2 = _OVER_RELAX * x2 + (1.0 - _OVER_RELAX) * z2
+        z1_old, z2_old = z1, z2
+        z1 = project_psd(h1 + u1)
+        u1 = u1 + h1 - z1
+        z2 = project_psd(h2 + u2)
+        u2 = u2 + h2 - z2
+
+        if it % 100 == 0:
+            r_pri = np.linalg.norm(x1 - z1) + np.linalg.norm(x2 - z2)
+            r_dua = beta * (np.linalg.norm(z1 - z1_old) + np.linalg.norm(z2 - z2_old))
+            if r_pri > 10.0 * r_dua:
+                beta *= 2.0
+                u1, u2 = u1 / 2.0, u2 / 2.0
+            elif r_dua > 10.0 * r_pri:
+                beta /= 2.0
+                u1, u2 = u1 * 2.0, u2 * 2.0
+
+        if (it % cert_every == 0 or it == max_iter) and certify(it, z1, u1, u2, beta):
+            break
+    return it
+
+
+# --------------------------------------------------------------------------
 # construction SDP:  maximize d  s.t.  rho^G + d P <= I,  rho a state
 # --------------------------------------------------------------------------
 
@@ -149,7 +190,6 @@ def solve_construction_sdp(
     Raises NoConvergence (with the best iterate attached as ``partial``)
     when the budget runs out first.
     """
-    m, n = dims.m, dims.n
     d_tot = dims.total
     Pmat = hermitize(_projector_matrix(P))
     k = _tr(Pmat)
@@ -163,21 +203,9 @@ def solve_construction_sdp(
             lower_bound=D_MAX, upper_bound=float("inf"), clamped=True,
         )
 
-    Pt = _pt(Pmat, m, n)
-    beta = 1.0
-    z_r = eye / d_tot
-    z_S = eye.copy()
-    u_r = np.zeros_like(eye)
-    u_S = np.zeros_like(eye)
+    Pt = partial_transpose(Pmat, dims)
 
-    lb = -np.inf
-    ub = np.inf
-    best_rho = _round_to_state(z_r, dims)
-    it = 0
-
-    for it in range(1, max_iter + 1):
-        a = z_r - u_r
-        b = z_S - u_S
+    def affine(a, b, beta):
         G = eye - b
         PG = frob_inner(Pmat, G)
         q = frob_inner(Pt, a) + PG
@@ -186,39 +214,27 @@ def solve_construction_sdp(
         r_b = 1.0 - s / 2.0
         nu = -2.0 * (r_a + r_b) / (k + d_tot)
         d_x = 2.0 * r_a / k + nu
-        rho_x = (a + _pt(G, m, n) - d_x * Pt) / 2.0 - (nu / 2.0) * eye
-        S_x = eye - d_x * Pmat - _pt(rho_x, m, n)
+        rho_x = (a + partial_transpose(G, dims) - d_x * Pt) / 2.0 - (nu / 2.0) * eye
+        return rho_x, eye - d_x * Pmat - partial_transpose(rho_x, dims)
 
-        rho_h = _OVER_RELAX * rho_x + (1.0 - _OVER_RELAX) * z_r
-        S_h = _OVER_RELAX * S_x + (1.0 - _OVER_RELAX) * z_S
-        z_r_old, z_S_old = z_r, z_S
-        z_r = _proj_psd(hermitize(rho_h + u_r))
-        u_r = u_r + rho_h - z_r
-        z_S = _proj_psd(hermitize(S_h + u_S))
-        u_S = u_S + S_h - z_S
+    z_r = eye / d_tot
+    lb, ub = -np.inf, np.inf
+    best_rho = _round_to_state(z_r, dims)
 
-        if it % 100 == 0:
-            r_pri = np.linalg.norm(rho_x - z_r) + np.linalg.norm(S_x - z_S)
-            r_dua = beta * (np.linalg.norm(z_r - z_r_old) + np.linalg.norm(z_S - z_S_old))
-            if r_pri > 10.0 * r_dua:
-                beta *= 2.0
-                u_r, u_S = u_r / 2.0, u_S / 2.0
-            elif r_dua > 10.0 * r_pri:
-                beta /= 2.0
-                u_r, u_S = u_r * 2.0, u_S * 2.0
+    def certify(it, z_r, u_r, u_S, beta):
+        nonlocal lb, ub, best_rho
+        rho_hat = _round_to_state(z_r, dims)
+        d_cand = _max_feasible_shift(rho_hat, Pmat, dims)
+        if d_cand > lb:
+            lb, best_rho = d_cand, rho_hat
+        Y = project_psd(-beta * u_S)
+        overlap = frob_inner(Y, Pmat)
+        if overlap > 1e-9:
+            Y = Y / overlap
+            ub = min(ub, _tr(Y) - float(eigvalsh(partial_transpose(Y, dims))[0]))
+        return ub - lb <= tol_gap
 
-        if it % cert_every == 0 or it == max_iter:
-            rho_hat = _round_to_state(z_r, dims)
-            d_cand = _max_feasible_shift(rho_hat, Pmat, dims)
-            if d_cand > lb:
-                lb, best_rho = d_cand, rho_hat
-            Y = _proj_psd(hermitize(-beta * u_S))
-            overlap = frob_inner(Y, Pmat)
-            if overlap > 1e-9:
-                Y = Y / overlap
-                ub = min(ub, _tr(Y) - _lmin(_pt(Y, m, n)))
-            if ub - lb <= tol_gap:
-                break
+    it = _split(z_r, eye.copy(), affine, certify, max_iter, cert_every)
 
     residuals = _construction_residuals(best_rho, lb, Pmat, dims)
     converged = bool(ub - lb <= tol_gap and residuals["pt_constraint_gap"] <= tol_feas)
@@ -237,11 +253,12 @@ def solve_construction_sdp(
 
 def _construction_residuals(rho, d, Pmat, dims) -> dict[str, float]:
     """Post-hoc feasibility of a (rho, d) pair, recomputed from scratch."""
-    m, n = dims.m, dims.n
     eye = np.eye(dims.total)
     return {
-        "psd_gap": max(0.0, -_lmin(rho)),
-        "pt_constraint_gap": max(0.0, _lmax(_pt(rho, m, n) + d * Pmat - eye)),
+        "psd_gap": max(0.0, -float(eigvalsh(rho)[0])),
+        "pt_constraint_gap": max(
+            0.0, float(eigvalsh(partial_transpose(rho, dims) + d * Pmat - eye)[-1])
+        ),
         "trace_gap": abs(_tr(rho) - 1.0),
     }
 
@@ -253,12 +270,11 @@ def _max_feasible_shift(rho, Pmat, dims) -> float:
     then walked back until the margin is verifiably nonnegative, so the
     result is a true lower bound for the construction SDP.
     """
-    m, n = dims.m, dims.n
-    M = hermitize(np.eye(dims.total) - _pt(rho, m, n))
+    M = hermitize(np.eye(dims.total) - partial_transpose(rho, dims))
     w, V = np.linalg.eigh(M)
     w = np.maximum(w, 1e-14)
     M_isqrt = (V / np.sqrt(w)) @ V.conj().T
-    top = _lmax(M_isqrt @ Pmat @ M_isqrt)
+    top = float(eigvalsh(hermitize(M_isqrt @ Pmat @ M_isqrt))[-1])
     if top <= 1e-12:
         return D_MAX
     d = 1.0 / top
@@ -315,68 +331,42 @@ def optimize_over_ppt(
 
 
 def _maximize_over_ppt(dims, W, tol, max_iter, cert_every) -> PptOptimum:
-    m, n = dims.m, dims.n
     d_tot = dims.total
     eye = np.eye(d_tot, dtype=complex)
-    beta = 1.0
-    z1 = eye / d_tot
-    z2 = eye / d_tot
-    u1 = np.zeros_like(eye)
-    u2 = np.zeros_like(eye)
     trW = _tr(W)
 
-    lb = -np.inf
-    ub = np.inf
+    def affine(A, B, beta):
+        nu = (_tr(A) + _tr(B) + trW / beta - 2.0) / d_tot
+        sigma = (A + partial_transpose(B, dims) + W / beta - nu * eye) / 2.0
+        return sigma, partial_transpose(sigma, dims)
+
+    lb, ub = -np.inf, np.inf
     best_sigma = eye / d_tot
     best_dual = (np.zeros_like(eye), np.zeros_like(eye))
     last_polish = -10**9
-    it = 0
 
-    for it in range(1, max_iter + 1):
-        A = z1 - u1
-        B = z2 - u2
-        nu = (_tr(A) + _tr(B) + trW / beta - 2.0) / d_tot
-        sigma = (A + _pt(B, m, n) + W / beta - nu * eye) / 2.0
-        sigma_pt = _pt(sigma, m, n)
+    def offer(Y1, Y2):
+        nonlocal ub, best_dual
+        ub_cand = float(eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1])
+        if ub_cand < ub:
+            ub, best_dual = ub_cand, (Y1, Y2)
 
-        s1 = _OVER_RELAX * sigma + (1.0 - _OVER_RELAX) * z1
-        s2 = _OVER_RELAX * sigma_pt + (1.0 - _OVER_RELAX) * z2
-        z1_old, z2_old = z1, z2
-        z1 = _proj_psd(hermitize(s1 + u1))
-        u1 = u1 + s1 - z1
-        z2 = _proj_psd(hermitize(s2 + u2))
-        u2 = u2 + s2 - z2
+    def certify(it, z1, u1, u2, beta):
+        nonlocal lb, best_sigma, last_polish
+        sigma_hat = _round_to_ppt_state(z1, dims)
+        lb_cand = frob_inner(W, sigma_hat)
+        if lb_cand > lb:
+            lb, best_sigma = lb_cand, sigma_hat
+        offer(project_psd(-beta * u1), project_psd(-beta * u2))
+        # active-set endgame: pin the dual pair to the faces selected by
+        # the primal kernels and finish by linear least squares
+        if tol < ub - lb < 1e-3 and it - last_polish >= 500:
+            last_polish = it
+            for Y1, Y2 in _dual_face_candidates(W, sigma_hat, dims):
+                offer(Y1, Y2)
+        return ub - lb <= tol
 
-        if it % 100 == 0:
-            r_pri = np.linalg.norm(sigma - z1) + np.linalg.norm(sigma_pt - z2)
-            r_dua = beta * (np.linalg.norm(z1 - z1_old) + np.linalg.norm(z2 - z2_old))
-            if r_pri > 10.0 * r_dua:
-                beta *= 2.0
-                u1, u2 = u1 / 2.0, u2 / 2.0
-            elif r_dua > 10.0 * r_pri:
-                beta /= 2.0
-                u1, u2 = u1 * 2.0, u2 * 2.0
-
-        if it % cert_every == 0 or it == max_iter:
-            sigma_hat = _round_to_ppt_state(z1, dims)
-            lb_cand = frob_inner(W, sigma_hat)
-            if lb_cand > lb:
-                lb, best_sigma = lb_cand, sigma_hat
-            Y1 = _proj_psd(hermitize(-beta * u1))
-            Y2 = _proj_psd(hermitize(-beta * u2))
-            ub_cand = _lmax(W + Y1 + _pt(Y2, m, n))
-            if ub_cand < ub:
-                ub, best_dual = ub_cand, (Y1, Y2)
-            # active-set endgame: pin the dual pair to the faces selected by
-            # the primal kernels and finish by linear least squares
-            if ub - lb > tol and ub - lb < 1e-3 and it - last_polish >= 500:
-                last_polish = it
-                for Y1p, Y2p in _dual_face_candidates(W, sigma_hat, dims):
-                    ub_cand = _lmax(W + Y1p + _pt(Y2p, m, n))
-                    if ub_cand < ub:
-                        ub, best_dual = ub_cand, (Y1p, Y2p)
-            if ub - lb <= tol:
-                break
+    it = _split(eye / d_tot, eye / d_tot, affine, certify, max_iter, cert_every)
 
     return PptOptimum(
         value=float(lb), sigma=DensityMatrix(dims, best_sigma),
@@ -393,17 +383,20 @@ def _round_to_ppt_state(M: np.ndarray, dims: BipartiteDims, sweeps: int = 10) ->
     the maximally mixed state large enough to swallow any residual
     negativity in either picture.
     """
-    m, n = dims.m, dims.n
     d_tot = dims.total
     eye_over_d = np.eye(d_tot, dtype=complex) / d_tot
-    sig = hermitize(M)
+    sig = M
     for _ in range(sweeps):
-        sig = _proj_psd(sig)
-        sig = _pt(_proj_psd(_pt(sig, m, n)), m, n)
+        sig = project_psd(sig)
+        sig = partial_transpose(project_psd(partial_transpose(sig, dims)), dims)
     tr = _tr(sig)
     sig = sig / tr if tr > 1e-300 else eye_over_d.copy()
     for _ in range(5):
-        eps = max(0.0, -_lmin(sig), -_lmin(_pt(sig, m, n)))
+        eps = max(
+            0.0,
+            -float(eigvalsh(sig)[0]),
+            -float(eigvalsh(partial_transpose(sig, dims))[0]),
+        )
         if eps <= 1e-15:
             break
         theta = min(1.0, 1.1 * eps * d_tot / (1.0 + eps * d_tot) + 1e-16)
@@ -411,24 +404,22 @@ def _round_to_ppt_state(M: np.ndarray, dims: BipartiteDims, sweeps: int = 10) ->
     return sig
 
 
-def _hermitian_basis(r: int) -> list[np.ndarray]:
-    """Orthonormal real basis of r x r Hermitian matrices (r^2 elements)."""
-    basis = []
-    for i in range(r):
-        E = np.zeros((r, r), dtype=complex)
-        E[i, i] = 1.0
-        basis.append(E)
+def _hermitian_basis(r: int) -> np.ndarray:
+    """Orthonormal real basis of r x r Hermitian matrices, shape (r^2, r, r).
+
+    The r diagonal units come first, then for each i < j (row-major) the
+    symmetric and the antisymmetric element.
+    """
+    i, j = np.triu_indices(r, 1)
+    sym = r + 2 * np.arange(i.size)
+    diag = np.arange(r)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(r):
-        for j in range(i + 1, r):
-            E = np.zeros((r, r), dtype=complex)
-            E[i, j] = E[j, i] = inv_sqrt2
-            basis.append(E)
-            E = np.zeros((r, r), dtype=complex)
-            E[i, j] = 1j * inv_sqrt2
-            E[j, i] = -1j * inv_sqrt2
-            basis.append(E)
-    return basis
+    E = np.zeros((r * r, r, r), dtype=complex)
+    E[diag, diag, diag] = 1.0
+    E[sym, i, j] = E[sym, j, i] = inv_sqrt2
+    E[sym + 1, i, j] = 1j * inv_sqrt2
+    E[sym + 1, j, i] = -1j * inv_sqrt2
+    return E
 
 
 def _kernel_cuts(w: np.ndarray) -> list[int]:
@@ -442,36 +433,6 @@ def _kernel_cuts(w: np.ndarray) -> list[int]:
     return cuts[:4]
 
 
-def _face_columns(Q1, Q2, dims):
-    """Real design columns for Q1 A Q1^dag and (Q2 B Q2^dag)^G, A, B Hermitian."""
-    m, n = dims.m, dims.n
-    cols = []
-    for which, Q in ((0, Q1), (1, Q2)):
-        for E in _hermitian_basis(Q.shape[1]):
-            Mb = Q @ E @ Q.conj().T
-            if which == 1:
-                Mb = _pt(Mb, m, n)
-            cols.append(np.concatenate([Mb.real.ravel(), Mb.imag.ravel()]))
-    return cols
-
-
-def _reconstruct_pair(theta, Q1, Q2, dims):
-    """Clamped (exactly PSD) pair from least-squares face coefficients."""
-    d_tot = dims.total
-    r1sq = Q1.shape[1] ** 2
-    basis1 = _hermitian_basis(Q1.shape[1])
-    basis2 = _hermitian_basis(Q2.shape[1])
-    Y1 = np.zeros((d_tot, d_tot), dtype=complex)
-    Y2 = np.zeros((d_tot, d_tot), dtype=complex)
-    if Q1.shape[1]:
-        A = sum(t * E for t, E in zip(theta[:r1sq], basis1))
-        Y1 = Q1 @ _proj_psd(hermitize(np.atleast_2d(A))) @ Q1.conj().T
-    if Q2.shape[1]:
-        B = sum(t * E for t, E in zip(theta[r1sq:], basis2))
-        Y2 = Q2 @ _proj_psd(hermitize(np.atleast_2d(B))) @ Q2.conj().T
-    return hermitize(Y1), hermitize(Y2)
-
-
 def _dual_face_candidates(W, sigma_hat, dims):
     """Dual pairs from face-restricted least squares.
 
@@ -480,23 +441,41 @@ def _dual_face_candidates(W, sigma_hat, dims):
     solution of a linear least-squares problem.  Tries the kernel splits
     suggested by spectral gaps of the primal iterate and yields clamped
     (hence exactly PSD) candidate pairs.
+
+    The unknowns are c and the coordinates of Y1 = Q1 A Q1^dag and
+    Y2 = Q2 B Q2^dag in the Hermitian bases of A and B; each design
+    column holds the real and imaginary parts of one basis image.
     """
-    m, n = dims.m, dims.n
     d_tot = dims.total
     w1, V1 = np.linalg.eigh(hermitize(sigma_hat))
-    w2, V2 = np.linalg.eigh(hermitize(_pt(sigma_hat, m, n)))
+    w2, V2 = np.linalg.eigh(hermitize(partial_transpose(sigma_hat, dims)))
     eye = np.eye(d_tot, dtype=complex)
     eye_col = np.concatenate([eye.real.ravel(), eye.imag.ravel()])
     target = np.concatenate([W.real.ravel(), W.imag.ravel()])
+    # entry order of the flattened partial transpose
+    pt_order = partial_transpose(np.arange(d_tot * d_tot).reshape(d_tot, d_tot), dims).ravel()
 
     out = []
     for cut1 in _kernel_cuts(w1):
         for cut2 in _kernel_cuts(w2):
             Q1 = V1[:, :cut1]
             Q2 = V2[:, :cut2]
-            cols = [eye_col] + [-c for c in _face_columns(Q1, Q2, dims)]
-            theta, *_ = np.linalg.lstsq(np.array(cols).T, target, rcond=None)
-            out.append(_reconstruct_pair(theta[1:], Q1, Q2, dims))
+            E1 = _hermitian_basis(cut1)
+            E2 = _hermitian_basis(cut2)
+            images = np.concatenate([
+                (Q1 @ E1 @ Q1.conj().T).reshape(cut1 * cut1, d_tot * d_tot),
+                (Q2 @ E2 @ Q2.conj().T).reshape(cut2 * cut2, d_tot * d_tot)[:, pt_order],
+            ])
+            design = np.concatenate(
+                [eye_col[None], -np.concatenate([images.real, images.imag], axis=1)]
+            ).T
+            theta, *_ = np.linalg.lstsq(design, target, rcond=None)
+            A = np.tensordot(theta[1:1 + cut1 * cut1], E1, axes=1)
+            B = np.tensordot(theta[1 + cut1 * cut1:], E2, axes=1)
+            out.append((
+                hermitize(Q1 @ project_psd(A) @ Q1.conj().T) if cut1 else np.zeros_like(eye),
+                hermitize(Q2 @ project_psd(B) @ Q2.conj().T) if cut2 else np.zeros_like(eye),
+            ))
     return out
 
 
@@ -523,7 +502,6 @@ def decompose_dual_cone(
     (the PPT optimization finds a strictly negative overlap), NoConvergence
     when the budget runs out without a verdict.
     """
-    m, n = dims.m, dims.n
     X = np.asarray(X, dtype=complex)
     if not is_hermitian(X):
         raise NotHermitian("decomposition input must be Hermitian")
@@ -531,25 +509,26 @@ def decompose_dual_cone(
     scale = max(1.0, float(np.abs(X).max()))
 
     if warm_start is not None:
-        Y1 = _proj_psd(hermitize(np.asarray(warm_start[0], dtype=complex)))
-        Y2 = _proj_psd(hermitize(np.asarray(warm_start[1], dtype=complex)))
+        # a warm start is only a hint: take its Hermitian part, never reject it
+        Y1 = project_psd(hermitize(np.asarray(warm_start[0], dtype=complex)))
+        Y2 = project_psd(hermitize(np.asarray(warm_start[1], dtype=complex)))
     else:
         Y1 = np.zeros_like(X)
-        Y2 = _proj_psd(_pt(X, m, n))
+        Y2 = project_psd(partial_transpose(X, dims))
 
     res = np.inf
     it = 0
     polish_at = min(2000, max_iter)
     for it in range(1, max_iter + 1):
-        R = hermitize(X - Y1 - _pt(Y2, m, n))
-        if _lmin(R) >= -1e-12 * scale:
-            Y1 = _proj_psd(Y1 + R)
-            res = float(np.linalg.norm(X - Y1 - _pt(Y2, m, n)))
+        R = X - Y1 - partial_transpose(Y2, dims)
+        if eigvalsh(R)[0] >= -1e-12 * scale:
+            Y1 = project_psd(Y1 + R)
+            res = float(np.linalg.norm(X - Y1 - partial_transpose(Y2, dims)))
             if res <= tol_residual:
                 return Y1, Y2, res, it
-        Y1 = _proj_psd(hermitize(X - _pt(Y2, m, n)))
-        Y2 = _proj_psd(hermitize(_pt(X - Y1, m, n)))
-        res = float(np.linalg.norm(X - Y1 - _pt(Y2, m, n)))
+        Y1 = project_psd(X - partial_transpose(Y2, dims))
+        Y2 = project_psd(partial_transpose(X - Y1, dims))
+        res = float(np.linalg.norm(X - Y1 - partial_transpose(Y2, dims)))
         if res <= tol_residual:
             return Y1, Y2, res, it
         if it == polish_at or it == max_iter:
@@ -563,9 +542,9 @@ def decompose_dual_cone(
                     "X is outside the dual cone"
                 )
             if dual_pair is not None:
-                Y2c = _proj_psd(hermitize(dual_pair[1]))
-                Y1c = _proj_psd(hermitize(X - _pt(Y2c, m, n)))
-                res_c = float(np.linalg.norm(X - Y1c - _pt(Y2c, m, n)))
+                Y2c = project_psd(dual_pair[1])
+                Y1c = project_psd(X - partial_transpose(Y2c, dims))
+                res_c = float(np.linalg.norm(X - Y1c - partial_transpose(Y2c, dims)))
                 if res_c < res:
                     Y1, Y2, res = Y1c, Y2c, res_c
                     if res <= tol_residual:
@@ -605,8 +584,6 @@ def construct_via_dual_cone(
     c = lambda_max(P + Y1 + Y2^G) the leftover is PSD and folds into X1,
     so the split is exact.
     """
-    from .bipartite import count_negative_eigenvalues, partial_transpose
-
     if dims.npt_dim == 0:
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
     Pmat = hermitize(_projector_matrix(P))

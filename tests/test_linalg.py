@@ -39,6 +39,19 @@ class TestEigh:
             assert pivot.real > 0
             assert pivot.imag == 0
 
+    def test_phase_fix_matches_column_loop(self):
+        # reference: the phase convention applied one column at a time;
+        # the vectorized form may differ by rounding only
+        rng = np.random.default_rng(6)
+        for d in (2, 7, 30):
+            _, V = np.linalg.eigh(random_hermitian(d, rng))
+            ref = V.copy()
+            for k in range(d):
+                i = np.abs(ref[:, k]).argmax()
+                ref[:, k] *= ref[i, k].conjugate() / abs(ref[i, k])
+                ref[i, k] = ref[i, k].real
+            assert np.allclose(linalg._fix_phases(V), ref, rtol=0, atol=1e-15)
+
     def test_deterministic(self):
         A = random_hermitian(8, np.random.default_rng(3))
         s1, s2 = linalg.eigh(A), linalg.eigh(A.copy())
@@ -85,6 +98,18 @@ class TestProjectPsd:
             A = random_hermitian(5, rng)
             P1 = linalg.project_psd(A)
             assert np.linalg.norm(linalg.project_psd(P1) - P1) <= 1e-10
+
+    def test_not_hermitian(self):
+        with pytest.raises(errors.NotHermitian):
+            linalg.project_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_psd_input_returns_hermitian_part(self):
+        # a PSD input is returned as its Hermitian part, not rebuilt from
+        # its eigendecomposition; the skew part stays within tolerance
+        rng = np.random.default_rng(12)
+        G = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        A = G @ G.conj().T + 1e-14j * np.eye(5)
+        assert np.array_equal(linalg.project_psd(A), linalg.hermitize(A))
 
 
 class TestKron:

@@ -14,7 +14,7 @@ from nptsub import (
     solve_construction_sdp,
     subspace_projector,
 )
-from nptsub.sdp import D_MAX
+from nptsub.sdp import D_MAX, _hermitian_basis
 
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
@@ -127,6 +127,53 @@ class TestConstructionSdp:
         assert partial is not None
         assert not partial.converged
         assert partial.residuals["psd_gap"] <= 1e-9  # rounded output is still a state
+
+
+class TestPinnedOutputs:
+    """Iteration counts and certified values of both routes, recorded when
+    each route still ran its own copy of the splitting loop.  The shared
+    core keeps the arithmetic, so the counts must match exactly."""
+
+    @pytest.mark.parametrize("m,n,iterations,lb", [
+        (3, 3, 100, 1.0369763358423485),
+        (4, 4, 100, 1.0043388151950976),
+        (5, 5, 400, 1.0005021859113452),
+    ])
+    def test_direct_route(self, m, n, iterations, lb):
+        dims = BipartiteDims(m, n)
+        sol = solve_construction_sdp(dims, npt_projector(dims))
+        assert sol.iterations == iterations
+        assert sol.lower_bound == pytest.approx(lb, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("m,n,iterations,c", [
+        (3, 4, 201, 0.9588325262291642),
+        (4, 4, 201, 0.9857022678211579),
+        (5, 5, 501, 0.9981180607807484),
+    ])
+    def test_dual_cone_route(self, m, n, iterations, c):
+        dims = BipartiteDims(m, n)
+        dec = construct_via_dual_cone(dims, npt_projector(dims))
+        assert dec.iterations == iterations
+        assert dec.c == pytest.approx(c, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 4])
+    def test_hermitian_basis_matches_loop(self, r):
+        # reference: the basis built one element at a time
+        ref = []
+        for i in range(r):
+            E = np.zeros((r, r), dtype=complex)
+            E[i, i] = 1.0
+            ref.append(E)
+        for i in range(r):
+            for j in range(i + 1, r):
+                E = np.zeros((r, r), dtype=complex)
+                E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
+                ref.append(E)
+                E = np.zeros((r, r), dtype=complex)
+                E[i, j] = 1j / np.sqrt(2.0)
+                E[j, i] = -1j / np.sqrt(2.0)
+                ref.append(E)
+        assert np.array_equal(_hermitian_basis(r), np.array(ref).reshape(r * r, r, r))
 
 
 class TestOptimizeOverPpt:
