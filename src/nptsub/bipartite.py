@@ -130,10 +130,10 @@ def count_negative_eigenvalues(
 
     The threshold tau = max(abs_floor, rel * |lambda_max|) guards against
     calling round-off negative.  Returns (count, the offending eigenvalues
-    in ascending order).
+    in ascending order).  The 0 x 0 matrix has none: (0, empty).
     """
     w = eigvalsh(A)
-    tau = max(abs_floor, rel * abs(float(w[-1])))
+    tau = max(abs_floor, rel * abs(float(w[-1]))) if w.size else abs_floor
     neg = w[w < -tau]
     return int(neg.size), neg
 

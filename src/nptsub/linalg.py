@@ -30,8 +30,9 @@ def is_hermitian(A: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (A + A^dagger) / 2."""
-    return (A + A.conj().T) / 2
+    """Return the Hermitian part (A + A^dagger) / 2 of A, or of each matrix
+    in a stack (..., d, d)."""
+    return (A + A.conj().swapaxes(-1, -2)) / 2
 
 
 def _hermitian_part(A: np.ndarray) -> np.ndarray:
@@ -70,6 +71,8 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
 
     The columns are unit vectors, so every pivot is nonzero.
     """
+    if not V.size:
+        return V
     cols = np.arange(V.shape[1])
     idx = np.abs(V).argmax(axis=0)
     pivot = V[idx, cols]
@@ -108,14 +111,22 @@ def project_psd(A: np.ndarray) -> np.ndarray:
     Clamps negative eigenvalues at zero and reconstructs; a PSD input comes
     back as its Hermitian part.  Skips the phase convention of ``eigh``,
     which cannot change the projection.  Raises ShapeMismatch and
-    NotHermitian like ``eigh``.
+    NotHermitian like ``eigh``.  The 0 x 0 matrix is its own projection.
     """
-    H = _hermitian_part(A)
+    return _clamp_psd(_hermitian_part(A))
+
+
+def _clamp_psd(H: np.ndarray) -> np.ndarray:
+    """PSD part of each Hermitian matrix in a stack (..., d, d), unvalidated.
+
+    One batched ``np.linalg.eigh`` call; a stack with no negative
+    eigenvalue comes back as it is.
+    """
     w, V = np.linalg.eigh(H)
-    if w[0] >= 0.0:
+    if (w >= 0.0).all():
         return H
     w = np.maximum(w, 0.0)
-    return hermitize((V * w) @ V.conj().T)
+    return hermitize((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:

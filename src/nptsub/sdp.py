@@ -21,6 +21,15 @@ problem supplies only two steps:
 * its certify step, which turns the current iterates into certified bounds
   and decides when to stop.
 
+The iterates live on sector blocks when the input (P, or W) is real and
+zero outside the j+k sectors, as the NPT projector is.  Every iterate is
+then real and block-diagonal, by j+k sector in the input's picture and by
+j-k sector in the partially transposed one: m+n-1 blocks of size at most
+min(m, n).  A PSD projection is one batched real eigh over the padded
+block stack, and the partial transpose is a fixed gather between the two
+pictures.  Any other input runs the same code on one complex block that
+holds all mn x mn entries.
+
 Solver internals are never trusted: every reported objective is certified
 post hoc from rounded iterates.  Lower bounds come from exactly feasible
 points (eigenvalue rounding), upper bounds from exactly verifiable dual
@@ -28,8 +37,11 @@ certificates (the PSD parts of -beta u), and iteration stops once the
 certified gap closes.  The PPT certify step ends with an active-set
 polish: the kernels of the primal optimum pin the faces carrying the dual
 pair, where the remaining problem is linear least squares and solves to
-machine precision.  All three solvers work through the package's public
-primitives ``project_psd``, ``eigvalsh`` and ``partial_transpose``.
+machine precision.  Certificates are always dense: each certify step
+unpacks the iterates to mn x mn matrices and works through the package's
+public primitives ``project_psd``, ``eigvalsh`` and ``partial_transpose``,
+as ``decompose_dual_cone`` does throughout.  A block layout can therefore
+cost iterations, but it can never certify a wrong bound.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from .bipartite import (
     partial_transpose,
 )
 from .errors import DegenerateSubspace, NoConvergence, NotHermitian, NotInDualCone
-from .linalg import eigvalsh, frob_inner, hermitize, is_hermitian, project_psd
+from .linalg import _clamp_psd, eigvalsh, frob_inner, hermitize, is_hermitian, project_psd
 from .subspace import Projector
 
 #: Objective clamp when the projector is zero and d is unbounded.
@@ -120,12 +132,96 @@ def _projector_matrix(P) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# sector layout of the iterates
+# --------------------------------------------------------------------------
+
+class _Picture:
+    """The mn x mn matrices supported on a fixed set of diagonal blocks.
+
+    The blocks are the classes of ``labels`` (one label per basis index).
+    Such a matrix is stored as the flat vector of its block entries, block
+    after block, each block row-major: ``flat`` holds the dense flat index
+    of every entry, ``stack`` its flat index in the zero-padded (K, s, s)
+    stack of blocks, ``diag`` the positions of the diagonal entries.
+    ``pt`` is set by ``_pictures``: the partial transpose of x, stored in
+    the other picture, is ``x[pt]``.
+    """
+
+    def __init__(self, labels: np.ndarray, dtype):
+        d = labels.size
+        self.d, self.dtype = d, dtype
+        blocks = [np.flatnonzero(labels == s) for s in sorted(set(labels.tolist()))]
+        s_max = max(b.size for b in blocks)
+        self.shape = (len(blocks), s_max, s_max)
+        flat, stack = [], []
+        for i, b in enumerate(blocks):
+            r, c = np.divmod(np.arange(b.size * b.size), b.size)
+            flat.append(b[r] * d + b[c])
+            stack.append((i * s_max + r) * s_max + c)
+        self.flat = np.concatenate(flat)
+        self.stack = np.concatenate(stack)
+        self.diag = np.flatnonzero(self.flat // d == self.flat % d)
+        self.eye = np.zeros(self.flat.size, dtype)
+        self.eye[self.diag] = 1.0
+
+    def pack(self, M: np.ndarray) -> np.ndarray:
+        M = np.asarray(M)
+        return (M.real if self.dtype is float else M).reshape(-1)[self.flat]
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        M = np.zeros(self.d * self.d, dtype=complex)
+        M[self.flat] = x
+        return M.reshape(self.d, self.d)
+
+    def trace(self, x: np.ndarray) -> float:
+        return float(x[self.diag].sum().real)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """PSD projection, one batched eigh over the padded block stack.
+
+        The splitting iterates are exactly Hermitian (every step maps
+        Hermitian entry vectors to Hermitian ones), so no hermitization
+        precedes the eigh.
+        """
+        S = np.zeros(self.shape, self.dtype)
+        S.reshape(-1)[self.stack] = x
+        return _clamp_psd(S).reshape(-1)[self.stack]
+
+
+def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
+    """Layouts of M's picture and of the partially transposed picture.
+
+    A real M that is zero outside the j+k sectors (as the NPT projector
+    is) keeps every iterate real and block-diagonal: by j+k sector in M's
+    picture, by j-k sector in the other, with m+n-1 blocks of size at most
+    min(m, n) in each.  Any other M gets one complex block of all mn x mn
+    entries in both pictures.
+    """
+    d = dims.total
+    j, k = np.divmod(np.arange(d), dims.n)
+    M = np.asarray(M)
+    real = not np.iscomplexobj(M) or not M.imag.any()
+    if real and not M[(j + k)[:, None] != (j + k)[None, :]].any():
+        a, b = _Picture(j + k, float), _Picture(j - k, float)
+    else:
+        one = np.zeros(d, dtype=int)
+        a, b = _Picture(one, complex), _Picture(one, complex)
+    perm = partial_transpose(np.arange(d * d).reshape(d, d), dims).ravel()
+    for src, dst in ((a, b), (b, a)):
+        position = np.empty(d * d, dtype=int)
+        position[src.flat] = np.arange(src.flat.size)
+        src.pt = position[perm[dst.flat]]
+    return a, b
+
+
+# --------------------------------------------------------------------------
 # the splitting core:  affine set  x  (PSD x PSD)
 # --------------------------------------------------------------------------
 
-def _split(z1, z2, affine, certify, max_iter: int, cert_every: int) -> int:
+def _split(cones, z1, z2, affine, certify, max_iter: int, cert_every: int) -> int:
     """Over-relaxed splitting between an affine set and two PSD cones.
 
+    The iterates are entry vectors in the layouts ``cones = (pic1, pic2)``.
     Starts from the cone points (z1, z2) with zero scaled duals u1, u2 and
     penalty beta = 1.  Each iteration takes the affine step
     ``affine(z1 - u1, z2 - u2, beta) -> (x1, x2)``, over-relaxes it, and
@@ -136,6 +232,7 @@ def _split(z1, z2, affine, certify, max_iter: int, cert_every: int) -> int:
     the caller's certified bounds and returns True to stop.  Returns the
     number of iterations run.
     """
+    pic1, pic2 = cones
     beta = 1.0
     u1 = np.zeros_like(z1)
     u2 = np.zeros_like(z2)
@@ -145,9 +242,9 @@ def _split(z1, z2, affine, certify, max_iter: int, cert_every: int) -> int:
         h1 = _OVER_RELAX * x1 + (1.0 - _OVER_RELAX) * z1
         h2 = _OVER_RELAX * x2 + (1.0 - _OVER_RELAX) * z2
         z1_old, z2_old = z1, z2
-        z1 = project_psd(h1 + u1)
+        z1 = pic1.project(h1 + u1)
         u1 = u1 + h1 - z1
-        z2 = project_psd(h2 + u2)
+        z2 = pic2.project(h2 + u2)
         u2 = u2 + h2 - z2
 
         if it % 100 == 0:
@@ -203,38 +300,41 @@ def solve_construction_sdp(
             lower_bound=D_MAX, upper_bound=float("inf"), clamped=True,
         )
 
-    Pt = partial_transpose(Pmat, dims)
+    # S and P live in one picture, rho and P^G in the other
+    pic_S, pic_r = _pictures(dims, Pmat)
+    p = pic_S.pack(Pmat)
+    pt = p[pic_S.pt]
+    eye_S, eye_r = pic_S.eye, pic_r.eye
 
     def affine(a, b, beta):
-        G = eye - b
-        PG = frob_inner(Pmat, G)
-        q = frob_inner(Pt, a) + PG
-        s = _tr(a) + _tr(G)
+        G = eye_S - b
+        PG = frob_inner(p, G)
+        q = frob_inner(pt, a) + PG
+        s = pic_r.trace(a) + pic_S.trace(G)
         r_a = PG + 1.0 / beta - q / 2.0
         r_b = 1.0 - s / 2.0
         nu = -2.0 * (r_a + r_b) / (k + d_tot)
         d_x = 2.0 * r_a / k + nu
-        rho_x = (a + partial_transpose(G, dims) - d_x * Pt) / 2.0 - (nu / 2.0) * eye
-        return rho_x, eye - d_x * Pmat - partial_transpose(rho_x, dims)
+        rho_x = (a + G[pic_S.pt] - d_x * pt) / 2.0 - (nu / 2.0) * eye_r
+        return rho_x, eye_S - d_x * p - rho_x[pic_r.pt]
 
-    z_r = eye / d_tot
     lb, ub = -np.inf, np.inf
-    best_rho = _round_to_state(z_r, dims)
+    best_rho = _round_to_state(eye / d_tot, dims)
 
     def certify(it, z_r, u_r, u_S, beta):
         nonlocal lb, ub, best_rho
-        rho_hat = _round_to_state(z_r, dims)
+        rho_hat = _round_to_state(pic_r.unpack(z_r), dims)
         d_cand = _max_feasible_shift(rho_hat, Pmat, dims)
         if d_cand > lb:
             lb, best_rho = d_cand, rho_hat
-        Y = project_psd(-beta * u_S)
+        Y = project_psd(-beta * pic_S.unpack(u_S))
         overlap = frob_inner(Y, Pmat)
         if overlap > 1e-9:
             Y = Y / overlap
             ub = min(ub, _tr(Y) - float(eigvalsh(partial_transpose(Y, dims))[0]))
         return ub - lb <= tol_gap
 
-    it = _split(z_r, eye.copy(), affine, certify, max_iter, cert_every)
+    it = _split((pic_r, pic_S), eye_r / d_tot, eye_S, affine, certify, max_iter, cert_every)
 
     residuals = _construction_residuals(best_rho, lb, Pmat, dims)
     converged = bool(ub - lb <= tol_gap and residuals["pt_constraint_gap"] <= tol_feas)
@@ -334,11 +434,13 @@ def _maximize_over_ppt(dims, W, tol, max_iter, cert_every) -> PptOptimum:
     d_tot = dims.total
     eye = np.eye(d_tot, dtype=complex)
     trW = _tr(W)
+    pic_1, pic_2 = _pictures(dims, W)  # sigma lives in W's picture
+    w = pic_1.pack(W)
 
     def affine(A, B, beta):
-        nu = (_tr(A) + _tr(B) + trW / beta - 2.0) / d_tot
-        sigma = (A + partial_transpose(B, dims) + W / beta - nu * eye) / 2.0
-        return sigma, partial_transpose(sigma, dims)
+        nu = (pic_1.trace(A) + pic_2.trace(B) + trW / beta - 2.0) / d_tot
+        sigma = (A + B[pic_2.pt] + w / beta - nu * pic_1.eye) / 2.0
+        return sigma, sigma[pic_1.pt]
 
     lb, ub = -np.inf, np.inf
     best_sigma = eye / d_tot
@@ -353,11 +455,11 @@ def _maximize_over_ppt(dims, W, tol, max_iter, cert_every) -> PptOptimum:
 
     def certify(it, z1, u1, u2, beta):
         nonlocal lb, best_sigma, last_polish
-        sigma_hat = _round_to_ppt_state(z1, dims)
+        sigma_hat = _round_to_ppt_state(pic_1.unpack(z1), dims)
         lb_cand = frob_inner(W, sigma_hat)
         if lb_cand > lb:
             lb, best_sigma = lb_cand, sigma_hat
-        offer(project_psd(-beta * u1), project_psd(-beta * u2))
+        offer(project_psd(-beta * pic_1.unpack(u1)), project_psd(-beta * pic_2.unpack(u2)))
         # active-set endgame: pin the dual pair to the faces selected by
         # the primal kernels and finish by linear least squares
         if tol < ub - lb < 1e-3 and it - last_polish >= 500:
@@ -366,7 +468,10 @@ def _maximize_over_ppt(dims, W, tol, max_iter, cert_every) -> PptOptimum:
                 offer(Y1, Y2)
         return ub - lb <= tol
 
-    it = _split(eye / d_tot, eye / d_tot, affine, certify, max_iter, cert_every)
+    it = _split(
+        (pic_1, pic_2), pic_1.eye / d_tot, pic_2.eye / d_tot,
+        affine, certify, max_iter, cert_every,
+    )
 
     return PptOptimum(
         value=float(lb), sigma=DensityMatrix(dims, best_sigma),

@@ -116,6 +116,10 @@ class TestNegativeCount:
         count, _ = count_negative_eigenvalues(np.diag([-1e-8, 1.0]).astype(complex))
         assert count == 1
 
+    def test_empty_matrix(self):
+        count, negs = count_negative_eigenvalues(np.zeros((0, 0)))
+        assert count == 0 and negs.shape == (0,)
+
 
 class TestIsPpt:
     def test_diagonal_state(self):

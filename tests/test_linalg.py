@@ -72,6 +72,12 @@ class TestEigh:
         with pytest.raises(errors.ShapeMismatch):
             linalg.eigh(np.zeros((2, 3), dtype=complex))
 
+    def test_empty_matrix(self):
+        spec = linalg.eigh(np.zeros((0, 0)))
+        assert spec.eigenvalues.shape == (0,)
+        assert spec.eigenvectors.shape == (0, 0)
+        assert linalg.eigvalsh(np.zeros((0, 0))).shape == (0,)
+
 
 class TestProjectPsd:
     def test_psd_fixed_point(self):
@@ -110,6 +116,9 @@ class TestProjectPsd:
         G = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         A = G @ G.conj().T + 1e-14j * np.eye(5)
         assert np.array_equal(linalg.project_psd(A), linalg.hermitize(A))
+
+    def test_empty_matrix_is_psd(self):
+        assert linalg.project_psd(np.zeros((0, 0))).shape == (0, 0)
 
 
 class TestKron:

@@ -14,7 +14,8 @@ from nptsub import (
     solve_construction_sdp,
     subspace_projector,
 )
-from nptsub.sdp import D_MAX, _hermitian_basis
+from nptsub.linalg import project_psd
+from nptsub.sdp import D_MAX, _hermitian_basis, _pictures
 
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
@@ -23,6 +24,19 @@ D34 = BipartiteDims(3, 4)
 
 def npt_projector(dims):
     return subspace_projector(build_subspace(dims))
+
+
+def haar_unitary(d, rng):
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    Q, R = np.linalg.qr(G)
+    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+
+
+def rotated_projector(dims, rng):
+    """(U x V) P (U x V)^dag for Haar U, V: same optimum, no block structure."""
+    U = np.kron(haar_unitary(dims.m, rng), haar_unitary(dims.n, rng))
+    R = U @ npt_projector(dims).P @ U.conj().T
+    return (R + R.conj().T) / 2
 
 
 def maximally_entangled():
@@ -94,28 +108,22 @@ class TestConstructionSdp:
         assert count == dims.npt_dim
 
     def test_zero_projector_clamps(self):
-        dims = BipartiteDims(1, 4)
-        sol = solve_construction_sdp(dims, np.zeros((4, 4), dtype=complex))
-        assert sol.clamped
-        assert sol.d == D_MAX
-        assert np.allclose(sol.rho.mat, np.eye(4) / 4, atol=1e-14)
+        # m = 1 or n = 1: the projector is zero and the solve never iterates
+        for dims in (BipartiteDims(1, 4), BipartiteDims(4, 1)):
+            sol = solve_construction_sdp(dims, np.zeros((4, 4), dtype=complex))
+            assert sol.clamped
+            assert sol.iterations == 0
+            assert sol.d == D_MAX
+            assert np.allclose(sol.rho.mat, np.eye(4) / 4, atol=1e-14)
 
     def test_local_unitary_invariance(self):
         # conjugating the projector by A (x) B transforms the feasible set
         # covariantly, so the optimum cannot move
         rng = np.random.default_rng(1)
-
-        def haar(d):
-            G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            Q, R = np.linalg.qr(G)
-            return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
-
         for m, n in [(2, 2), (2, 3), (3, 3)]:
             dims = BipartiteDims(m, n)
-            P = npt_projector(dims).P
-            base = solve_construction_sdp(dims, P).d
-            U = np.kron(haar(m), haar(n))
-            rotated = (U @ P @ U.conj().T + (U @ P @ U.conj().T).conj().T) / 2
+            base = solve_construction_sdp(dims, npt_projector(dims).P).d
+            rotated = rotated_projector(dims, rng)
             assert solve_construction_sdp(dims, rotated).d == pytest.approx(
                 base, abs=2e-4
             )
@@ -174,6 +182,79 @@ class TestPinnedOutputs:
                 E[j, i] = -1j / np.sqrt(2.0)
                 ref.append(E)
         assert np.array_equal(_hermitian_basis(r), np.array(ref).reshape(r * r, r, r))
+
+
+class TestSectorLayout:
+    """The solver iterates' storage: entry vectors on diagonal blocks."""
+
+    DIMS = [(2, 4), (3, 3), (4, 5), (7, 7)]
+
+    @staticmethod
+    def random_member(pic, rng):
+        """Random Hermitian matrix supported on the picture's blocks."""
+        x = rng.standard_normal(pic.flat.size)
+        if pic.dtype is complex:
+            x = x + 1j * rng.standard_normal(pic.flat.size)
+        X = pic.unpack(x)
+        return X + X.conj().T
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    def test_projector_gets_sector_blocks(self, m, n):
+        dims = BipartiteDims(m, n)
+        for pic in _pictures(dims, npt_projector(dims).P):
+            assert pic.dtype is float
+            assert pic.shape == (m + n - 1, min(m, n), min(m, n))
+
+    @pytest.mark.parametrize("perturb", ["rotate", "imaginary", "off_sector"])
+    def test_other_inputs_get_one_block(self, perturb):
+        dims = BipartiteDims(3, 4)
+        P = npt_projector(dims).P.copy()
+        if perturb == "rotate":
+            P = rotated_projector(dims, np.random.default_rng(5))
+        elif perturb == "imaginary":
+            P[1, 3] += 1e-3j  # entry inside a j+k block
+            P[3, 1] -= 1e-3j
+        else:
+            P[0, 1] = P[1, 0] = 1e-3
+        for pic in _pictures(dims, P):
+            assert pic.dtype is complex
+            assert pic.shape == (1, 12, 12)
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_pack_gather_and_project(self, m, n, rotated):
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng(m * 10 + n)
+        P = rotated_projector(dims, rng) if rotated else npt_projector(dims).P
+        pics = _pictures(dims, P)
+        for src, dst in (pics, pics[::-1]):
+            X = self.random_member(src, rng)
+            x = src.pack(X)
+            assert np.array_equal(src.unpack(x), X)
+            assert np.array_equal(dst.unpack(x[src.pt]), partial_transpose(X, dims))
+            assert np.abs(src.unpack(src.project(x)) - project_psd(X)).max() <= 1e-12
+            assert src.trace(x) == pytest.approx(np.trace(X).real, abs=1e-12)
+
+
+class TestRotationEquivalence:
+    """On a Haar-rotated projector (one complex block) both routes retrace
+    the sector-block solve on P: same iterations, same certified values."""
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4)])
+    def test_direct_route(self, m, n):
+        dims = BipartiteDims(m, n)
+        base = solve_construction_sdp(dims, npt_projector(dims))
+        rot = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(m * n)))
+        assert rot.iterations == base.iterations
+        assert rot.lower_bound == pytest.approx(base.lower_bound, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4)])
+    def test_dual_cone_route(self, m, n):
+        dims = BipartiteDims(m, n)
+        base = construct_via_dual_cone(dims, npt_projector(dims))
+        rot = construct_via_dual_cone(dims, rotated_projector(dims, np.random.default_rng(m * n)))
+        assert rot.iterations == base.iterations
+        assert rot.c == pytest.approx(base.c, rel=0, abs=1e-9)
 
 
 class TestOptimizeOverPpt:
