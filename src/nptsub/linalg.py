@@ -116,17 +116,21 @@ def project_psd(A: np.ndarray) -> np.ndarray:
     return _clamp_psd(_hermitian_part(A))
 
 
-def _clamp_psd(H: np.ndarray) -> np.ndarray:
+def _clamp_psd(H: np.ndarray, lead: int = 0) -> np.ndarray:
     """PSD part of each Hermitian matrix in a stack (..., d, d), unvalidated.
 
-    One batched ``np.linalg.eigh`` call; a stack with no negative
-    eigenvalue comes back as it is.
+    One batched ``np.linalg.eigh`` call.  The first ``lead`` axes index
+    independent stacks: each one with no negative eigenvalue comes back as
+    it is, the others are rebuilt with their negative eigenvalues clamped
+    at zero.
     """
     w, V = np.linalg.eigh(H)
-    if (w >= 0.0).all():
+    keep = (w >= 0.0).all(axis=tuple(range(lead, w.ndim)))
+    if keep.all():
         return H
-    w = np.maximum(w, 0.0)
-    return hermitize((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2))
+    Z = hermitize((V * np.maximum(w, 0.0)[..., None, :]) @ V.conj().swapaxes(-1, -2))
+    Z[keep] = H[keep]
+    return Z
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -28,20 +28,25 @@ j-k sector in the partially transposed one: m+n-1 blocks of size at most
 min(m, n).  A PSD projection is one batched real eigh over the padded
 block stack, and the partial transpose is a fixed gather between the two
 pictures.  Any other input runs the same code on one complex block that
-holds all mn x mn entries.
+holds all mn x mn entries.  Both PSD projections of an iteration share
+one batched eigh.
 
 Solver internals are never trusted: every reported objective is certified
 post hoc from rounded iterates.  Lower bounds come from exactly feasible
 points (eigenvalue rounding), upper bounds from exactly verifiable dual
 certificates (the PSD parts of -beta u), and iteration stops once the
-certified gap closes.  The PPT certify step ends with an active-set
-polish: the kernels of the primal optimum pin the faces carrying the dual
-pair, where the remaining problem is linear least squares and solves to
-machine precision.  Certificates are always dense: each certify step
-unpacks the iterates to mn x mn matrices and works through the package's
-public primitives ``project_psd``, ``eigvalsh`` and ``partial_transpose``,
-as ``decompose_dual_cone`` does throughout.  A block layout can therefore
-cost iterations, but it can never certify a wrong bound.
+certified gap closes.  The certify steps run on the same block layout as
+the iteration: rounding, feasible shift and dual bound are block
+projections, gathers and block eigenvalues, with the padding of the block
+stack kept out of every extreme eigenvalue.  The PPT certify step ends
+with an active-set polish: the kernels of the primal optimum pin the faces
+carrying the dual pair, where the remaining problem is linear least
+squares and solves to machine precision.  The polish is dense, because
+those kernels can mix sectors, and its pairs are checked dense.  On exit
+the returned bounds are recomputed dense from the returned state and dual
+certificate (the construction's lower bound is rechecked by its dense
+residuals), so a block layout can cost iterations but can never certify a
+wrong bound.  ``decompose_dual_cone`` works on dense matrices throughout.
 """
 
 from __future__ import annotations
@@ -143,15 +148,18 @@ class _Picture:
     after block, each block row-major: ``flat`` holds the dense flat index
     of every entry, ``stack`` its flat index in the zero-padded (K, s, s)
     stack of blocks, ``diag`` the positions of the diagonal entries.
-    ``pt`` is set by ``_pictures``: the partial transpose of x, stored in
-    the other picture, is ``x[pt]``.
+    ``pad`` lists the padded diagonal slots of the stack and ``live`` marks,
+    per block, the first (block size) of its s eigenvalue slots.  ``pt`` is
+    set by ``_pictures``: the partial transpose of x, stored in the other
+    picture, is ``x[pt]``.
     """
 
     def __init__(self, labels: np.ndarray, dtype):
         d = labels.size
         self.d, self.dtype = d, dtype
         blocks = [np.flatnonzero(labels == s) for s in sorted(set(labels.tolist()))]
-        s_max = max(b.size for b in blocks)
+        sizes = np.array([b.size for b in blocks])
+        s_max = int(sizes.max())
         self.shape = (len(blocks), s_max, s_max)
         flat, stack = [], []
         for i, b in enumerate(blocks):
@@ -161,6 +169,9 @@ class _Picture:
         self.flat = np.concatenate(flat)
         self.stack = np.concatenate(stack)
         self.diag = np.flatnonzero(self.flat // d == self.flat % d)
+        self.live = np.arange(s_max) < sizes[:, None]
+        k, t = np.nonzero(~self.live)
+        self.pad = (k * s_max + t) * s_max + t
         self.eye = np.zeros(self.flat.size, dtype)
         self.eye[self.diag] = 1.0
 
@@ -176,6 +187,37 @@ class _Picture:
     def trace(self, x: np.ndarray) -> float:
         return float(x[self.diag].sum().real)
 
+    def blocks(self, x: np.ndarray) -> np.ndarray:
+        """The zero-padded (K, s, s) stack of blocks of x."""
+        S = np.zeros(self.shape, self.dtype)
+        S.reshape(-1)[self.stack] = x
+        return S
+
+    def entries(self, S: np.ndarray) -> np.ndarray:
+        """Entry vector of a (K, s, s) stack; the padding is dropped."""
+        return S.reshape(-1)[self.stack]
+
+    def padded(self, x: np.ndarray) -> np.ndarray:
+        """Block stack of x whose padded diagonal lies above every eigenvalue.
+
+        The padding is set one above a Gershgorin bound (the largest
+        absolute row sum of the stack), so in every block the padding's
+        eigenvalues lie strictly above the block's own and never mix with
+        them.
+        """
+        S = self.blocks(x)
+        if self.pad.size:
+            S.reshape(-1)[self.pad] = np.abs(S).sum(axis=-1).max() + 1.0
+        return S
+
+    def eigvalsh(self, x: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of unpack(x), one batched eigvalsh.
+
+        In each padded block the padding's eigenvalues sort last and are
+        dropped, so none of them can pose as an extreme eigenvalue.
+        """
+        return np.sort(np.linalg.eigvalsh(self.padded(x))[self.live])
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """PSD projection, one batched eigh over the padded block stack.
 
@@ -183,9 +225,22 @@ class _Picture:
         Hermitian entry vectors to Hermitian ones), so no hermitization
         precedes the eigh.
         """
-        S = np.zeros(self.shape, self.dtype)
-        S.reshape(-1)[self.stack] = x
-        return _clamp_psd(S).reshape(-1)[self.stack]
+        return self.entries(_clamp_psd(self.blocks(x)))
+
+
+def _project_pair(pics, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PSD projections of x1 in pics[0] and x2 in pics[1] by one batched eigh.
+
+    Both pictures have the same padded shape, so their stacks share one
+    (2, K, s, s) array.  Each cone keeps its own "no negative eigenvalue:
+    return as is" check, so the result is bit-identical to two ``project``
+    calls.
+    """
+    S = np.zeros((2,) + pics[0].shape, pics[0].dtype)
+    for S_c, pic, x in zip(S, pics, (x1, x2)):
+        S_c.reshape(-1)[pic.stack] = x
+    Z = _clamp_psd(S, lead=1)
+    return pics[0].entries(Z[0]), pics[1].entries(Z[1])
 
 
 def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
@@ -232,7 +287,6 @@ def _split(cones, z1, z2, affine, certify, max_iter: int, cert_every: int) -> in
     the caller's certified bounds and returns True to stop.  Returns the
     number of iterations run.
     """
-    pic1, pic2 = cones
     beta = 1.0
     u1 = np.zeros_like(z1)
     u2 = np.zeros_like(z2)
@@ -242,9 +296,8 @@ def _split(cones, z1, z2, affine, certify, max_iter: int, cert_every: int) -> in
         h1 = _OVER_RELAX * x1 + (1.0 - _OVER_RELAX) * z1
         h2 = _OVER_RELAX * x2 + (1.0 - _OVER_RELAX) * z2
         z1_old, z2_old = z1, z2
-        z1 = pic1.project(h1 + u1)
+        z1, z2 = _project_pair(cones, h1 + u1, h2 + u2)
         u1 = u1 + h1 - z1
-        z2 = pic2.project(h2 + u2)
         u2 = u2 + h2 - z2
 
         if it % 100 == 0:
@@ -319,27 +372,36 @@ def solve_construction_sdp(
         return rho_x, eye_S - d_x * p - rho_x[pic_r.pt]
 
     lb, ub = -np.inf, np.inf
-    best_rho = _round_to_state(eye / d_tot, dims)
+    best_r, best_Y = eye_r / d_tot, None
 
     def certify(it, z_r, u_r, u_S, beta):
-        nonlocal lb, ub, best_rho
-        rho_hat = _round_to_state(pic_r.unpack(z_r), dims)
-        d_cand = _max_feasible_shift(rho_hat, Pmat, dims)
+        nonlocal lb, ub, best_r, best_Y
+        r, Y = _project_pair((pic_r, pic_S), z_r, -beta * u_S)
+        tr = pic_r.trace(r)
+        r = r / tr if tr > 1e-300 else eye_r / d_tot
+        d_cand = _max_shift(pic_S, eye_S - r[pic_r.pt], p)
         if d_cand > lb:
-            lb, best_rho = d_cand, rho_hat
-        Y = project_psd(-beta * pic_S.unpack(u_S))
-        overlap = frob_inner(Y, Pmat)
+            lb, best_r = d_cand, r
+        overlap = frob_inner(Y, p)
         if overlap > 1e-9:
             Y = Y / overlap
-            ub = min(ub, _tr(Y) - float(eigvalsh(partial_transpose(Y, dims))[0]))
+            ub_cand = pic_S.trace(Y) - float(pic_r.eigvalsh(Y[pic_S.pt])[0])
+            if ub_cand < ub:
+                ub, best_Y = ub_cand, Y
         return ub - lb <= tol_gap
 
     it = _split((pic_r, pic_S), eye_r / d_tot, eye_S, affine, certify, max_iter, cert_every)
 
-    residuals = _construction_residuals(best_rho, lb, Pmat, dims)
+    # the returned bracket, rechecked dense: the residuals verify lb, and
+    # the dual bound is recomputed from the best certificate
+    rho = pic_r.unpack(best_r)
+    if best_Y is not None:
+        Y = pic_S.unpack(best_Y)
+        ub = _tr(Y) - float(eigvalsh(partial_transpose(Y, dims))[0])
+    residuals = _construction_residuals(rho, lb, Pmat, dims)
     converged = bool(ub - lb <= tol_gap and residuals["pt_constraint_gap"] <= tol_feas)
     solution = SdpSolution(
-        d=float(lb), rho=DensityMatrix(dims, best_rho), residuals=residuals,
+        d=float(lb), rho=DensityMatrix(dims, rho), residuals=residuals,
         iterations=it, converged=converged,
         lower_bound=float(lb), upper_bound=float(ub),
     )
@@ -363,30 +425,47 @@ def _construction_residuals(rho, d, Pmat, dims) -> dict[str, float]:
     }
 
 
-def _max_feasible_shift(rho, Pmat, dims) -> float:
-    """Largest d with d P <= I - rho^G, for a fixed state rho.
+def _max_shift(pic: _Picture, m: np.ndarray, p: np.ndarray) -> float:
+    """Largest d with d P <= M, for M = I - rho^G and P as entry vectors of pic.
 
-    Computed through the congruence M^(-1/2) P M^(-1/2) with M = I - rho^G,
-    then walked back until the margin is verifiably nonnegative, so the
-    result is a true lower bound for the construction SDP.
+    Computed through the congruence M^(-1/2) P M^(-1/2) on the padded block
+    stack, then walked back until the margin lambda_min(M - d P) is
+    verifiably nonnegative (at least -1e-13).  A walk that has not got there
+    after 200 steps hands over to bisection on [0, d] with the same check.
+    Every returned d passed that check, so it is a true lower bound for the
+    construction SDP; -inf when not even d = 0 passes.
     """
-    M = hermitize(np.eye(dims.total) - partial_transpose(rho, dims))
-    w, V = np.linalg.eigh(M)
+    w, V = np.linalg.eigh(pic.padded(m))
     w = np.maximum(w, 1e-14)
-    M_isqrt = (V / np.sqrt(w)) @ V.conj().T
-    top = float(eigvalsh(hermitize(M_isqrt @ Pmat @ M_isqrt))[-1])
+    M_isqrt = (V / np.sqrt(w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    P = pic.blocks(p)
+    top = float(pic.eigvalsh(pic.entries(hermitize(M_isqrt @ P @ M_isqrt)))[-1])
     if top <= 1e-12:
         return D_MAX
+
+    def margin(d):
+        """lambda_min(M - d P), an eigenvector for it and its block."""
+        w, V = np.linalg.eigh(pic.padded(m - d * p))
+        k = int(w[:, 0].argmin())
+        return float(w[k, 0]), V[k, :, 0], k
+
     d = 1.0 / top
     for _ in range(200):
-        F = hermitize(M - d * Pmat)
-        wf, Vf = np.linalg.eigh(F)
-        if wf[0] >= -1e-13:
+        lam, v, k = margin(d)
+        if lam >= -1e-13:
             return float(d)
-        v = Vf[:, 0]
-        slope = max(float((v.conj() @ (Pmat @ v)).real), 1e-2)
-        d -= (-wf[0]) / slope * 1.25 + 1e-16
-    return 0.0  # give up; d = 0 is always feasible
+        slope = max(float((v.conj() @ (P[k] @ v)).real), 1e-2)
+        d -= (-lam) / slope * 1.25 + 1e-16
+    lo, hi = 0.0, 1.0 / top
+    if margin(lo)[0] < -1e-13:
+        return -np.inf
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if margin(mid)[0] >= -1e-13:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # --------------------------------------------------------------------------
@@ -443,29 +522,30 @@ def _maximize_over_ppt(dims, W, tol, max_iter, cert_every) -> PptOptimum:
         return sigma, sigma[pic_1.pt]
 
     lb, ub = -np.inf, np.inf
-    best_sigma = eye / d_tot
+    best_sigma = pic_1.eye / d_tot
     best_dual = (np.zeros_like(eye), np.zeros_like(eye))
     last_polish = -10**9
 
-    def offer(Y1, Y2):
+    def offer(ub_cand, Y1, Y2):
         nonlocal ub, best_dual
-        ub_cand = float(eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1])
         if ub_cand < ub:
             ub, best_dual = ub_cand, (Y1, Y2)
 
     def certify(it, z1, u1, u2, beta):
         nonlocal lb, best_sigma, last_polish
-        sigma_hat = _round_to_ppt_state(pic_1.unpack(z1), dims)
-        lb_cand = frob_inner(W, sigma_hat)
+        sigma = _round_to_ppt((pic_1, pic_2), z1)
+        lb_cand = frob_inner(w, sigma)
         if lb_cand > lb:
-            lb, best_sigma = lb_cand, sigma_hat
-        offer(project_psd(-beta * pic_1.unpack(u1)), project_psd(-beta * pic_2.unpack(u2)))
+            lb, best_sigma = lb_cand, sigma
+        y1, y2 = _project_pair((pic_1, pic_2), -beta * u1, -beta * u2)
+        offer(float(pic_1.eigvalsh(w + y1 + y2[pic_2.pt])[-1]), pic_1.unpack(y1), pic_2.unpack(y2))
         # active-set endgame: pin the dual pair to the faces selected by
-        # the primal kernels and finish by linear least squares
+        # the primal kernels and finish by linear least squares; its pairs
+        # can mix sectors, so they are built and checked dense
         if tol < ub - lb < 1e-3 and it - last_polish >= 500:
             last_polish = it
-            for Y1, Y2 in _dual_face_candidates(W, sigma_hat, dims):
-                offer(Y1, Y2)
+            for Y1, Y2 in _dual_face_candidates(W, pic_1.unpack(sigma), dims):
+                offer(float(eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1]), Y1, Y2)
         return ub - lb <= tol
 
     it = _split(
@@ -473,39 +553,43 @@ def _maximize_over_ppt(dims, W, tol, max_iter, cert_every) -> PptOptimum:
         affine, certify, max_iter, cert_every,
     )
 
+    # the returned bracket, recomputed dense from the returned sigma and pair
+    sigma = pic_1.unpack(best_sigma)
+    Y1, Y2 = best_dual
+    lb = frob_inner(W, sigma)
+    ub = float(eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1])
     return PptOptimum(
-        value=float(lb), sigma=DensityMatrix(dims, best_sigma),
-        lower_bound=float(lb), upper_bound=float(ub),
+        value=lb, sigma=DensityMatrix(dims, sigma),
+        lower_bound=lb, upper_bound=ub,
         iterations=it, converged=bool(ub - lb <= tol),
         dual_basis=best_dual,
     )
 
 
-def _round_to_ppt_state(M: np.ndarray, dims: BipartiteDims, sweeps: int = 10) -> np.ndarray:
-    """Round a Hermitian iterate to an exactly PPT density matrix.
+def _round_to_ppt(pics, x: np.ndarray) -> np.ndarray:
+    """Round an iterate (entry vector of pics[0]) to an exactly PPT state.
 
     Alternating PSD projections in both pictures, then a contraction toward
     the maximally mixed state large enough to swallow any residual
-    negativity in either picture.
+    negativity in either picture.  Returns the entry vector of the state.
     """
-    d_tot = dims.total
-    eye_over_d = np.eye(d_tot, dtype=complex) / d_tot
-    sig = M
-    for _ in range(sweeps):
-        sig = project_psd(sig)
-        sig = partial_transpose(project_psd(partial_transpose(sig, dims)), dims)
-    tr = _tr(sig)
-    sig = sig / tr if tr > 1e-300 else eye_over_d.copy()
+    pic_1, pic_2 = pics
+    eye_over_d = pic_1.eye / pic_1.d
+    sig = x
+    for _ in range(10):
+        sig = pic_2.project(pic_1.project(sig)[pic_1.pt])[pic_2.pt]
+    tr = pic_1.trace(sig)
+    sig = sig / tr if tr > 1e-300 else eye_over_d
     for _ in range(5):
         eps = max(
             0.0,
-            -float(eigvalsh(sig)[0]),
-            -float(eigvalsh(partial_transpose(sig, dims))[0]),
+            -float(pic_1.eigvalsh(sig)[0]),
+            -float(pic_2.eigvalsh(sig[pic_1.pt])[0]),
         )
         if eps <= 1e-15:
             break
-        theta = min(1.0, 1.1 * eps * d_tot / (1.0 + eps * d_tot) + 1e-16)
-        sig = hermitize((1.0 - theta) * sig + theta * eye_over_d)
+        theta = min(1.0, 1.1 * eps * pic_1.d / (1.0 + eps * pic_1.d) + 1e-16)
+        sig = (1.0 - theta) * sig + theta * eye_over_d
     return sig
 
 

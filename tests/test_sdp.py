@@ -15,7 +15,7 @@ from nptsub import (
     subspace_projector,
 )
 from nptsub.linalg import project_psd
-from nptsub.sdp import D_MAX, _hermitian_basis, _pictures
+from nptsub.sdp import D_MAX, _hermitian_basis, _max_shift, _pictures, _project_pair, _round_to_ppt
 
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
@@ -198,6 +198,13 @@ class TestSectorLayout:
         X = pic.unpack(x)
         return X + X.conj().T
 
+    @staticmethod
+    def layout(m, n, rotated):
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng(m * 10 + n)
+        P = rotated_projector(dims, rng) if rotated else npt_projector(dims).P
+        return dims, P, _pictures(dims, P), rng
+
     @pytest.mark.parametrize("m,n", DIMS)
     def test_projector_gets_sector_blocks(self, m, n):
         dims = BipartiteDims(m, n)
@@ -223,10 +230,7 @@ class TestSectorLayout:
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
     def test_pack_gather_and_project(self, m, n, rotated):
-        dims = BipartiteDims(m, n)
-        rng = np.random.default_rng(m * 10 + n)
-        P = rotated_projector(dims, rng) if rotated else npt_projector(dims).P
-        pics = _pictures(dims, P)
+        dims, _, pics, rng = self.layout(m, n, rotated)
         for src, dst in (pics, pics[::-1]):
             X = self.random_member(src, rng)
             x = src.pack(X)
@@ -234,6 +238,65 @@ class TestSectorLayout:
             assert np.array_equal(dst.unpack(x[src.pt]), partial_transpose(X, dims))
             assert np.abs(src.unpack(src.project(x)) - project_psd(X)).max() <= 1e-12
             assert src.trace(x) == pytest.approx(np.trace(X).real, abs=1e-12)
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_block_eigenvalues_match_dense(self, m, n, rotated):
+        # definite members catch a padding leak: a zero-padded block would
+        # report a spurious 0 as the lowest (or highest) eigenvalue
+        _, _, pics, rng = self.layout(m, n, rotated)
+        for pic in pics:
+            X = self.random_member(pic, rng)
+            G = self.random_member(pic, rng)
+            definite = G @ G + 0.1 * np.eye(pic.d)
+            for M in (X, definite, -definite):
+                dense = np.linalg.eigvalsh(M)
+                assert np.abs(pic.eigvalsh(pic.pack(M)) - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_merged_projection_is_two_projections(self, m, n, rotated):
+        _, _, pics, rng = self.layout(m, n, rotated)
+        X1, X2 = (self.random_member(pic, rng) for pic in pics)
+        psd = X2 @ X2  # exercises the per-cone "already PSD" shortcut
+        for a, b in ((X1, X2), (X1, psd), (X1 @ X1, X2)):
+            x1, x2 = pics[0].pack(a), pics[1].pack(b)
+            z1, z2 = _project_pair(pics, x1, x2)
+            assert np.array_equal(z1, pics[0].project(x1))
+            assert np.array_equal(z2, pics[1].project(x2))
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_ppt_rounding_is_a_ppt_state(self, m, n, rotated):
+        dims, _, pics, rng = self.layout(m, n, rotated)
+        sigma = pics[0].unpack(_round_to_ppt(pics, pics[0].pack(self.random_member(pics[0], rng))))
+        assert np.trace(sigma).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(sigma)[0] >= -1e-14
+        assert np.linalg.eigvalsh(partial_transpose(sigma, dims))[0] >= -1e-14
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_feasible_shift_passes_dense_check(self, m, n, rotated):
+        # rho is a random state in rho's picture; the shift d must satisfy
+        # d P <= I - rho^G densely and sit at the generalized eigenvalue
+        dims, P, (pic_S, pic_r), rng = self.layout(m, n, rotated)
+        p = pic_S.pack(P)
+        for _ in range(3):
+            G = self.random_member(pic_r, rng)
+            rho = G @ G / np.trace(G @ G).real
+            M = np.eye(dims.total) - partial_transpose(rho, dims)
+            d = _max_shift(pic_S, pic_S.pack(M), p)
+            assert np.linalg.eigvalsh(M - d * P)[0] >= -1e-13
+            w, V = np.linalg.eigh(M)
+            M_isqrt = (V / np.sqrt(w)) @ V.conj().T
+            assert d == pytest.approx(1.0 / np.linalg.eigvalsh(M_isqrt @ P @ M_isqrt)[-1], rel=1e-9)
+
+    def test_feasible_shift_without_feasible_point(self):
+        # M = -I admits no d >= 0: the walk-back stalls, and the bisection
+        # reports that no shift is verified instead of an unchecked 0
+        dims = BipartiteDims(3, 3)
+        pic_S, _ = _pictures(dims, npt_projector(dims).P)
+        assert _max_shift(pic_S, -pic_S.eye, pic_S.pack(npt_projector(dims).P)) == -np.inf
 
 
 class TestRotationEquivalence:
@@ -255,6 +318,45 @@ class TestRotationEquivalence:
         rot = construct_via_dual_cone(dims, rotated_projector(dims, np.random.default_rng(m * n)))
         assert rot.iterations == base.iterations
         assert rot.c == pytest.approx(base.c, rel=0, abs=1e-9)
+
+
+class TestBoundRecheck:
+    """The returned brackets, recomputed from scratch in dense numpy."""
+
+    @staticmethod
+    def objective(kind, dims):
+        if kind == "P":
+            return npt_projector(dims).P
+        if kind == "rotated":
+            return rotated_projector(dims, np.random.default_rng(7))
+        rng = np.random.default_rng(11)
+        G = rng.standard_normal((dims.total,) * 2) + 1j * rng.standard_normal((dims.total,) * 2)
+        return (G + G.conj().T) / 2
+
+    @pytest.mark.parametrize("kind", ["P", "rotated", "random"])
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4)])
+    def test_ppt_bounds(self, kind, m, n):
+        dims = BipartiteDims(m, n)
+        W = self.objective(kind, dims)
+        opt = optimize_over_ppt(dims, W, "max")
+        sigma = opt.sigma.mat
+        Y1, Y2 = opt.dual_basis
+        assert np.linalg.eigvalsh(Y1)[0] >= -1e-12
+        assert np.linalg.eigvalsh(Y2)[0] >= -1e-12
+        assert np.vdot(W, sigma).real == pytest.approx(opt.lower_bound, rel=0, abs=1e-12)
+        ub = np.linalg.eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1]
+        assert ub == pytest.approx(opt.upper_bound, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["P", "rotated"])
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4)])
+    def test_direct_lower_bound_is_feasible(self, kind, m, n):
+        dims = BipartiteDims(m, n)
+        P = self.objective(kind, dims)
+        sol = solve_construction_sdp(dims, P)
+        tol_feas = 1e-7  # the solver's default
+        assert sol.residuals["pt_constraint_gap"] <= tol_feas
+        M = partial_transpose(sol.rho.mat, dims) + sol.lower_bound * P - np.eye(dims.total)
+        assert np.linalg.eigvalsh(M)[-1] <= tol_feas
 
 
 class TestOptimizeOverPpt:
