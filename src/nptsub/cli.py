@@ -4,11 +4,15 @@ Subcommands: ``subspace``, ``construct``, ``verify``, ``witness``,
 ``stress``.  Exit codes: 0 success/pass, 1 verification or property
 failure, 2 usage or parse error, 3 solver non-convergence.
 
-Matrices travel as JSON documents with explicit [re, im] entry pairs and
-embedded local dimensions; floats are printed with 17 significant digits
-so that parse(serialize(M)) reproduces M bit-exactly.  The product basis
-|j>|k> is ordered with the first factor major (index j*n + k), stated in
-every file's metadata.
+Matrices travel as JSON documents with embedded local dimensions and
+explicit [re, im] entry pairs; floats are printed with 17 significant
+digits so that parse(serialize(M)) reproduces M bit-exactly.  Both
+directions work on whole arrays: one formatting pass serves the payload
+and the checksum, and a load parses the entries with one numpy call.  A
+load accepts only integer m, n, an object as metadata and (mn) x (mn)
+entries of exactly two finite JSON numbers whose checksum (when stored)
+matches.  The product basis |j>|k> is ordered with the first factor major
+(index j*n + k), stated in every file's metadata.
 """
 
 from __future__ import annotations
@@ -56,13 +60,23 @@ class MatrixFileError(ValueError):
     """File cannot be parsed as a matrix/vectors document."""
 
 
-def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise MatrixFileError(f"non-finite value {x!r} cannot be serialized")
-    s = format(float(x), ".17g")
-    if "." not in s and "e" not in s:
-        s += ".0"  # keep json from reading it back as an int (kills -0.0)
-    return s
+def _float_texts(values) -> list[str]:
+    """Canonical texts of the re and im parts of ``values`` (complex or
+    real), row-major: re, im, re, im, ...
+
+    17 significant digits, so parsing a text returns the same double.
+    "%.17g" prints an integral value below 1e17 in magnitude without a
+    point; those get ".0" so json reads them back as floats (an int would
+    lose the sign of -0.0).
+    """
+    x = np.ascontiguousarray(values, dtype=complex).view(float).ravel()
+    if not np.isfinite(x).all():
+        bad = x[~np.isfinite(x)][0]
+        raise MatrixFileError(f"non-finite value {float(bad)!r} cannot be serialized")
+    texts = ("%.17g " * x.size % tuple(x.tolist())).split()
+    for i in np.flatnonzero((x == np.trunc(x)) & (np.abs(x) < 1e17)).tolist():
+        texts[i] += ".0"
+    return texts
 
 
 def _fmt(x) -> str:
@@ -71,7 +85,7 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return _fmt_float(float(x))
+        return _float_texts(x)[0]
     if isinstance(x, str):
         return json.dumps(x)
     if x is None:
@@ -84,20 +98,26 @@ def _fmt(x) -> str:
     raise MatrixFileError(f"cannot serialize {type(x)!r}")
 
 
-def _entries(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
+def _checksum(texts: list[str], rows: int, cols: int) -> str:
+    """SHA-256 of the entry texts: one line per row, "re im" pairs
+    separated by spaces."""
+    text = "\n".join([" ".join(["%s %s"] * cols)] * rows) % tuple(texts)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _pairs_payload(texts: list[str], rows: int, cols: int) -> str:
+    """The entry texts as JSON rows of [re, im] pairs."""
+    row = "[" + ", ".join(["[%s, %s]"] * cols) + "]"
+    return ("[" + ", ".join([row] * rows) + "]") % tuple(texts)
 
 
 def matrix_checksum(mat: np.ndarray) -> str:
     """SHA-256 over the canonical 17-digit entry encoding."""
-    text = "\n".join(
-        " ".join(f"{_fmt_float(z.real)} {_fmt_float(z.imag)}" for z in row)
-        for row in np.asarray(mat, dtype=complex)
-    )
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    mat = np.asarray(mat)
+    return _checksum(_float_texts(mat), *mat.shape)
 
 
-def _document(kind: str, dims: BipartiteDims, payload_key: str, payload, metadata: dict) -> str:
+def _document(kind: str, dims: BipartiteDims, payload_key: str, payload: str, metadata: dict) -> str:
     meta = {"tool_version": __version__, "format": "nptsub-v1",
             "basis_ordering": "product basis |j,k> at index j*n+k (first factor major)"}
     meta.update(metadata or {})
@@ -106,7 +126,7 @@ def _document(kind: str, dims: BipartiteDims, payload_key: str, payload, metadat
         f'  "kind": {json.dumps(kind)},\n'
         f'  "m": {dims.m},\n'
         f'  "n": {dims.n},\n'
-        f'  "{payload_key}": {_fmt(payload)},\n'
+        f'  "{payload_key}": {payload},\n'
         f'  "metadata": {_fmt(meta)}\n'
         "}\n"
     )
@@ -114,45 +134,55 @@ def _document(kind: str, dims: BipartiteDims, payload_key: str, payload, metadat
 
 
 def serialize_matrix(mat: np.ndarray, dims: BipartiteDims, metadata: dict | None = None) -> str:
+    mat = np.asarray(mat)
+    texts = _float_texts(mat)
     meta = dict(metadata or {})
-    meta.setdefault("checksum_sha256", matrix_checksum(mat))
-    return _document("matrix", dims, "matrix", _entries(mat), meta)
+    meta.setdefault("checksum_sha256", _checksum(texts, *mat.shape))
+    return _document("matrix", dims, "matrix", _pairs_payload(texts, *mat.shape), meta)
 
 
 def serialize_vectors(vectors: np.ndarray, dims: BipartiteDims, metadata: dict | None = None) -> str:
-    cols = [[[float(z.real), float(z.imag)] for z in vectors[:, i]] for i in range(vectors.shape[1])]
-    return _document("vectors", dims, "vectors", cols, metadata or {})
+    """One [re, im]-encoded vector per column of ``vectors``."""
+    cols = np.asarray(vectors).T
+    payload = _pairs_payload(_float_texts(cols), *cols.shape)
+    return _document("vectors", dims, "vectors", payload, metadata or {})
 
 
 def save_matrix(path, mat, dims, metadata=None):
+    # serialize before open, so that a failed save leaves the file as it was
+    text = serialize_matrix(mat, dims, metadata)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_matrix(mat, dims, metadata))
+        fh.write(text)
 
 
 def load_matrix(path) -> tuple[np.ndarray, BipartiteDims, dict]:
-    """Parse a matrix document; verifies the checksum when present."""
+    """Parse a matrix document; verifies the checksum when present.
+
+    Rejects (``MatrixFileError``) a document whose "m" or "n" is not an
+    integer, whose "metadata" is not an object, whose "matrix" is not
+    (mn) x (mn) entries of exactly two JSON numbers, or whose entries are
+    not finite or do not match the stored checksum.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MatrixFileError(f"cannot read matrix file {path}: {exc}") from exc
-    try:
-        dims = BipartiteDims(int(doc["m"]), int(doc["n"]))
-        rows = doc["matrix"]
-        mat = np.array(
-            [[complex(float(e[0]), float(e[1])) for e in row] for row in rows],
-            dtype=complex,
-        )
-        metadata = doc.get("metadata", {})
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise MatrixFileError(f"malformed matrix document {path}: {exc}") from exc
+        m, n, metadata = doc["m"], doc["n"], doc.get("metadata", {})
+        if type(m) is not int or type(n) is not int or not isinstance(metadata, dict):
+            raise ValueError("m and n must be integers and metadata an object")
+        dims = BipartiteDims(m, n)
+        # pop and rebind, so that the parsed values are freed before the checksum pass
+        values = np.array(doc.pop("matrix"), dtype=object)
+        if not set(map(type, values.ravel().tolist())) <= {int, float}:
+            raise ValueError("entries must be [re, im] pairs of JSON numbers")
+        values = values.astype(float)
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MatrixFileError(f"cannot load matrix file {path}: {exc}") from exc
     d = dims.total
-    if mat.shape != (d, d):
-        raise MatrixFileError(
-            f"matrix shape {mat.shape} does not match dims ({dims.m}, {dims.n})"
-        )
-    if not np.all(np.isfinite(mat.view(float))):
+    if values.shape != (d, d, 2):
+        raise MatrixFileError(f"entries in {path} have shape {values.shape}, expected ({d}, {d}, 2)")
+    if not np.isfinite(values).all():
         raise MatrixFileError("matrix entries must be finite")
+    mat = values.view(complex).reshape(d, d)
     expected = metadata.get("checksum_sha256")
     if expected is not None and matrix_checksum(mat) != expected:
         raise MatrixFileError(f"checksum mismatch in {path}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -72,6 +73,187 @@ class TestSerialization:
         bundled = pathlib.Path(cli.paper_fixture_path())
         repo_copy = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "paper_3x4.json"
         assert bundled.read_bytes() == repo_copy.read_bytes()
+
+
+#: Values whose canonical text is easy to get wrong: signed zeros, the
+#: integral values around the 1e17 cut of the ".0" rule, subnormals and
+#: extreme magnitudes, plus one random entry.
+EDGE_VALUES = [
+    0.0, -0.0, 1.0, -3.0, 0.1, 1e16, 1e17, 2.0**53, 5e-324, 1e300,
+    0.1257302210933933, -1e16, -1e17, 9.999999999999998e16, 123456789.0,
+    -2.5e-08, 1e-300, -0.1,
+]
+
+#: serialize_matrix of EDGE_VALUES as a 3x3 matrix, dims (1, 3), written by
+#: the per-float formatter this package used before whole-array formatting.
+GOLDEN_DOCUMENT = """{
+  "kind": "matrix",
+  "m": 1,
+  "n": 3,
+  "matrix": [[[0.0, -0.0], [1.0, -3.0], [0.10000000000000001, 10000000000000000.0]], [[1e+17, 9007199254740992.0], [4.9406564584124654e-324, 1.0000000000000001e+300], [0.1257302210933933, -10000000000000000.0]], [[-1e+17, 99999999999999984.0], [123456789.0, -2.4999999999999999e-08], [1e-300, -0.10000000000000001]]],
+  "metadata": {"basis_ordering": "product basis |j,k> at index j*n+k (first factor major)", "checksum_sha256": "398d9d00f4f846dddd32efd037f913bc828d35a6a983f01acb94cba1e5b373b2", "format": "nptsub-v1", "seed": 0, "tool_version": "0.1.0"}
+}
+"""
+GOLDEN_CHECKSUM = "398d9d00f4f846dddd32efd037f913bc828d35a6a983f01acb94cba1e5b373b2"
+
+
+def reference_float_text(x: float) -> str:
+    """The per-float canonical text, one value at a time."""
+    s = format(float(x), ".17g")
+    if "." not in s and "e" not in s:
+        s += ".0"
+    return s
+
+
+class TestFileBytes:
+    """Documents and checksums stay byte-identical to the per-float writer."""
+
+    def test_golden_document(self):
+        mat = np.array(EDGE_VALUES).view(complex).reshape(3, 3)
+        text = cli.serialize_matrix(
+            mat, BipartiteDims(1, 3), {"seed": 0, "tool_version": "0.1.0"}
+        )
+        assert text == GOLDEN_DOCUMENT
+        assert cli.matrix_checksum(mat) == GOLDEN_CHECKSUM
+
+    def test_golden_document_loads_bit_exact(self, tmp_path):
+        path = tmp_path / "golden.json"
+        path.write_text(GOLDEN_DOCUMENT)
+        mat, dims, meta = cli.load_matrix(path)
+        assert dims == BipartiteDims(1, 3)
+        assert np.array_equal(mat.view(float).ravel(), EDGE_VALUES)
+        assert np.array_equal(np.signbit(mat.view(float).ravel()), np.signbit(EDGE_VALUES))
+        assert meta["checksum_sha256"] == GOLDEN_CHECKSUM
+
+    def test_texts_match_per_float_reference(self):
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** rng.integers(-310, 300, 2000)
+        values = np.concatenate([
+            EDGE_VALUES, np.negative(EDGE_VALUES),
+            rng.standard_normal(2000) * scales,
+            np.round(rng.standard_normal(2000) * 10.0 ** rng.integers(0, 20, 2000)),
+            [2.0**52 + 0.5, 2.0**53 + 2, 1e17 - 16, 1e17 + 16, 2.2250738585072014e-308,
+             1.7976931348623157e308],
+        ])
+        values = values[np.isfinite(values)]
+        assert cli._float_texts(values.astype(complex))[0::2] == [
+            reference_float_text(v) for v in values
+        ]
+        assert cli._float_texts(values)[1::2] == ["0.0"] * values.size
+
+    def test_generators_3x4_bytes(self):
+        from nptsub import build_subspace
+
+        text = cli.serialize_vectors(
+            build_subspace(D34).generators, D34, {"tool_version": "0.1.0"}
+        )
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "1179ea73afe049f363b5e4908d0469f7e8af19e7b8f154e39147f736d83e683a"
+        )
+        doc = json.loads(text)
+        assert len(doc["vectors"]) == 6 and len(doc["vectors"][0]) == 12
+
+    def test_fixture_checksum_and_bytes(self):
+        import pathlib
+
+        path = pathlib.Path(cli.paper_fixture_path())
+        mat, dims, meta = cli.load_matrix(path)
+        assert meta["checksum_sha256"].startswith("f51f3471")
+        assert cli.matrix_checksum(mat) == meta["checksum_sha256"]
+        assert cli.serialize_matrix(mat, dims, meta) == path.read_text()
+
+    def test_round_trip_8x8_state_in_subspace(self, tmp_path):
+        from nptsub import build_subspace, sample_mixture_in_subspace
+
+        dims = BipartiteDims(8, 8)
+        rng = np.random.Generator(np.random.PCG64([1, 0]))
+        ens = sample_mixture_in_subspace(build_subspace(dims), rank=3, rng=rng)
+        mat = ens.to_density_matrix().mat
+        path = tmp_path / "state.json"
+        cli.save_matrix(path, mat, dims)
+        loaded, ldims, _ = cli.load_matrix(path)
+        assert ldims == dims
+        assert np.array_equal(loaded.view(float), mat.view(float))
+        report = cli.verify_matrix(loaded, ldims, check_subspace=True)
+        assert report.passed and report.range_in_subspace is True
+        assert report.negative_count >= 1
+
+
+class TestMalformedFiles:
+    """A load either returns the written matrix or raises MatrixFileError."""
+
+    def write(self, path, matrix="[[[0.5, 0.0]]]", m="1", n="1", metadata="{}"):
+        path.write_text(
+            f'{{"kind": "matrix", "m": {m}, "n": {n}, "matrix": {matrix}, '
+            f'"metadata": {metadata}}}'
+        )
+        return path
+
+    def test_well_formed_loads(self, tmp_path):
+        mat, dims, meta = cli.load_matrix(self.write(tmp_path / "ok.json", "[[[1, -0.0]]]"))
+        assert mat.shape == (1, 1) and mat[0, 0] == 1.0 and np.signbit(mat[0, 0].imag)
+        assert dims == BipartiteDims(1, 1) and meta == {}
+
+    @pytest.mark.parametrize("matrix", [
+        "[[[1.0, 0.0, 7.0]]]",
+        "[[[1.0]]]",
+        '[[["1.5", "0"]]]',
+        '[[[1.5, "0"]]]',
+        "[[[true, false]]]",
+        "[[[1.0, true]]]",
+        "[[[1.0, null]]]",
+        "[[[[1.0], [0.0]]]]",
+        "[[[1.0, 0.0]], [[1.0, 0.0]]]",
+        "[[1.0, 0.0]]",
+        "[[[NaN, 0.0]]]",
+        "[[[0.0, Infinity]]]",
+        "[[[1e400, 0.0]]]",
+        "[[[1" + "0" * 400 + ", 0]]]",
+        '{"re": 1.0}',
+    ])
+    def test_rejects_bad_entries(self, tmp_path, matrix):
+        with pytest.raises(cli.MatrixFileError):
+            cli.load_matrix(self.write(tmp_path / "bad.json", matrix))
+
+    def test_rejects_ragged_rows(self, tmp_path):
+        path = self.write(tmp_path / "bad.json", "[[[1, 0], [0, 0]], [[0, 0]]]", m="1", n="2")
+        with pytest.raises(cli.MatrixFileError):
+            cli.load_matrix(path)
+
+    @pytest.mark.parametrize("m", ["1.7", "1.0", "true", '"1"', "0", "-1", "null"])
+    def test_rejects_bad_dims(self, tmp_path, m):
+        with pytest.raises(cli.MatrixFileError):
+            cli.load_matrix(self.write(tmp_path / "bad.json", m=m))
+
+    @pytest.mark.parametrize("metadata", ["[]", '"note"', "1", "null"])
+    def test_rejects_metadata_not_object(self, tmp_path, metadata):
+        with pytest.raises(cli.MatrixFileError):
+            cli.load_matrix(self.write(tmp_path / "bad.json", metadata=metadata))
+
+    @pytest.mark.parametrize("doc", ["[]", "3", '"matrix"', '{"m": 1, "n": 1}'])
+    def test_rejects_non_documents(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        with pytest.raises(cli.MatrixFileError):
+            cli.load_matrix(path)
+
+    def test_verify_exits_2_on_metadata_list(self, tmp_path, capsys):
+        path = self.write(tmp_path / "bad.json", metadata="[]")
+        assert cli.main(["verify", "--in", str(path)]) == 2
+        assert "metadata" in capsys.readouterr().err
+
+    def test_rejects_nan_imaginary_on_save(self):
+        with pytest.raises(cli.MatrixFileError):
+            cli.serialize_matrix(np.array([[1.0 + 1j * np.nan]]), BipartiteDims(1, 1))
+        with pytest.raises(cli.MatrixFileError):
+            cli.matrix_checksum(np.array([[1.0 + 1j * np.nan]]))
+
+    def test_failed_save_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("old")
+        with pytest.raises(cli.MatrixFileError, match="nan"):
+            cli.save_matrix(path, np.array([[1.0 + 1j * np.nan]]), BipartiteDims(1, 1))
+        assert path.read_text() == "old"
 
 
 class TestVerifyCommand:
