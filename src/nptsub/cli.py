@@ -36,7 +36,7 @@ from .bipartite import (
     random_density_matrix,
 )
 from .errors import NoConvergence, NotInSubspace
-from .linalg import eigvalsh, hermiticity_defect, is_hermitian, project_psd
+from .linalg import eigvalsh, hermiticity_defect, is_hermitian
 from .sdp import construct_via_dual_cone, solve_construction_sdp
 from .subspace import (
     build_subspace,
@@ -388,7 +388,7 @@ def _cmd_construct(args) -> int:
                 dims, P, tol_c=min(args.tol, 1e-5), max_iter=args.max_iter
             )
         except NoConvergence as exc:
-            rho = _partial_state(exc.partial, dims)
+            rho = _partial_state(exc.partial)
             if rho is None:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_NOCONV
@@ -418,17 +418,9 @@ def _cmd_construct(args) -> int:
     return exit_code
 
 
-def _partial_state(partial, dims) -> DensityMatrix | None:
+def _partial_state(partial) -> DensityMatrix | None:
     """Best-effort state from a non-convergence payload, if one exists."""
-    if isinstance(partial, DensityMatrix):
-        return partial
-    if isinstance(partial, tuple) and len(partial) == 3:  # (Y1, Y2, residual)
-        Y2 = np.asarray(partial[1])
-        trace = float(np.trace(Y2).real)
-        if trace > 1e-8:
-            mat = project_psd(Y2 / trace)
-            return DensityMatrix(dims, mat / np.trace(mat).real)
-    return None
+    return partial if isinstance(partial, DensityMatrix) else None
 
 
 def _cmd_verify(args) -> int:

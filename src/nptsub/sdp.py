@@ -9,10 +9,16 @@ Three problems (G = partial transpose):
 * ``decompose_dual_cone``      split X into X1 + X2^G with X1, X2 >= 0,
   which succeeds exactly when X is in the dual cone of the PPT states.
 
-The first two run on one splitting core, ``_split``: an over-relaxed
-iteration between an affine set and the product of two PSD cones, with
-scaled duals and a penalty beta rebalanced from the residuals.  Each
-problem supplies only two steps:
+The first two run on one splitting core, ``_split``.  The third needs no
+iteration of its own: a PSD pair (Y1, Y2) certifying
+lambda_max(W + Y1 + Y2^G) <= t gives t I - W - Y2^G >= Y1 >= 0, so the
+dual pair of a certified PPT optimum already is a dual-cone split.
+``decompose_dual_cone`` reads it off one PPT minimization of <X, sigma>,
+and ``construct_via_dual_cone`` off the maximization that certifies c.
+
+``_split`` is an over-relaxed iteration between an affine set and the
+product of two PSD cones, with scaled duals and a penalty beta rebalanced
+from the residuals.  Each problem supplies only two steps:
 
 * its affine step, the closed-form proximal point of its affine set:
   pairs (rho, S) with S = I - d P - rho^G and Tr rho = 1 for the
@@ -46,7 +52,11 @@ those kernels can mix sectors, and its pairs are checked dense.  On exit
 the returned bounds are recomputed dense from the returned state and dual
 certificate (the construction's lower bound is rechecked by its dense
 residuals), so a block layout can cost iterations but can never certify a
-wrong bound.  ``decompose_dual_cone`` works on dense matrices throughout.
+wrong bound.
+
+Every entry point takes its input (P, W or X) as a Hermitian mn x mn
+matrix and raises ShapeMismatch or NotHermitian (NaN entries included)
+for anything else.
 """
 
 from __future__ import annotations
@@ -61,8 +71,8 @@ from .bipartite import (
     count_negative_eigenvalues,
     partial_transpose,
 )
-from .errors import DegenerateSubspace, NoConvergence, NotHermitian, NotInDualCone
-from .linalg import _clamp_psd, eigvalsh, frob_inner, hermitize, is_hermitian, project_psd
+from .errors import DegenerateSubspace, NoConvergence, NotInDualCone, ShapeMismatch
+from .linalg import _clamp_psd, _hermitian_part, eigvalsh, frob_inner, hermitize, project_psd
 from .subspace import Projector
 
 #: Objective clamp when the projector is zero and d is unbounded.
@@ -121,7 +131,11 @@ class PptOptimum:
 
 @dataclass(frozen=True)
 class ConeDecomposition:
-    """Dual-cone route output: c, X = I - (1/c) P, the split, and the state."""
+    """Dual-cone route output: c, X = I - (1/c) P, the split, and the state.
+
+    ``iterations`` counts the splitting iterations of the PPT solve that
+    certifies c; the split itself takes none.
+    """
 
     c: float
     X: np.ndarray = field(repr=False)
@@ -132,8 +146,13 @@ class ConeDecomposition:
     iterations: int
 
 
-def _projector_matrix(P) -> np.ndarray:
-    return P.P if isinstance(P, Projector) else np.asarray(P, dtype=complex)
+def _solver_input(M) -> np.ndarray:
+    """Hermitian part of a solver input, a Projector or a matrix.
+
+    Raises ShapeMismatch for a non-square M and NotHermitian for one that
+    fails the Hermiticity check, which a NaN entry always does.
+    """
+    return _hermitian_part(M.P if isinstance(M, Projector) else M)
 
 
 # --------------------------------------------------------------------------
@@ -250,11 +269,13 @@ def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
     is) keeps every iterate real and block-diagonal: by j+k sector in M's
     picture, by j-k sector in the other, with m+n-1 blocks of size at most
     min(m, n) in each.  Any other M gets one complex block of all mn x mn
-    entries in both pictures.
+    entries in both pictures.  Raises ShapeMismatch unless M is mn x mn.
     """
     d = dims.total
-    j, k = np.divmod(np.arange(d), dims.n)
     M = np.asarray(M)
+    if M.shape != (d, d):
+        raise ShapeMismatch(f"expected {(d, d)} matrix for dims {dims}, got {M.shape}")
+    j, k = np.divmod(np.arange(d), dims.n)
     real = not np.iscomplexobj(M) or not M.imag.any()
     if real and not M[(j + k)[:, None] != (j + k)[None, :]].any():
         a, b = _Picture(j + k, float), _Picture(j - k, float)
@@ -285,12 +306,14 @@ def _split(cones, z1, z2, affine, certify, max_iter: int, cert_every: int) -> in
     dual residuals are more than 10x apart.  At every ``cert_every``-th
     and at the last iteration, ``certify(it, z1, u1, u2, beta)`` updates
     the caller's certified bounds and returns True to stop.  Returns the
-    number of iterations run.
+    number of iterations run.  Raises ValueError for ``max_iter < 1``:
+    without an iteration no certify step runs, so there is no bound.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     beta = 1.0
     u1 = np.zeros_like(z1)
     u2 = np.zeros_like(z2)
-    it = 0
     for it in range(1, max_iter + 1):
         x1, x2 = affine(z1 - u1, z2 - u2, beta)
         h1 = _OVER_RELAX * x1 + (1.0 - _OVER_RELAX) * z1
@@ -325,7 +348,6 @@ def solve_construction_sdp(
     tol_feas: float = 1e-7,
     tol_gap: float = 1e-4,
     max_iter: int = DEFAULT_MAX_ITER,
-    cert_every: int = 50,
 ) -> SdpSolution:
     """Maximize d such that rho^G <= I - d P for some density matrix rho.
 
@@ -335,13 +357,15 @@ def solve_construction_sdp(
     is attained by the returned (exactly feasible) rho, and a rounded dual
     certificate Y >= 0 with <Y, P> = 1 bounds the optimum from above by
     Tr Y - lambda_min(Y^G); iteration stops once the certified gap is at
-    most ``tol_gap``.
+    most ``tol_gap``; certificates are taken every 50 iterations.
 
     Raises NoConvergence (with the best iterate attached as ``partial``)
     when the budget runs out first.
     """
     d_tot = dims.total
-    Pmat = hermitize(_projector_matrix(P))
+    Pmat = _solver_input(P)
+    # S and P live in one picture, rho and P^G in the other
+    pic_S, pic_r = _pictures(dims, Pmat)
     k = _tr(Pmat)
     eye = np.eye(d_tot, dtype=complex)
 
@@ -353,8 +377,6 @@ def solve_construction_sdp(
             lower_bound=D_MAX, upper_bound=float("inf"), clamped=True,
         )
 
-    # S and P live in one picture, rho and P^G in the other
-    pic_S, pic_r = _pictures(dims, Pmat)
     p = pic_S.pack(Pmat)
     pt = p[pic_S.pt]
     eye_S, eye_r = pic_S.eye, pic_r.eye
@@ -390,7 +412,7 @@ def solve_construction_sdp(
                 ub, best_Y = ub_cand, Y
         return ub - lb <= tol_gap
 
-    it = _split((pic_r, pic_S), eye_r / d_tot, eye_S, affine, certify, max_iter, cert_every)
+    it = _split((pic_r, pic_S), eye_r / d_tot, eye_S, affine, certify, max_iter, cert_every=50)
 
     # the returned bracket, rechecked dense: the residuals verify lb, and
     # the dual bound is recomputed from the best certificate
@@ -478,22 +500,20 @@ def optimize_over_ppt(
     sense: str = "max",
     tol: float = 1e-5,
     max_iter: int = DEFAULT_MAX_ITER,
-    cert_every: int = 100,
 ) -> PptOptimum:
     """Optimize <W, sigma> over {sigma >= 0, sigma^G >= 0, Tr sigma = 1}.
 
     The certified value is attained by the returned (exactly feasible)
     sigma; dual certificates Y1, Y2 >= 0 bound the maximum from above by
     lambda_max(W + Y1 + Y2^G).  ``upper_bound``/``lower_bound`` bracket the
-    true optimum within ``tol`` on success.
+    true optimum within ``tol`` on success; certificates are taken every 100
+    iterations.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-    W = np.asarray(W, dtype=complex)
-    if not is_hermitian(W):
-        raise NotHermitian("objective matrix must be Hermitian")
+    W = _solver_input(W)
     if sense == "min":
-        res = _maximize_over_ppt(dims, -hermitize(W), tol, max_iter, cert_every)
+        res = _maximize_over_ppt(dims, -W, tol, max_iter)
         flipped = PptOptimum(
             value=-res.value, sigma=res.sigma,
             lower_bound=-res.upper_bound, upper_bound=-res.lower_bound,
@@ -503,13 +523,13 @@ def optimize_over_ppt(
         if not res.converged:
             raise NoConvergence("PPT optimization did not converge", partial=flipped)
         return flipped
-    res = _maximize_over_ppt(dims, hermitize(W), tol, max_iter, cert_every)
+    res = _maximize_over_ppt(dims, W, tol, max_iter)
     if not res.converged:
         raise NoConvergence("PPT optimization did not converge", partial=res)
     return res
 
 
-def _maximize_over_ppt(dims, W, tol, max_iter, cert_every) -> PptOptimum:
+def _maximize_over_ppt(dims, W, tol, max_iter) -> PptOptimum:
     d_tot = dims.total
     eye = np.eye(d_tot, dtype=complex)
     trW = _tr(W)
@@ -550,7 +570,7 @@ def _maximize_over_ppt(dims, W, tol, max_iter, cert_every) -> PptOptimum:
 
     it = _split(
         (pic_1, pic_2), pic_1.eye / d_tot, pic_2.eye / d_tot,
-        affine, certify, max_iter, cert_every,
+        affine, certify, max_iter, cert_every=100,
     )
 
     # the returned bracket, recomputed dense from the returned sigma and pair
@@ -677,90 +697,48 @@ def decompose_dual_cone(
     dims: BipartiteDims,
     tol_residual: float = 1e-7,
     max_iter: int = 20_000,
-    warm_start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Split X = X1 + X2^G with X1, X2 >= 0 by alternating PSD projections.
+    """Split X = X1 + X2^G with X1, X2 >= 0, read off one PPT minimization.
 
-    Minimizes ||X - Y1 - Y2^G||_F over the two PSD cones one block at a
-    time, absorbing the remainder into Y1 outright whenever it turns PSD
-    (which finishes the split exactly).  ``warm_start`` seeds the pair,
-    e.g. from the dual certificate of a PPT optimization.  Returns
-    (X1, X2, residual, sweeps).
+    Minimizes <X, sigma> over the PPT states (``optimize_over_ppt``, tol
+    1e-9, at most ``max_iter`` splitting iterations).  Its dual pair
+    (Y1, Y2) certifies lambda_max(-X + Y1 + Y2^G) = -f for the floor's
+    lower end f, so X - Y2^G >= Y1 + f I, which is PSD once f >= 0.  The
+    split is X2 = Y2 and X1 = X - X2^G, each projected onto the PSD cone:
+    a floor a hair below 0 (a tangential contact) leaves a residual
+    ||X - X1 - X2^G|| of its order.  Returns (X1, X2, residual, iterations).
 
-    Raises NotInDualCone when the residual floor is certifiably positive
-    (the PPT optimization finds a strictly negative overlap), NoConvergence
-    when the budget runs out without a verdict.
+    Accepts the split when the residual is at most ``tol_residual``.
+    Otherwise raises NotInDualCone when the floor's certified upper end is
+    below -1e-8, and NoConvergence with (X1, X2, residual) attached when it
+    is not.
     """
-    X = np.asarray(X, dtype=complex)
-    if not is_hermitian(X):
-        raise NotHermitian("decomposition input must be Hermitian")
-    X = hermitize(X)
-    scale = max(1.0, float(np.abs(X).max()))
-
-    if warm_start is not None:
-        # a warm start is only a hint: take its Hermitian part, never reject it
-        Y1 = project_psd(hermitize(np.asarray(warm_start[0], dtype=complex)))
-        Y2 = project_psd(hermitize(np.asarray(warm_start[1], dtype=complex)))
-    else:
-        Y1 = np.zeros_like(X)
-        Y2 = project_psd(partial_transpose(X, dims))
-
-    res = np.inf
-    it = 0
-    polish_at = min(2000, max_iter)
-    for it in range(1, max_iter + 1):
-        R = X - Y1 - partial_transpose(Y2, dims)
-        if eigvalsh(R)[0] >= -1e-12 * scale:
-            Y1 = project_psd(Y1 + R)
-            res = float(np.linalg.norm(X - Y1 - partial_transpose(Y2, dims)))
-            if res <= tol_residual:
-                return Y1, Y2, res, it
-        Y1 = project_psd(X - partial_transpose(Y2, dims))
-        Y2 = project_psd(partial_transpose(X - Y1, dims))
-        res = float(np.linalg.norm(X - Y1 - partial_transpose(Y2, dims)))
-        if res <= tol_residual:
-            return Y1, Y2, res, it
-        if it == polish_at or it == max_iter:
-            # stalling near a tangential contact: certify the overlap floor;
-            # its polished dual pair satisfies -X + Y1 + Y2^G ~ mu I, which
-            # rearranges into a split of X (mu ~ -floor ~ 0 inside the cone)
-            floor_lb, floor_ub, dual_pair = _overlap_floor(X, dims)
-            if floor_ub < -1e-8:
-                raise NotInDualCone(
-                    f"certified PPT overlap {floor_ub:.3e} < 0; "
-                    "X is outside the dual cone"
-                )
-            if dual_pair is not None:
-                Y2c = project_psd(dual_pair[1])
-                Y1c = project_psd(X - partial_transpose(Y2c, dims))
-                res_c = float(np.linalg.norm(X - Y1c - partial_transpose(Y2c, dims)))
-                if res_c < res:
-                    Y1, Y2, res = Y1c, Y2c, res_c
-                    if res <= tol_residual:
-                        return Y1, Y2, res, it
-
-    raise NoConvergence(
-        f"decomposition residual {res:.3e} above {tol_residual:.1e} "
-        f"after {it} sweeps", partial=(Y1, Y2, res),
-    )
-
-
-def _overlap_floor(X, dims):
-    """Certified bracket of min <X, sigma> over PPT states, plus the dual pair."""
+    X = _solver_input(X)
     try:
-        floor = optimize_over_ppt(dims, X, sense="min", tol=1e-9)
+        floor = optimize_over_ppt(dims, X, "min", tol=1e-9, max_iter=max_iter)
     except NoConvergence as exc:
-        floor = exc.partial  # bracket ends are still certified
-        if floor is None:
-            return 0.0, 0.0, None
-    return floor.lower_bound, floor.upper_bound, floor.dual_basis
+        floor = exc.partial  # its bracket and dual pair are still certified
+    X2 = project_psd(floor.dual_basis[1])
+    X2_G = partial_transpose(X2, dims)
+    X1 = project_psd(X - X2_G)
+    residual = float(np.linalg.norm(X - X1 - X2_G))
+    if residual <= tol_residual:
+        return X1, X2, residual, floor.iterations
+    if floor.upper_bound < -1e-8:
+        raise NotInDualCone(
+            f"certified PPT overlap {floor.upper_bound:.3e} < 0; "
+            "X is outside the dual cone"
+        )
+    raise NoConvergence(
+        f"decomposition residual {residual:.3e} above {tol_residual:.1e} "
+        f"after {floor.iterations} iterations", partial=(X1, X2, residual),
+    )
 
 
 def construct_via_dual_cone(
     dims: BipartiteDims,
     P,
     tol_c: float = 1e-6,
-    tol_residual: float = 1e-8,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ConeDecomposition:
     """Build the extremal state through the dual cone of the PPT states.
@@ -768,14 +746,14 @@ def construct_via_dual_cone(
     c is the (certified) maximum of <P, sigma> over PPT states; the
     operator X = I - (1/c) P then lies in the dual cone, splits as
     X1 + X2^G, and rho = X2 / Tr(X2) has exactly (m-1)(n-1) negative
-    partial-transpose eigenvalues.  Uses the certified upper end of the
-    bracket for c, whose dual pair seeds the decomposition: with
-    c = lambda_max(P + Y1 + Y2^G) the leftover is PSD and folds into X1,
-    so the split is exact.
+    partial-transpose eigenvalues.  c is the certified upper end of the
+    bracket, c = lambda_max(P + Y1 + Y2^G) for the solve's dual pair, so
+    the split is closed-form: X2 = Y2 / c and X1 = X - X2^G, which is
+    (c I - P - Y1 - Y2^G) / c + Y1 / c >= 0.
     """
     if dims.npt_dim == 0:
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
-    Pmat = hermitize(_projector_matrix(P))
+    Pmat = _solver_input(P)
 
     opt = optimize_over_ppt(dims, Pmat, sense="max", tol=tol_c, max_iter=max_iter)
     c = float(opt.upper_bound)
@@ -783,15 +761,13 @@ def construct_via_dual_cone(
         raise NoConvergence(f"certified c = {c!r} is outside (0, 1)", partial=opt)
 
     X = hermitize(np.eye(dims.total) - Pmat / c)
-    warm = None
-    if opt.dual_basis is not None:
-        warm = (opt.dual_basis[0] / c, opt.dual_basis[1] / c)
-    X1, X2, residual, sweeps = decompose_dual_cone(
-        X, dims, tol_residual=tol_residual, max_iter=max_iter, warm_start=warm
-    )
+    X2 = opt.dual_basis[1] / c
+    X2_G = partial_transpose(X2, dims)
+    X1 = X - X2_G
+    residual = float(np.linalg.norm(X - X1 - X2_G))
     t = _tr(X2)
     if t <= 1e-8:
-        raise NoConvergence(f"decomposition returned Tr(X2) = {t:.3e}", partial=(X1, X2))
+        raise NoConvergence(f"dual pair gives Tr(X2) = {t:.3e}", partial=(X1, X2))
     rho = DensityMatrix(dims, _round_to_state(X2 / t, dims))
 
     count, _ = count_negative_eigenvalues(partial_transpose(rho.mat, dims))
@@ -802,5 +778,5 @@ def construct_via_dual_cone(
         )
     return ConeDecomposition(
         c=c, X=X, X1=X1, X2=X2, rho=rho,
-        residual=residual, iterations=opt.iterations + sweeps,
+        residual=residual, iterations=opt.iterations,
     )

@@ -379,16 +379,17 @@ class TestConstructCommand:
         assert meta["converged"] is False
 
     def test_partial_state_extraction(self):
-        # the dual-cone route reports (Y1, Y2, residual) on stalls; the
-        # normalized Y2 becomes the best-effort partial state
-        rng = np.random.default_rng(0)
-        G = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        Y2 = G @ G.conj().T
-        rho = cli._partial_state((np.zeros((4, 4)), Y2, 0.5), D22)
-        assert rho is not None
-        assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
-        assert cli._partial_state(None, D22) is None
-        assert cli._partial_state((np.zeros((4, 4)), np.zeros((4, 4)), 1.0), D22) is None
+        assert cli._partial_state(None) is None
+
+    def test_rejects_zero_iteration_budget(self, tmp_path, capsys):
+        for method in ("direct", "dual-cone"):
+            code = cli.main([
+                "construct", "--m", "3", "--n", "3", "--method", method,
+                "--max-iter", "0", "--out", str(tmp_path / "rho.json"),
+            ])
+            assert code == 2
+            assert "max_iter must be at least 1, got 0" in capsys.readouterr().err
+            assert not (tmp_path / "rho.json").exists()
 
     def test_deterministic_output_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -80,6 +80,35 @@ def _product_see_saw(W, m, n, rng, restarts=40, sweeps=200):
     return best
 
 
+ENTRY_POINTS = {
+    "construction_sdp": lambda dims, M: solve_construction_sdp(dims, M),
+    "dual_cone_route": lambda dims, M: construct_via_dual_cone(dims, M),
+    "optimize_over_ppt": lambda dims, M: optimize_over_ppt(dims, M),
+    "decompose_dual_cone": lambda dims, M: decompose_dual_cone(M, dims),
+}
+
+
+class TestInputValidation:
+    """Every solver entry point takes only a Hermitian mn x mn matrix."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 3), (16,)], ids=["5x5", "4x3", "flat"])
+    def test_wrong_shape(self, entry, shape):
+        with pytest.raises(errors.ShapeMismatch):
+            ENTRY_POINTS[entry](D22, np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("defect", ["asymmetric", "nan"])
+    def test_not_hermitian(self, entry, defect):
+        M = npt_projector(D22).P.copy()
+        if defect == "asymmetric":
+            M[0, 1] += 0.5
+        else:
+            M[0, 0] = np.nan
+        with pytest.raises(errors.NotHermitian):
+            ENTRY_POINTS[entry](D22, M)
+
+
 class TestConstructionSdp:
     def test_2x2_analytic_optimum(self):
         # sandwiching the constraint with the singlet forces d <= 3/2,
@@ -130,7 +159,7 @@ class TestConstructionSdp:
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(errors.NoConvergence) as err:
-            solve_construction_sdp(D34, npt_projector(D34), max_iter=3, cert_every=1)
+            solve_construction_sdp(D34, npt_projector(D34), max_iter=3)
         partial = err.value.partial
         assert partial is not None
         assert not partial.converged
@@ -140,7 +169,9 @@ class TestConstructionSdp:
 class TestPinnedOutputs:
     """Iteration counts and certified values of both routes, recorded when
     each route still ran its own copy of the splitting loop.  The shared
-    core keeps the arithmetic, so the counts must match exactly."""
+    core keeps the arithmetic, so the counts must match exactly.  The
+    dual-cone counts are the PPT solve's alone: its closed-form split
+    takes no iteration."""
 
     @pytest.mark.parametrize("m,n,iterations,lb", [
         (3, 3, 100, 1.0369763358423485),
@@ -154,9 +185,9 @@ class TestPinnedOutputs:
         assert sol.lower_bound == pytest.approx(lb, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("m,n,iterations,c", [
-        (3, 4, 201, 0.9588325262291642),
-        (4, 4, 201, 0.9857022678211579),
-        (5, 5, 501, 0.9981180607807484),
+        (3, 4, 200, 0.9588325262291642),
+        (4, 4, 200, 0.9857022678211579),
+        (5, 5, 500, 0.9981180607807484),
     ])
     def test_dual_cone_route(self, m, n, iterations, c):
         dims = BipartiteDims(m, n)
@@ -442,8 +473,8 @@ class TestDecomposeDualCone:
             decompose_dual_cone(-np.eye(4, dtype=complex), D22, max_iter=500)
 
     def test_boundary_operator_cold_start(self):
-        # I - (1/c)P sits on the dual-cone boundary, the hard case for
-        # plain alternating projections; the overlap-floor polish finishes it
+        # I - (1/c)P sits on the dual-cone boundary: the PPT floor of
+        # <X, sigma> is 0 up to the bracket, a tangential contact
         for dims in (BipartiteDims(2, 3), D34):
             P = npt_projector(dims).P
             c = optimize_over_ppt(dims, P, "max", tol=1e-6).upper_bound
@@ -520,6 +551,16 @@ class TestDualConeRoute:
             construct_via_dual_cone(BipartiteDims(1, 5), np.zeros((5, 5)))
 
     def test_decomposition_psd(self):
-        dec = construct_via_dual_cone(D34, npt_projector(D34))
-        assert np.linalg.eigvalsh(dec.X1)[0] >= -1e-9
-        assert np.linalg.eigvalsh(dec.X2)[0] >= -1e-9
+        # the closed-form split from the certifying dual pair, on the
+        # sector-block path (P) and the one-block path (rotated P)
+        inputs = [(BipartiteDims(m, n), npt_projector(BipartiteDims(m, n)).P)
+                  for m, n in [(2, 4), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (6, 6)]]
+        inputs += [(BipartiteDims(m, n), rotated_projector(BipartiteDims(m, n), np.random.default_rng(m * n)))
+                   for m, n in [(3, 3), (3, 4), (4, 4)]]
+        for dims, P in inputs:
+            dec = construct_via_dual_cone(dims, P)
+            assert dec.residual <= 1e-12
+            assert np.linalg.norm(dec.X - dec.X1 - partial_transpose(dec.X2, dims)) <= 1e-12
+            assert np.linalg.eigvalsh(dec.X1)[0] >= -1e-9
+            assert np.linalg.eigvalsh(dec.X2)[0] >= -1e-9
+            assert np.abs(dec.rho.mat - dec.X2 / np.trace(dec.X2).real).max() <= 1e-12
