@@ -359,6 +359,9 @@ def _cmd_construct(args) -> int:
     if args.m < 2 or args.n < 2:
         print("error: construction requires m, n >= 2", file=sys.stderr)
         return EXIT_USAGE
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        print(f"error: --tol must be a finite positive number, got {args.tol}", file=sys.stderr)
+        return EXIT_USAGE
     dims = BipartiteDims(args.m, args.n)
     P = subspace_projector(build_subspace(dims))
     meta = {
@@ -381,7 +384,7 @@ def _cmd_construct(args) -> int:
             "converged": sol.converged, "residuals": sol.residuals,
         })
         summary = f"d = {sol.d:.6g}"
-        residuals = sol.residuals
+        diagnostics = sol.residuals
     else:
         try:
             dec = construct_via_dual_cone(
@@ -394,12 +397,14 @@ def _cmd_construct(args) -> int:
                 return EXIT_NOCONV
             meta.update({"converged": False, "failure": str(exc)})
             exit_code = EXIT_NOCONV
-            residuals = {}
+            diagnostics = {}
             summary = "dual-cone route did not converge"
         else:
             rho = dec.rho
-            residuals = {"decomposition_residual": dec.residual}
-            meta.update({"c": dec.c, "converged": True, "residuals": residuals})
+            # lambda_min(X1) >= 0 is what makes X = X1 + X2^G a dual-cone
+            # split; its size shows how near the certified pair is to failing
+            diagnostics = {"split_margin": float(eigvalsh(dec.X1)[0])}
+            meta.update({"c": dec.c, "converged": True, **diagnostics})
             summary = f"c = {dec.c:.6g}"
     count, negs = count_negative_eigenvalues(partial_transpose(rho.mat, dims))
     meta["negative_count"] = count
@@ -410,7 +415,7 @@ def _cmd_construct(args) -> int:
         return EXIT_USAGE
     print(f"{summary}, negatives = {count} (target {dims.npt_dim})")
     print("negative eigenvalues:", " ".join(f"{x:.6g}" for x in negs))
-    for name, value in residuals.items():
+    for name, value in diagnostics.items():
         print(f"{name} = {value:.6g}")
     if exit_code == EXIT_NOCONV:
         print("warning: solver did not converge; partial output written", file=sys.stderr)

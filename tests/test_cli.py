@@ -391,6 +391,33 @@ class TestConstructCommand:
             assert "max_iter must be at least 1, got 0" in capsys.readouterr().err
             assert not (tmp_path / "rho.json").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_rejects_bad_tolerance(self, tmp_path, capsys, tol):
+        # rejected before any solve: no iteration budget is spent, no file written
+        code = cli.main([
+            "construct", "--m", "3", "--n", "3", "--tol", tol,
+            "--out", str(tmp_path / "rho.json"),
+        ])
+        assert code == 2
+        assert "--tol must be a finite positive number" in capsys.readouterr().err
+        assert not (tmp_path / "rho.json").exists()
+
+    def test_dual_cone_reports_split_margin(self, tmp_path, capsys):
+        out = tmp_path / "rho.json"
+        code = cli.main([
+            "construct", "--m", "3", "--n", "3", "--method", "dual-cone",
+            "--out", str(out),
+        ])
+        text = capsys.readouterr().out
+        assert code == 0
+        assert "decomposition_residual" not in text
+        line = next(l for l in text.splitlines() if l.startswith("split_margin = "))
+        margin = float(line.split("=")[1])
+        assert margin >= 0.0
+        _, _, meta = cli.load_matrix(out)
+        assert meta["split_margin"] >= 0.0
+        assert float(f"{meta['split_margin']:.6g}") == margin
+
     def test_deterministic_output_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert cli.main(["construct", "--m", "2", "--n", "3", "--out", str(a)]) == 0

@@ -14,6 +14,7 @@ from nptsub import (
     solve_construction_sdp,
     subspace_projector,
 )
+from nptsub import sdp
 from nptsub.linalg import project_psd
 from nptsub.sdp import D_MAX, _hermitian_basis, _max_shift, _pictures, _project_pair, _round_to_ppt
 
@@ -222,12 +223,14 @@ class TestSectorLayout:
 
     @staticmethod
     def random_member(pic, rng):
-        """Random Hermitian matrix supported on the picture's blocks."""
+        """Random Hermitian matrix in the picture's domain: supported on its
+        blocks, and reflection-symmetrized when its orbits are non-trivial."""
         x = rng.standard_normal(pic.flat.size)
         if pic.dtype is complex:
             x = x + 1j * rng.standard_normal(pic.flat.size)
         X = pic.unpack(x)
-        return X + X.conj().T
+        X = X + X.conj().T
+        return X if np.array_equal(pic.src, pic.stack) else X + X[::-1, ::-1]
 
     @staticmethod
     def layout(m, n, rotated):
@@ -242,6 +245,7 @@ class TestSectorLayout:
         for pic in _pictures(dims, npt_projector(dims).P):
             assert pic.dtype is float
             assert pic.shape == (m + n - 1, min(m, n), min(m, n))
+            assert pic.orbits == ((m + n) // 2, min(m, n), min(m, n))
 
     @pytest.mark.parametrize("perturb", ["rotate", "imaginary", "off_sector"])
     def test_other_inputs_get_one_block(self, perturb):
@@ -257,6 +261,7 @@ class TestSectorLayout:
         for pic in _pictures(dims, P):
             assert pic.dtype is complex
             assert pic.shape == (1, 12, 12)
+            assert np.array_equal(pic.src, pic.stack)
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
@@ -295,6 +300,55 @@ class TestSectorLayout:
             z1, z2 = _project_pair(pics, x1, x2)
             assert np.array_equal(z1, pics[0].project(x1))
             assert np.array_equal(z2, pics[1].project(x2))
+
+    @staticmethod
+    def asymmetric_member(pic, rng):
+        """Random real symmetric matrix on the picture's blocks, not mirrored."""
+        X = pic.unpack(rng.standard_normal(pic.flat.size)).real
+        return X + X.T
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    def test_projections_are_mirror_invariant(self, m, n):
+        # every entry of a mirror pair of blocks is read back from its orbit
+        # representative, so the pairs come out exactly invariant, alone and
+        # in the merged projection, even for an input off the invariant
+        # domain; a middle block (odd block count) represents itself and is
+        # as invariant as its input, to rounding
+        _, _, pics, rng = self.layout(m, n, False)
+        for member in (self.asymmetric_member, self.random_member):
+            X1, X2 = (member(pic, rng) for pic in pics)
+            x1, x2 = pics[0].pack(X1), pics[1].pack(X2)
+            for pic, z in zip(pics * 2, (pics[0].project(x1), pics[1].project(x2),
+                                         *_project_pair(pics, x1, x2))):
+                K, s, _ = pic.shape
+                in_middle = (pic.stack // (s * s) == K // 2) & (K % 2 == 1)
+                middle = pic.unpack(in_middle).real.astype(bool)
+                Z = pic.unpack(z)
+                defect = np.abs(Z - Z[::-1, ::-1])
+                assert not defect[~middle].any()
+                if member is self.random_member:
+                    assert defect.max() <= 1e-13 * max(1.0, np.abs(Z).max())
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4)])
+    def test_asymmetric_sector_input_gets_trivial_orbits(self, m, n, monkeypatch):
+        # a real-sector W that is not reflection-invariant keeps all blocks
+        # as their own representatives, and its PPT optimum matches the one
+        # the dense one-block layout certifies
+        dims = BipartiteDims(m, n)
+        pic, _ = _pictures(dims, npt_projector(dims).P)
+        W = self.asymmetric_member(pic, np.random.default_rng(m * 10 + n))
+        assert np.abs(W - W[::-1, ::-1]).max() > 1e-2
+        for p in _pictures(dims, W):
+            assert p.dtype is float
+            assert p.orbits == p.shape
+            assert np.array_equal(p.src, p.stack)
+        blocks = optimize_over_ppt(dims, W)
+        pictures = sdp._pictures
+        dense_layout = lambda dims, M: pictures(dims, np.ones(M.shape))
+        assert dense_layout(dims, W)[0].shape == (1, dims.total, dims.total)
+        monkeypatch.setattr(sdp, "_pictures", dense_layout)
+        dense = optimize_over_ppt(dims, W)
+        assert blocks.value == pytest.approx(dense.value, abs=1e-5)
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
