@@ -2,7 +2,8 @@
 
 Subcommands: ``subspace``, ``construct``, ``verify``, ``witness``,
 ``stress``.  Exit codes: 0 success/pass, 1 verification or property
-failure, 2 usage or parse error, 3 solver non-convergence.
+failure (a ``construct`` state whose negative count is not (m-1)(n-1)
+included), 2 usage or parse error, 3 solver non-convergence.
 
 Matrices travel as JSON documents with embedded local dimensions and
 explicit [re, im] entry pairs; floats are printed with 17 significant
@@ -391,10 +392,10 @@ def _cmd_construct(args) -> int:
                 dims, P, tol_c=min(args.tol, 1e-5), max_iter=args.max_iter
             )
         except NoConvergence as exc:
-            rho = _partial_state(exc.partial)
-            if rho is None:
+            if not isinstance(exc.partial, DensityMatrix):
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_NOCONV
+            rho = exc.partial
             meta.update({"converged": False, "failure": str(exc)})
             exit_code = EXIT_NOCONV
             diagnostics = {}
@@ -420,12 +421,12 @@ def _cmd_construct(args) -> int:
     if exit_code == EXIT_NOCONV:
         print("warning: solver did not converge; partial output written", file=sys.stderr)
     print(f"wrote {args.out}")
+    if count != dims.npt_dim:
+        print(f"error: {count} negative partial-transpose eigenvalues, "
+              f"expected (m-1)(n-1) = {dims.npt_dim}", file=sys.stderr)
+        if exit_code == EXIT_OK:
+            exit_code = EXIT_FAIL
     return exit_code
-
-
-def _partial_state(partial) -> DensityMatrix | None:
-    """Best-effort state from a non-convergence payload, if one exists."""
-    return partial if isinstance(partial, DensityMatrix) else None
 
 
 def _cmd_verify(args) -> int:

@@ -65,15 +65,10 @@ certificates (the PSD parts of -beta u), and iteration stops once the
 certified gap closes.  The certify steps run on the same block layout as
 the iteration: rounding, feasible shift and dual bound are block
 projections, gathers and block eigenvalues, with the padding of the block
-stack kept out of every extreme eigenvalue.  The PPT certify step ends
-with an active-set polish: the kernels of the primal optimum pin the faces
-carrying the dual pair, where the remaining problem is linear least
-squares and solves to machine precision.  The polish is dense, because
-those kernels can mix sectors, and its pairs are checked dense.  On exit
-the returned bounds are recomputed dense from the returned state and dual
-certificate (the construction's lower bound is rechecked by its dense
-residuals), so a block layout can cost iterations but can never certify a
-wrong bound.
+stack kept out of every extreme eigenvalue.  On exit the returned bounds
+are recomputed dense from the returned state and dual certificate (the
+construction's lower bound is rechecked by its dense residuals), so a
+block layout can cost iterations but can never certify a wrong bound.
 
 Every entry point takes its input (P, W or X) as a Hermitian mn x mn
 matrix and raises ShapeMismatch or NotHermitian (NaN entries included)
@@ -112,16 +107,6 @@ _MIRROR_TOL = 1e-14
 
 def _tr(M: np.ndarray) -> float:
     return float(np.trace(M).real)
-
-
-def _round_to_state(M: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    """Nearest-PSD rounding followed by trace normalization."""
-    w, V = np.linalg.eigh(hermitize(M))
-    w = np.maximum(w, 0.0)
-    tr = float(w.sum())
-    if tr <= 1e-300:
-        return np.eye(dims.total, dtype=complex) / dims.total
-    return hermitize((V * (w / tr)) @ V.conj().T)
 
 
 @dataclass(frozen=True)
@@ -587,7 +572,6 @@ def optimize_over_ppt(
 
 def _maximize_over_ppt(dims, W, tol, max_iter) -> PptOptimum:
     d_tot = dims.total
-    eye = np.eye(d_tot, dtype=complex)
     trW = _tr(W)
     pic_1, pic_2 = _pictures(dims, W)  # sigma lives in W's picture
     w = pic_1.pack(W)
@@ -599,29 +583,18 @@ def _maximize_over_ppt(dims, W, tol, max_iter) -> PptOptimum:
 
     lb, ub = -np.inf, np.inf
     best_sigma = pic_1.eye / d_tot
-    best_dual = (np.zeros_like(eye), np.zeros_like(eye))
-    last_polish = -10**9
-
-    def offer(ub_cand, Y1, Y2):
-        nonlocal ub, best_dual
-        if ub_cand < ub:
-            ub, best_dual = ub_cand, (Y1, Y2)
+    best_y = (np.zeros_like(pic_1.eye), np.zeros_like(pic_2.eye))
 
     def certify(it, z1, u1, u2, beta):
-        nonlocal lb, best_sigma, last_polish
+        nonlocal lb, ub, best_sigma, best_y
         sigma = _round_to_ppt((pic_1, pic_2), z1)
         lb_cand = frob_inner(w, sigma)
         if lb_cand > lb:
             lb, best_sigma = lb_cand, sigma
         y1, y2 = _project_pair((pic_1, pic_2), -beta * u1, -beta * u2)
-        offer(float(pic_1.eigvalsh(w + y1 + y2[pic_2.pt])[-1]), pic_1.unpack(y1), pic_2.unpack(y2))
-        # active-set endgame: pin the dual pair to the faces selected by
-        # the primal kernels and finish by linear least squares; its pairs
-        # can mix sectors, so they are built and checked dense
-        if tol < ub - lb < 1e-3 and it - last_polish >= 500:
-            last_polish = it
-            for Y1, Y2 in _dual_face_candidates(W, pic_1.unpack(sigma), dims):
-                offer(float(eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1]), Y1, Y2)
+        ub_cand = float(pic_1.eigvalsh(w + y1 + y2[pic_2.pt])[-1])
+        if ub_cand < ub:
+            ub, best_y = ub_cand, (y1, y2)
         return ub - lb <= tol
 
     it = _split(
@@ -631,14 +604,14 @@ def _maximize_over_ppt(dims, W, tol, max_iter) -> PptOptimum:
 
     # the returned bracket, recomputed dense from the returned sigma and pair
     sigma = pic_1.unpack(best_sigma)
-    Y1, Y2 = best_dual
+    Y1, Y2 = pic_1.unpack(best_y[0]), pic_2.unpack(best_y[1])
     lb = frob_inner(W, sigma)
     ub = float(eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1])
     return PptOptimum(
         value=lb, sigma=DensityMatrix(dims, sigma),
         lower_bound=lb, upper_bound=ub,
         iterations=it, converged=bool(ub - lb <= tol),
-        dual_basis=best_dual,
+        dual_basis=(Y1, Y2),
     )
 
 
@@ -667,81 +640,6 @@ def _round_to_ppt(pics, x: np.ndarray) -> np.ndarray:
         theta = min(1.0, 1.1 * eps * pic_1.d / (1.0 + eps * pic_1.d) + 1e-16)
         sig = (1.0 - theta) * sig + theta * eye_over_d
     return sig
-
-
-def _hermitian_basis(r: int) -> np.ndarray:
-    """Orthonormal real basis of r x r Hermitian matrices, shape (r^2, r, r).
-
-    The r diagonal units come first, then for each i < j (row-major) the
-    symmetric and the antisymmetric element.
-    """
-    i, j = np.triu_indices(r, 1)
-    sym = r + 2 * np.arange(i.size)
-    diag = np.arange(r)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    E = np.zeros((r * r, r, r), dtype=complex)
-    E[diag, diag, diag] = 1.0
-    E[sym, i, j] = E[sym, j, i] = inv_sqrt2
-    E[sym + 1, i, j] = 1j * inv_sqrt2
-    E[sym + 1, j, i] = -1j * inv_sqrt2
-    return E
-
-
-def _kernel_cuts(w: np.ndarray) -> list[int]:
-    """Candidate kernel sizes from gaps in an ascending eigenvalue list."""
-    cuts = []
-    for i in range(len(w) - 1):
-        lo = max(abs(float(w[i])), 1e-300)
-        if w[i] <= 1e-3 and float(w[i + 1]) / lo > 1e3:
-            cuts.append(i + 1)
-    cuts.append(0)  # empty kernel is always a candidate
-    return cuts[:4]
-
-
-def _dual_face_candidates(W, sigma_hat, dims):
-    """Dual pairs from face-restricted least squares.
-
-    At optimality W + Y1 + Y2^G = c I with range(Y1) in ker(sigma*) and
-    range(Y2) in ker(sigma*^G); given those kernels the dual pair is the
-    solution of a linear least-squares problem.  Tries the kernel splits
-    suggested by spectral gaps of the primal iterate and yields clamped
-    (hence exactly PSD) candidate pairs.
-
-    The unknowns are c and the coordinates of Y1 = Q1 A Q1^dag and
-    Y2 = Q2 B Q2^dag in the Hermitian bases of A and B; each design
-    column holds the real and imaginary parts of one basis image.
-    """
-    d_tot = dims.total
-    w1, V1 = np.linalg.eigh(hermitize(sigma_hat))
-    w2, V2 = np.linalg.eigh(hermitize(partial_transpose(sigma_hat, dims)))
-    eye = np.eye(d_tot, dtype=complex)
-    eye_col = np.concatenate([eye.real.ravel(), eye.imag.ravel()])
-    target = np.concatenate([W.real.ravel(), W.imag.ravel()])
-    # entry order of the flattened partial transpose
-    pt_order = partial_transpose(np.arange(d_tot * d_tot).reshape(d_tot, d_tot), dims).ravel()
-
-    out = []
-    for cut1 in _kernel_cuts(w1):
-        for cut2 in _kernel_cuts(w2):
-            Q1 = V1[:, :cut1]
-            Q2 = V2[:, :cut2]
-            E1 = _hermitian_basis(cut1)
-            E2 = _hermitian_basis(cut2)
-            images = np.concatenate([
-                (Q1 @ E1 @ Q1.conj().T).reshape(cut1 * cut1, d_tot * d_tot),
-                (Q2 @ E2 @ Q2.conj().T).reshape(cut2 * cut2, d_tot * d_tot)[:, pt_order],
-            ])
-            design = np.concatenate(
-                [eye_col[None], -np.concatenate([images.real, images.imag], axis=1)]
-            ).T
-            theta, *_ = np.linalg.lstsq(design, target, rcond=None)
-            A = np.tensordot(theta[1:1 + cut1 * cut1], E1, axes=1)
-            B = np.tensordot(theta[1 + cut1 * cut1:], E2, axes=1)
-            out.append((
-                hermitize(Q1 @ project_psd(A) @ Q1.conj().T) if cut1 else np.zeros_like(eye),
-                hermitize(Q2 @ project_psd(B) @ Q2.conj().T) if cut2 else np.zeros_like(eye),
-            ))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -824,7 +722,7 @@ def construct_via_dual_cone(
     t = _tr(X2)
     if t <= 1e-8:
         raise NoConvergence(f"dual pair gives Tr(X2) = {t:.3e}", partial=(X1, X2))
-    rho = DensityMatrix(dims, _round_to_state(X2 / t, dims))
+    rho = DensityMatrix(dims, X2 / t)
 
     count, _ = count_negative_eigenvalues(partial_transpose(rho.mat, dims))
     if count != dims.npt_dim:

@@ -378,8 +378,33 @@ class TestConstructCommand:
         mat, dims, meta = cli.load_matrix(out)  # partial output still written
         assert meta["converged"] is False
 
-    def test_partial_state_extraction(self):
-        assert cli._partial_state(None) is None
+    def test_dual_cone_nonconvergence_without_state(self, tmp_path, capsys):
+        # the PPT solve stops on its budget before any state exists: exit 3
+        # with the solver's message, and no file is written
+        out = tmp_path / "rho.json"
+        code = cli.main([
+            "construct", "--m", "3", "--n", "4", "--method", "dual-cone",
+            "--max-iter", "3", "--out", str(out),
+        ])
+        assert code == 3
+        assert "PPT optimization did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exit_code_reports_negative_count(self, tmp_path, capsys):
+        # exit 0 exactly when the written state has the full (m-1)(n-1) = 36
+        # negatives; a missed count exits 1 with an error line
+        out = tmp_path / "rho.json"
+        code = cli.main([
+            "construct", "--m", "7", "--n", "7", "--method", "direct",
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        _, _, meta = cli.load_matrix(out)
+        count = meta["negative_count"]
+        assert (code == 0) == (count == 36)
+        if code != 0:
+            assert code == 1
+            assert f"error: {count} negative partial-transpose eigenvalues" in err
 
     def test_rejects_zero_iteration_budget(self, tmp_path, capsys):
         for method in ("direct", "dual-cone"):

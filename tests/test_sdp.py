@@ -16,7 +16,7 @@ from nptsub import (
 )
 from nptsub import sdp
 from nptsub.linalg import project_psd
-from nptsub.sdp import D_MAX, _hermitian_basis, _max_shift, _pictures, _project_pair, _round_to_ppt
+from nptsub.sdp import D_MAX, _max_shift, _pictures, _project_pair, _round_to_ppt
 
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
@@ -195,25 +195,6 @@ class TestPinnedOutputs:
         dec = construct_via_dual_cone(dims, npt_projector(dims))
         assert dec.iterations == iterations
         assert dec.c == pytest.approx(c, rel=0, abs=1e-9)
-
-    @pytest.mark.parametrize("r", [0, 1, 2, 4])
-    def test_hermitian_basis_matches_loop(self, r):
-        # reference: the basis built one element at a time
-        ref = []
-        for i in range(r):
-            E = np.zeros((r, r), dtype=complex)
-            E[i, i] = 1.0
-            ref.append(E)
-        for i in range(r):
-            for j in range(i + 1, r):
-                E = np.zeros((r, r), dtype=complex)
-                E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-                ref.append(E)
-                E = np.zeros((r, r), dtype=complex)
-                E[i, j] = 1j / np.sqrt(2.0)
-                E[j, i] = -1j / np.sqrt(2.0)
-                ref.append(E)
-        assert np.array_equal(_hermitian_basis(r), np.array(ref).reshape(r * r, r, r))
 
 
 class TestSectorLayout:
@@ -599,6 +580,16 @@ class TestDualConeRoute:
             sol = solve_construction_sdp(dims, P)
             bound = 1.0 + (1.0 / dec.c - 1.0) / np.trace(dec.X2).real
             assert sol.d >= bound - 1e-4
+
+    @pytest.mark.parametrize("m,n", [*[(2, n) for n in range(2, 9)], (3, 3)])
+    def test_certified_c_brackets_oracle(self, m, n):
+        # known PPT optima: c(2,n) = cos^2(pi/2n) and c(3,3) = 10/11; the
+        # route returns the certified upper end c of a bracket of width tol_c
+        oracle = np.cos(np.pi / (2 * n)) ** 2 if m == 2 else 10.0 / 11.0
+        dims = BipartiteDims(m, n)
+        tol_c = 1e-6
+        dec = construct_via_dual_cone(dims, npt_projector(dims), tol_c=tol_c)
+        assert dec.c - tol_c <= oracle <= dec.c
 
     def test_degenerate_dims(self):
         with pytest.raises(errors.DegenerateSubspace):
