@@ -129,7 +129,8 @@ def _clamp_psd(H: np.ndarray, lead: int = 0) -> np.ndarray:
     if keep.all():
         return H
     Z = hermitize((V * np.maximum(w, 0.0)[..., None, :]) @ V.conj().swapaxes(-1, -2))
-    Z[keep] = H[keep]
+    if keep.any():
+        Z[keep] = H[keep]
     return Z
 
 

@@ -17,8 +17,12 @@ dual pair of a certified PPT optimum already is a dual-cone split.
 and ``construct_via_dual_cone`` off the maximization that certifies c.
 
 ``_split`` is an over-relaxed iteration between an affine set and the
-product of two PSD cones, with scaled duals and a penalty beta rebalanced
-from the residuals.  Each problem supplies only two steps:
+product of two PSD cones, on one entry vector [z1; z2] for both cones,
+with scaled duals and a penalty beta.  Every 100 iterations beta is
+rebalanced from the relative residuals ||x - z|| / max(||x||, ||z||) and
+||z - z_old|| / ||u||: states have trace 1, so their entries are O(1/d)
+while the scaled dual beta u is O(1), and absolute residuals would differ
+by that scale alone.  Each problem supplies only two steps:
 
 * its affine step, the closed-form proximal point of its affine set:
   pairs (rho, S) with S = I - d P - rho^G and Tr rho = 1 for the
@@ -35,7 +39,7 @@ min(m, n).  A PSD projection is one batched real eigh over the padded
 block stack, and the partial transpose is a fixed gather between the two
 pictures.  Any other input runs the same code on one complex block that
 holds all mn x mn entries.  Both PSD projections of an iteration share
-one batched eigh.
+one batched eigh over one buffer, allocated once per solve.
 
 A sector-block input that is also invariant under the local reflection
 (j, k) -> (m-1-j, n-1-k), flat index i -> d-1-i, as P is to rounding,
@@ -168,6 +172,17 @@ def _solver_input(M) -> np.ndarray:
     return _hermitian_part(M.P if isinstance(M, Projector) else M)
 
 
+def _check_tols(**tols: float) -> None:
+    """Raise ValueError unless every named tolerance is finite and positive.
+
+    A NaN, infinite, zero or negative tolerance would otherwise run the
+    whole iteration budget before failing on a meaningless comparison.
+    """
+    for name, tol in tols.items():
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
+
+
 # --------------------------------------------------------------------------
 # sector layout of the iterates
 # --------------------------------------------------------------------------
@@ -281,19 +296,33 @@ class _Picture:
         return _clamp_psd(S).reshape(-1)[self.src]
 
 
-def _project_pair(pics, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PSD projections of x1 in pics[0] and x2 in pics[1] by one batched eigh.
+class _ConePair:
+    """The product of the PSD cones of pic1 and pic2 on one entry vector
+    [x1; x2], x1 in the first picture and x2 in the second.
 
-    Both pictures have the same orbit stack shape, so their stacks share
-    one (2, ceil(K/2), s, s) array.  Each cone keeps its own "no negative
-    eigenvalue: return as is" check, so the result is bit-identical to two
-    ``project`` calls.
+    Both pictures have the same orbit stack shape, so a projection scatters
+    both cones' representatives into one (2, ceil(K/2), s, s) buffer,
+    allocated once per pair (once per solve), and runs one batched eigh.
+    Each cone keeps its own "no negative eigenvalue: return as is" check,
+    so the result is bit-identical to a ``project`` call in each picture.
     """
-    S = np.zeros((2,) + pics[0].orbits, pics[0].dtype)
-    for S_c, pic, x in zip(S, pics, (x1, x2)):
-        S_c.reshape(-1)[pic.rep] = x[:pic.rep.size]
-    Z = _clamp_psd(S, lead=1)
-    return Z[0].reshape(-1)[pics[0].src], Z[1].reshape(-1)[pics[1].src]
+
+    def __init__(self, pic1: _Picture, pic2: _Picture):
+        self.n1 = pic1.flat.size
+        self.buffer = np.zeros((2,) + pic1.orbits, pic1.dtype)
+        size = self.buffer[0].size
+        self.take = np.concatenate((np.arange(pic1.rep.size), self.n1 + np.arange(pic2.rep.size)))
+        self.put = np.concatenate((pic1.rep, size + pic2.rep))
+        self.src = np.concatenate((pic1.src, size + pic2.src))
+
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x[:self.n1], x[self.n1:]
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """PSD projection of [x1; x2].  Only the representatives' slots of
+        the buffer are ever written, so its padding stays zero."""
+        self.buffer.reshape(-1)[self.put] = x[self.take]
+        return _clamp_psd(self.buffer, lead=1).reshape(-1)[self.src]
 
 
 def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
@@ -335,46 +364,52 @@ def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
 # the splitting core:  affine set  x  (PSD x PSD)
 # --------------------------------------------------------------------------
 
-def _split(cones, z1, z2, affine, certify, max_iter: int, cert_every: int) -> int:
+def _split(cones: _ConePair, z, affine, certify, max_iter: int, cert_every: int) -> int:
     """Over-relaxed splitting between an affine set and two PSD cones.
 
-    The iterates are entry vectors in the layouts ``cones = (pic1, pic2)``.
-    Starts from the cone points (z1, z2) with zero scaled duals u1, u2 and
-    penalty beta = 1.  Each iteration takes the affine step
+    The iterate z = [z1; z2] is one entry vector of ``cones``, and so is
+    its scaled dual u.  Starts from the cone point z with u = 0 and penalty
+    beta = 1.  Each iteration takes the affine step
     ``affine(z1 - u1, z2 - u2, beta) -> (x1, x2)``, over-relaxes it, and
-    projects each block plus its dual onto the PSD cone.  Every 100
-    iterations beta is doubled or halved (rescaling u) when the primal and
-    dual residuals are more than 10x apart.  At every ``cert_every``-th
-    and at the last iteration, ``certify(it, z1, u1, u2, beta)`` updates
-    the caller's certified bounds and returns True to stop.  Returns the
-    number of iterations run.  Raises ValueError for ``max_iter < 1``:
-    without an iteration no certify step runs, so there is no bound.
+    projects both cones at once.  Every 100 iterations beta is doubled or
+    halved (rescaling u) when the relative residuals
+    ||x - z|| / max(||x||, ||z||) and ||z - z_old|| / ||u|| are more than
+    10x apart, each norm the sum of the two cones' Frobenius norms
+    (residual balancing on relative residuals, Wohlberg 2017): the primal
+    entries are O(1/d) and the scaled dual beta u is O(1), so absolute
+    residuals would differ by scale alone.  At every
+    ``cert_every``-th and at the last iteration, ``certify(it, z, u, beta)``
+    updates the caller's certified bounds and returns True to stop.
+    Returns the number of iterations run.  Raises ValueError for
+    ``max_iter < 1``: without an iteration no certify step runs, so there
+    is no bound.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+    def norm(v):
+        return sum(np.linalg.norm(c) for c in cones.split(v))
+
     beta = 1.0
-    u1 = np.zeros_like(z1)
-    u2 = np.zeros_like(z2)
+    u = np.zeros_like(z)
     for it in range(1, max_iter + 1):
-        x1, x2 = affine(z1 - u1, z2 - u2, beta)
-        h1 = _OVER_RELAX * x1 + (1.0 - _OVER_RELAX) * z1
-        h2 = _OVER_RELAX * x2 + (1.0 - _OVER_RELAX) * z2
-        z1_old, z2_old = z1, z2
-        z1, z2 = _project_pair(cones, h1 + u1, h2 + u2)
-        u1 = u1 + h1 - z1
-        u2 = u2 + h2 - z2
+        x = np.concatenate(affine(*cones.split(z - u), beta))
+        h = _OVER_RELAX * x + (1.0 - _OVER_RELAX) * z
+        z_old, z = z, cones.project(h + u)
+        u = u + h - z
 
         if it % 100 == 0:
-            r_pri = np.linalg.norm(x1 - z1) + np.linalg.norm(x2 - z2)
-            r_dua = beta * (np.linalg.norm(z1 - z1_old) + np.linalg.norm(z2 - z2_old))
+            # the two relative residuals, cross-multiplied: no division by 0
+            r_pri = norm(x - z) * norm(u)
+            r_dua = norm(z - z_old) * max(norm(x), norm(z))
             if r_pri > 10.0 * r_dua:
                 beta *= 2.0
-                u1, u2 = u1 / 2.0, u2 / 2.0
+                u = u / 2.0
             elif r_dua > 10.0 * r_pri:
                 beta /= 2.0
-                u1, u2 = u1 * 2.0, u2 * 2.0
+                u = u * 2.0
 
-        if (it % cert_every == 0 or it == max_iter) and certify(it, z1, u1, u2, beta):
+        if (it % cert_every == 0 or it == max_iter) and certify(it, z, u, beta):
             break
     return it
 
@@ -401,8 +436,10 @@ def solve_construction_sdp(
     most ``tol_gap``; certificates are taken every 50 iterations.
 
     Raises NoConvergence (with the best iterate attached as ``partial``)
-    when the budget runs out first.
+    when the budget runs out first, and ValueError for a tolerance that is
+    not finite and positive.
     """
+    _check_tols(tol_feas=tol_feas, tol_gap=tol_gap)
     d_tot = dims.total
     Pmat = _solver_input(P)
     # S and P live in one picture, rho and P^G in the other
@@ -437,9 +474,10 @@ def solve_construction_sdp(
     lb, ub = -np.inf, np.inf
     best_r, best_Y = eye_r / d_tot, None
 
-    def certify(it, z_r, u_r, u_S, beta):
+    def certify(it, z, u, beta):
         nonlocal lb, ub, best_r, best_Y
-        r, Y = _project_pair((pic_r, pic_S), z_r, -beta * u_S)
+        z_r, u_S = cones.split(z)[0], cones.split(u)[1]
+        r, Y = cones.split(cones.project(np.concatenate((z_r, -beta * u_S))))
         tr = pic_r.trace(r)
         r = r / tr if tr > 1e-300 else eye_r / d_tot
         d_cand = _max_shift(pic_S, eye_S - r[pic_r.pt], p)
@@ -453,7 +491,9 @@ def solve_construction_sdp(
                 ub, best_Y = ub_cand, Y
         return ub - lb <= tol_gap
 
-    it = _split((pic_r, pic_S), eye_r / d_tot, eye_S, affine, certify, max_iter, cert_every=50)
+    cones = _ConePair(pic_r, pic_S)
+    z = np.concatenate((eye_r / d_tot, eye_S))
+    it = _split(cones, z, affine, certify, max_iter, cert_every=50)
 
     # the returned bracket, rechecked dense: the residuals verify lb, and
     # the dual bound is recomputed from the best certificate
@@ -548,8 +588,10 @@ def optimize_over_ppt(
     sigma; dual certificates Y1, Y2 >= 0 bound the maximum from above by
     lambda_max(W + Y1 + Y2^G).  ``upper_bound``/``lower_bound`` bracket the
     true optimum within ``tol`` on success; certificates are taken every 100
-    iterations.
+    iterations.  Raises ValueError for a ``tol`` that is not finite and
+    positive.
     """
+    _check_tols(tol=tol)
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
     W = _solver_input(W)
@@ -585,22 +627,21 @@ def _maximize_over_ppt(dims, W, tol, max_iter) -> PptOptimum:
     best_sigma = pic_1.eye / d_tot
     best_y = (np.zeros_like(pic_1.eye), np.zeros_like(pic_2.eye))
 
-    def certify(it, z1, u1, u2, beta):
+    def certify(it, z, u, beta):
         nonlocal lb, ub, best_sigma, best_y
-        sigma = _round_to_ppt((pic_1, pic_2), z1)
+        sigma = _round_to_ppt((pic_1, pic_2), cones.split(z)[0])
         lb_cand = frob_inner(w, sigma)
         if lb_cand > lb:
             lb, best_sigma = lb_cand, sigma
-        y1, y2 = _project_pair((pic_1, pic_2), -beta * u1, -beta * u2)
+        y1, y2 = cones.split(cones.project(-beta * u))
         ub_cand = float(pic_1.eigvalsh(w + y1 + y2[pic_2.pt])[-1])
         if ub_cand < ub:
             ub, best_y = ub_cand, (y1, y2)
         return ub - lb <= tol
 
-    it = _split(
-        (pic_1, pic_2), pic_1.eye / d_tot, pic_2.eye / d_tot,
-        affine, certify, max_iter, cert_every=100,
-    )
+    cones = _ConePair(pic_1, pic_2)
+    z = np.concatenate((pic_1.eye, pic_2.eye)) / d_tot
+    it = _split(cones, z, affine, certify, max_iter, cert_every=100)
 
     # the returned bracket, recomputed dense from the returned sigma and pair
     sigma = pic_1.unpack(best_sigma)
@@ -665,8 +706,10 @@ def decompose_dual_cone(
     Accepts the split when the residual is at most ``tol_residual``.
     Otherwise raises NotInDualCone when the floor's certified upper end is
     below -1e-8, and NoConvergence with (X1, X2, residual) attached when it
-    is not.
+    is not, and ValueError for a ``tol_residual`` that is not finite and
+    positive.
     """
+    _check_tols(tol_residual=tol_residual)
     X = _solver_input(X)
     try:
         floor = optimize_over_ppt(dims, X, "min", tol=1e-9, max_iter=max_iter)
@@ -703,8 +746,10 @@ def construct_via_dual_cone(
     partial-transpose eigenvalues.  c is the certified upper end of the
     bracket, c = lambda_max(P + Y1 + Y2^G) for the solve's dual pair, so
     the split is closed-form: X2 = Y2 / c and X1 = X - X2^G, which is
-    (c I - P - Y1 - Y2^G) / c + Y1 / c >= 0.
+    (c I - P - Y1 - Y2^G) / c + Y1 / c >= 0.  Raises ValueError for a
+    ``tol_c`` that is not finite and positive.
     """
+    _check_tols(tol_c=tol_c)
     if dims.npt_dim == 0:
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
     Pmat = _solver_input(P)

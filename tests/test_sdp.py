@@ -16,7 +16,7 @@ from nptsub import (
 )
 from nptsub import sdp
 from nptsub.linalg import project_psd
-from nptsub.sdp import D_MAX, _max_shift, _pictures, _project_pair, _round_to_ppt
+from nptsub.sdp import D_MAX, _ConePair, _max_shift, _pictures, _round_to_ppt
 
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
@@ -82,10 +82,10 @@ def _product_see_saw(W, m, n, rng, restarts=40, sweeps=200):
 
 
 ENTRY_POINTS = {
-    "construction_sdp": lambda dims, M: solve_construction_sdp(dims, M),
-    "dual_cone_route": lambda dims, M: construct_via_dual_cone(dims, M),
-    "optimize_over_ppt": lambda dims, M: optimize_over_ppt(dims, M),
-    "decompose_dual_cone": lambda dims, M: decompose_dual_cone(M, dims),
+    "construction_sdp": lambda dims, M, **kw: solve_construction_sdp(dims, M, **kw),
+    "dual_cone_route": lambda dims, M, **kw: construct_via_dual_cone(dims, M, **kw),
+    "optimize_over_ppt": lambda dims, M, **kw: optimize_over_ppt(dims, M, **kw),
+    "decompose_dual_cone": lambda dims, M, **kw: decompose_dual_cone(M, dims, **kw),
 }
 
 
@@ -108,6 +108,23 @@ class TestInputValidation:
             M[0, 0] = np.nan
         with pytest.raises(errors.NotHermitian):
             ENTRY_POINTS[entry](D22, M)
+
+    @pytest.mark.parametrize("entry,name", [
+        ("construction_sdp", "tol_feas"),
+        ("construction_sdp", "tol_gap"),
+        ("optimize_over_ppt", "tol"),
+        ("dual_cone_route", "tol_c"),
+        ("decompose_dual_cone", "tol_residual"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_bad_tolerance(self, entry, name, bad, monkeypatch):
+        # rejected before the first iteration, not after the whole budget
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("the splitting loop ran")
+
+        monkeypatch.setattr(sdp, "_split", no_iteration)
+        with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
+            ENTRY_POINTS[entry](D22, npt_projector(D22).P, **{name: bad})
 
 
 class TestConstructionSdp:
@@ -168,11 +185,14 @@ class TestConstructionSdp:
 
 
 class TestPinnedOutputs:
-    """Iteration counts and certified values of both routes, recorded when
-    each route still ran its own copy of the splitting loop.  The shared
-    core keeps the arithmetic, so the counts must match exactly.  The
-    dual-cone counts are the PPT solve's alone: its closed-form split
-    takes no iteration."""
+    """Iteration counts and certified values of both routes.  The direct
+    rows were recorded when each route still ran its own copy of the
+    splitting loop, and the shared core keeps their arithmetic, so the
+    counts must match exactly.  The dual-cone rows were recorded when the
+    penalty started balancing relative residuals, which fires from 5 x 5
+    on the dual cone route and never on these direct rows.  The dual-cone
+    counts are the PPT solve's alone: its closed-form split takes no
+    iteration."""
 
     @pytest.mark.parametrize("m,n,iterations,lb", [
         (3, 3, 100, 1.0369763358423485),
@@ -188,7 +208,8 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("m,n,iterations,c", [
         (3, 4, 200, 0.9588325262291642),
         (4, 4, 200, 0.9857022678211579),
-        (5, 5, 500, 0.9981180607807484),
+        (5, 5, 400, 0.9981180775975976),
+        (5, 6, 700, 0.9992838250208177),
     ])
     def test_dual_cone_route(self, m, n, iterations, c):
         dims = BipartiteDims(m, n)
@@ -276,11 +297,18 @@ class TestSectorLayout:
         _, _, pics, rng = self.layout(m, n, rotated)
         X1, X2 = (self.random_member(pic, rng) for pic in pics)
         psd = X2 @ X2  # exercises the per-cone "already PSD" shortcut
-        for a, b in ((X1, X2), (X1, psd), (X1 @ X1, X2)):
+        # one pair for every call, as in a solve: the stack is reused, and
+        # no returned vector may alias it (both cones PSD, then neither)
+        cones = _ConePair(*pics)
+        outputs = []
+        for a, b in ((X1, X2), (X1, psd), (X1 @ X1, X2), (X1 @ X1, psd), (X1, X2)):
             x1, x2 = pics[0].pack(a), pics[1].pack(b)
-            z1, z2 = _project_pair(pics, x1, x2)
+            z = cones.project(np.concatenate((x1, x2)))
+            outputs.append((z, z.copy()))
+            z1, z2 = cones.split(z)
             assert np.array_equal(z1, pics[0].project(x1))
             assert np.array_equal(z2, pics[1].project(x2))
+        assert all(np.array_equal(z, kept) for z, kept in outputs)
 
     @staticmethod
     def asymmetric_member(pic, rng):
@@ -299,8 +327,9 @@ class TestSectorLayout:
         for member in (self.asymmetric_member, self.random_member):
             X1, X2 = (member(pic, rng) for pic in pics)
             x1, x2 = pics[0].pack(X1), pics[1].pack(X2)
-            for pic, z in zip(pics * 2, (pics[0].project(x1), pics[1].project(x2),
-                                         *_project_pair(pics, x1, x2))):
+            cones = _ConePair(*pics)
+            merged = cones.split(cones.project(np.concatenate((x1, x2))))
+            for pic, z in zip(pics * 2, (pics[0].project(x1), pics[1].project(x2), *merged)):
                 K, s, _ = pic.shape
                 in_middle = (pic.stack // (s * s) == K // 2) & (K % 2 == 1)
                 middle = pic.unpack(in_middle).real.astype(bool)
@@ -377,7 +406,7 @@ class TestRotationEquivalence:
         assert rot.iterations == base.iterations
         assert rot.lower_bound == pytest.approx(base.lower_bound, rel=0, abs=1e-9)
 
-    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4)])
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4), (5, 5)])
     def test_dual_cone_route(self, m, n):
         dims = BipartiteDims(m, n)
         base = construct_via_dual_cone(dims, npt_projector(dims))
