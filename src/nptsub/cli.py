@@ -22,7 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -38,7 +38,12 @@ from .bipartite import (
 )
 from .errors import NoConvergence, NotInSubspace
 from .linalg import eigvalsh, hermiticity_defect, is_hermitian
-from .sdp import construct_via_dual_cone, solve_construction_sdp
+from .sdp import (
+    DEFAULT_TOL_C,
+    DEFAULT_TOL_GAP,
+    construct_via_dual_cone,
+    solve_construction_sdp,
+)
 from .subspace import (
     build_subspace,
     locate_witness,
@@ -217,17 +222,6 @@ class VerificationReport:
             and abs(self.trace - 1.0) <= self.thresholds["trace"]
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "is_hermitian": self.is_hermitian,
-            "is_psd": self.is_psd,
-            "trace": self.trace,
-            "negative_count": self.negative_count,
-            "negative_eigenvalues": list(self.negative_eigenvalues),
-            "range_in_subspace": self.range_in_subspace,
-            "thresholds": dict(self.thresholds),
-        }
-
 
 def verify_matrix(
     mat: np.ndarray,
@@ -360,20 +354,22 @@ def _cmd_construct(args) -> int:
     if args.m < 2 or args.n < 2:
         print("error: construction requires m, n >= 2", file=sys.stderr)
         return EXIT_USAGE
-    if not (np.isfinite(args.tol) and args.tol > 0):
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
         print(f"error: --tol must be a finite positive number, got {args.tol}", file=sys.stderr)
         return EXIT_USAGE
+    direct = args.method == "direct"
+    tol = args.tol if args.tol is not None else (DEFAULT_TOL_GAP if direct else DEFAULT_TOL_C)
     dims = BipartiteDims(args.m, args.n)
     P = subspace_projector(build_subspace(dims))
     meta = {
         "method": args.method,
-        "solver_budgets": {"max_iter": args.max_iter, "tolerance": args.tol},
+        "solver_budgets": {"max_iter": args.max_iter, "tolerance": tol},
     }
     exit_code = EXIT_OK
-    if args.method == "direct":
+    if direct:
         try:
             sol = solve_construction_sdp(
-                dims, P, tol_gap=args.tol, max_iter=args.max_iter
+                dims, P, tol_gap=tol, max_iter=args.max_iter
             )
         except NoConvergence as exc:
             sol = exc.partial
@@ -389,7 +385,7 @@ def _cmd_construct(args) -> int:
     else:
         try:
             dec = construct_via_dual_cone(
-                dims, P, tol_c=min(args.tol, 1e-5), max_iter=args.max_iter
+                dims, P, tol_c=tol, max_iter=args.max_iter
             )
         except NoConvergence as exc:
             if not isinstance(exc.partial, DensityMatrix):
@@ -452,7 +448,7 @@ def _cmd_verify(args) -> int:
         print(f"range in NPT subspace: {report.range_in_subspace}")
     print("thresholds:", " ".join(f"{k}={v:g}" for k, v in report.thresholds.items()))
     if args.json_out:
-        text = _fmt(report.to_dict()) + "\n"
+        text = _fmt(asdict(report)) + "\n"
         if args.json_out == "-":
             sys.stdout.write(text)
         else:
@@ -536,7 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=["direct", "dual-cone"], default="direct")
-    p.add_argument("--tol", type=float, default=1e-4, help="objective tolerance")
+    p.add_argument("--tol", type=float, default=None,
+                   help="objective tolerance: the certified gap for direct (default "
+                        f"{DEFAULT_TOL_GAP:g}), the bracket on c for dual-cone "
+                        f"(default {DEFAULT_TOL_C:g})")
     p.add_argument("--max-iter", type=int, default=200_000)
     p.add_argument("--out", type=Path, required=True, help="output matrix file")
     p.set_defaults(func=_cmd_construct)

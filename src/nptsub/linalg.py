@@ -116,22 +116,17 @@ def project_psd(A: np.ndarray) -> np.ndarray:
     return _clamp_psd(_hermitian_part(A))
 
 
-def _clamp_psd(H: np.ndarray, lead: int = 0) -> np.ndarray:
+def _clamp_psd(H: np.ndarray) -> np.ndarray:
     """PSD part of each Hermitian matrix in a stack (..., d, d), unvalidated.
 
-    One batched ``np.linalg.eigh`` call.  The first ``lead`` axes index
-    independent stacks: each one with no negative eigenvalue comes back as
-    it is, the others are rebuilt with their negative eigenvalues clamped
-    at zero.
+    One batched ``np.linalg.eigh`` call.  A stack with no negative
+    eigenvalue comes back as it is; otherwise every matrix is rebuilt with
+    its negative eigenvalues clamped at zero.
     """
     w, V = np.linalg.eigh(H)
-    keep = (w >= 0.0).all(axis=tuple(range(lead, w.ndim)))
-    if keep.all():
+    if (w >= 0.0).all():
         return H
-    Z = hermitize((V * np.maximum(w, 0.0)[..., None, :]) @ V.conj().swapaxes(-1, -2))
-    if keep.any():
-        Z[keep] = H[keep]
-    return Z
+    return hermitize((V * np.maximum(w, 0.0)[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:

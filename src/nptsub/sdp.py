@@ -38,8 +38,9 @@ j-k sector in the partially transposed one: m+n-1 blocks of size at most
 min(m, n).  A PSD projection is one batched real eigh over the padded
 block stack, and the partial transpose is a fixed gather between the two
 pictures.  Any other input runs the same code on one complex block that
-holds all mn x mn entries.  Both PSD projections of an iteration share
-one batched eigh over one buffer, allocated once per solve.
+holds all mn x mn entries.  Every PSD projection of entry vectors, in
+the iteration and in the certify steps, goes through ``_ConePair``: both
+cones share one batched eigh over one buffer, allocated once per solve.
 
 A sector-block input that is also invariant under the local reflection
 (j, k) -> (m-1-j, n-1-k), flat index i -> d-1-i, as P is to rounding,
@@ -64,15 +65,18 @@ which the partial transpose is no longer a gather.
 
 Solver internals are never trusted: every reported objective is certified
 post hoc from rounded iterates.  Lower bounds come from exactly feasible
-points (eigenvalue rounding), upper bounds from exactly verifiable dual
-certificates (the PSD parts of -beta u), and iteration stops once the
-certified gap closes.  The certify steps run on the same block layout as
-the iteration: rounding, feasible shift and dual bound are block
-projections, gathers and block eigenvalues, with the padding of the block
-stack kept out of every extreme eigenvalue.  On exit the returned bounds
-are recomputed dense from the returned state and dual certificate (the
-construction's lower bound is rechecked by its dense residuals), so a
-block layout can cost iterations but can never certify a wrong bound.
+points, upper bounds from exactly verifiable dual certificates (the PSD
+parts of -beta u), and iteration stops once the certified gap closes.
+The construction rounds its cone iterate to a state and finds the largest
+feasible shift d; the PPT optimization normalizes its cone iterate, PSD
+already, and contracts it toward I/d until its partial transpose is PSD
+too.  The certify steps run on the same block layout as the iteration:
+they are block projections, gathers and block eigenvalues, with the
+padding of the block stack kept out of every extreme eigenvalue.  On exit
+the returned bounds are recomputed dense from the returned state and dual
+certificate (the construction's lower bound is rechecked by its dense
+residuals), so a block layout can cost iterations but can never certify a
+wrong bound.
 
 Every entry point takes its input (P, W or X) as a Hermitian mn x mn
 matrix and raises ShapeMismatch or NotHermitian (NaN entries included)
@@ -100,6 +104,11 @@ D_MAX = 1.0e6
 
 #: Default splitting-iteration budget per solve.
 DEFAULT_MAX_ITER = 200_000
+
+#: Default tolerances: the construction's certified gap ``tol_gap`` and the
+#: dual-cone route's bracket on c, ``tol_c``.
+DEFAULT_TOL_GAP = 1e-4
+DEFAULT_TOL_C = 1e-6
 
 _OVER_RELAX = 1.7
 
@@ -202,11 +211,11 @@ class _Picture:
 
     With ``mirror`` the matrices are taken to be invariant under the
     reflection of the basis, flat index i -> d-1-i: block i is block K-1-i
-    with its entry (r, c) at (b-1-r, b-1-c).  The PSD projection then needs
-    only the orbit representatives, the first ceil(K/2) blocks: their
-    entries, a prefix of the entry vector, go to the slots ``rep`` of the
-    (ceil(K/2), s, s) stack ``orbits``, and ``src`` holds, for every entry,
-    the slot it is read back from.  Without ``mirror`` every block
+    with its entry (r, c) at (b-1-r, b-1-c).  The PSD projection
+    (``_ConePair``) then needs only the orbit representatives, the first
+    ceil(K/2) blocks: their entries, a prefix of the entry vector, go to
+    the slots ``rep`` of the (ceil(K/2), s, s) stack ``orbits``, and
+    ``src`` holds, for every entry, the slot it is read back from.  Without ``mirror`` every block
     represents itself and ``src`` is ``stack``.
     """
 
@@ -282,29 +291,20 @@ class _Picture:
         """
         return np.sort(np.linalg.eigvalsh(self.padded(x))[self.live])
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """PSD projection, one batched eigh over the padded orbit stack.
-
-        Only the representative blocks are decomposed; every entry is read
-        back from its representative's slot, so the two blocks of a mirror
-        pair come out exact mirror images.  The splitting iterates are exactly Hermitian
-        (every step maps Hermitian entry vectors to Hermitian ones), so no
-        hermitization precedes the eigh.
-        """
-        S = np.zeros(self.orbits, self.dtype)
-        S.reshape(-1)[self.rep] = x[:self.rep.size]
-        return _clamp_psd(S).reshape(-1)[self.src]
-
 
 class _ConePair:
     """The product of the PSD cones of pic1 and pic2 on one entry vector
     [x1; x2], x1 in the first picture and x2 in the second.
 
-    Both pictures have the same orbit stack shape, so a projection scatters
-    both cones' representatives into one (2, ceil(K/2), s, s) buffer,
-    allocated once per pair (once per solve), and runs one batched eigh.
-    Each cone keeps its own "no negative eigenvalue: return as is" check,
-    so the result is bit-identical to a ``project`` call in each picture.
+    ``project`` is the solvers' only PSD projection of entry vectors.  Both
+    pictures have the same orbit stack shape, so a projection scatters both
+    cones' representatives into one (2, ceil(K/2), s, s) buffer, allocated
+    once per pair (once per solve), and runs one batched eigh.  Only the
+    representative blocks are decomposed; every entry is read back from its
+    representative's slot, so the two blocks of a mirror pair come out
+    exact mirror images.  The splitting iterates are exactly Hermitian
+    (every step maps Hermitian entry vectors to Hermitian ones), so no
+    hermitization precedes the eigh.
     """
 
     def __init__(self, pic1: _Picture, pic2: _Picture):
@@ -319,10 +319,11 @@ class _ConePair:
         return x[:self.n1], x[self.n1:]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """PSD projection of [x1; x2].  Only the representatives' slots of
-        the buffer are ever written, so its padding stays zero."""
+        """PSD projection of [x1; x2], a new vector even when both cones
+        are PSD already.  Only the representatives' slots of the buffer are
+        ever written, so its padding stays zero."""
         self.buffer.reshape(-1)[self.put] = x[self.take]
-        return _clamp_psd(self.buffer, lead=1).reshape(-1)[self.src]
+        return _clamp_psd(self.buffer).reshape(-1)[self.src]
 
 
 def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
@@ -422,7 +423,7 @@ def solve_construction_sdp(
     dims: BipartiteDims,
     P,
     tol_feas: float = 1e-7,
-    tol_gap: float = 1e-4,
+    tol_gap: float = DEFAULT_TOL_GAP,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SdpSolution:
     """Maximize d such that rho^G <= I - d P for some density matrix rho.
@@ -657,19 +658,21 @@ def _maximize_over_ppt(dims, W, tol, max_iter) -> PptOptimum:
 
 
 def _round_to_ppt(pics, x: np.ndarray) -> np.ndarray:
-    """Round an iterate (entry vector of pics[0]) to an exactly PPT state.
+    """Round a PSD iterate (entry vector of pics[0]) to an exactly PPT state.
 
-    Alternating PSD projections in both pictures, then a contraction toward
-    the maximally mixed state large enough to swallow any residual
-    negativity in either picture.  Returns the entry vector of the state.
+    The certify step passes the cone iterate z1, PSD by construction.  It
+    is normalized to trace 1 (I/d when its trace vanishes), then contracted
+    toward the maximally mixed state just far enough to swallow any
+    negativity of its partial transpose (and of itself, to rounding); each
+    contraction rechecks lambda_min in both pictures.  The state only
+    supplies the PPT solve's lower bound, so a contraction that gives up
+    some overlap costs iterations, never correctness.  Returns the entry
+    vector of the state.
     """
     pic_1, pic_2 = pics
     eye_over_d = pic_1.eye / pic_1.d
-    sig = x
-    for _ in range(10):
-        sig = pic_2.project(pic_1.project(sig)[pic_1.pt])[pic_2.pt]
-    tr = pic_1.trace(sig)
-    sig = sig / tr if tr > 1e-300 else eye_over_d
+    tr = pic_1.trace(x)
+    sig = x / tr if tr > 1e-300 else eye_over_d
     for _ in range(5):
         eps = max(
             0.0,
@@ -699,9 +702,10 @@ def decompose_dual_cone(
     1e-9, at most ``max_iter`` splitting iterations).  Its dual pair
     (Y1, Y2) certifies lambda_max(-X + Y1 + Y2^G) = -f for the floor's
     lower end f, so X - Y2^G >= Y1 + f I, which is PSD once f >= 0.  The
-    split is X2 = Y2 and X1 = X - X2^G, each projected onto the PSD cone:
-    a floor a hair below 0 (a tangential contact) leaves a residual
-    ||X - X1 - X2^G|| of its order.  Returns (X1, X2, residual, iterations).
+    split is X2 = Y2, PSD as it stands (the solver's cone projection), and
+    X1 = X - X2^G projected onto the PSD cone: a floor a hair below 0 (a
+    tangential contact) leaves a residual ||X - X1 - X2^G|| of its order.
+    Returns (X1, X2, residual, iterations).
 
     Accepts the split when the residual is at most ``tol_residual``.
     Otherwise raises NotInDualCone when the floor's certified upper end is
@@ -715,7 +719,7 @@ def decompose_dual_cone(
         floor = optimize_over_ppt(dims, X, "min", tol=1e-9, max_iter=max_iter)
     except NoConvergence as exc:
         floor = exc.partial  # its bracket and dual pair are still certified
-    X2 = project_psd(floor.dual_basis[1])
+    X2 = floor.dual_basis[1]
     X2_G = partial_transpose(X2, dims)
     X1 = project_psd(X - X2_G)
     residual = float(np.linalg.norm(X - X1 - X2_G))
@@ -735,7 +739,7 @@ def decompose_dual_cone(
 def construct_via_dual_cone(
     dims: BipartiteDims,
     P,
-    tol_c: float = 1e-6,
+    tol_c: float = DEFAULT_TOL_C,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ConeDecomposition:
     """Build the extremal state through the dual cone of the PPT states.

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -6,10 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from nptsub import BipartiteDims, cli
+from nptsub import BipartiteDims, cli, sdp
+from nptsub.errors import NoConvergence
 
 D22 = BipartiteDims(2, 2)
 D34 = BipartiteDims(3, 4)
+
+
+def library_default(solver, name):
+    """Default value of a solver's keyword argument."""
+    return inspect.signature(solver).parameters[name].default
 
 
 def singlet_matrix():
@@ -293,6 +300,11 @@ class TestVerifyCommand:
         ])
         assert code == 0
         report = json.loads(out.read_text())
+        assert set(report) == {
+            "is_hermitian", "is_psd", "trace", "negative_count",
+            "negative_eigenvalues", "range_in_subspace", "thresholds",
+        }
+        assert set(report["thresholds"]) == {"hermiticity", "psd", "trace"}
         assert report["negative_count"] == 6
         assert report["is_psd"] is True
         assert len(report["negative_eigenvalues"]) == 6
@@ -344,6 +356,7 @@ class TestConstructCommand:
         mat, dims, meta = cli.load_matrix(out)
         assert meta["negative_count"] == 1
         assert meta["converged"] is True
+        assert meta["solver_budgets"]["tolerance"] == library_default(sdp.solve_construction_sdp, "tol_gap")
 
     def test_dual_cone_2x2(self, tmp_path, capsys):
         out = tmp_path / "rho.json"
@@ -355,6 +368,29 @@ class TestConstructCommand:
         assert code == 0
         assert "c = 0.5" in text
         assert "negatives = 1" in text
+        _, _, meta = cli.load_matrix(out)
+        assert meta["solver_budgets"]["tolerance"] == library_default(sdp.construct_via_dual_cone, "tol_c")
+
+    @pytest.mark.parametrize("argv,tol_c", [
+        ([], library_default(sdp.construct_via_dual_cone, "tol_c")),
+        (["--tol", "3e-5"], 3e-5),
+    ])
+    def test_dual_cone_tolerance(self, tmp_path, monkeypatch, argv, tol_c):
+        # no --tol runs the library's own tol_c, and an explicit --tol is
+        # passed unchanged, with no hidden cap
+        seen = []
+
+        def fake(dims, P, tol_c, max_iter):
+            seen.append(tol_c)
+            raise NoConvergence("stopped before any solve")
+
+        monkeypatch.setattr(cli, "construct_via_dual_cone", fake)
+        code = cli.main([
+            "construct", "--m", "3", "--n", "3", "--method", "dual-cone", *argv,
+            "--out", str(tmp_path / "rho.json"),
+        ])
+        assert code == 3
+        assert seen == [tol_c]
 
     def test_direct_3x4(self, tmp_path, capsys):
         out = tmp_path / "rho.json"

@@ -269,13 +269,16 @@ class TestSectorLayout:
     @pytest.mark.parametrize("rotated", [False, True])
     def test_pack_gather_and_project(self, m, n, rotated):
         dims, _, pics, rng = self.layout(m, n, rotated)
-        for src, dst in (pics, pics[::-1]):
-            X = self.random_member(src, rng)
+        members = [self.random_member(pic, rng) for pic in pics]
+        for (src, dst), X in zip((pics, pics[::-1]), members):
             x = src.pack(X)
             assert np.array_equal(src.unpack(x), X)
             assert np.array_equal(dst.unpack(x[src.pt]), partial_transpose(X, dims))
-            assert np.abs(src.unpack(src.project(x)) - project_psd(X)).max() <= 1e-12
             assert src.trace(x) == pytest.approx(np.trace(X).real, abs=1e-12)
+        cones = _ConePair(*pics)
+        z = cones.project(np.concatenate([pic.pack(X) for pic, X in zip(pics, members)]))
+        for pic, z_i, X in zip(pics, cones.split(z), members):
+            assert np.abs(pic.unpack(z_i) - project_psd(X)).max() <= 1e-12
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
@@ -294,21 +297,32 @@ class TestSectorLayout:
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
     def test_merged_projection_is_two_projections(self, m, n, rotated):
+        # each cone of the merged projection is the dense projection of its
+        # own input; a pair whose cones are both PSD comes back unchanged
         _, _, pics, rng = self.layout(m, n, rotated)
         X1, X2 = (self.random_member(pic, rng) for pic in pics)
-        psd = X2 @ X2  # exercises the per-cone "already PSD" shortcut
+        psd1, psd2 = (self.psd_member(pic, rng) for pic in pics)
         # one pair for every call, as in a solve: the stack is reused, and
         # no returned vector may alias it (both cones PSD, then neither)
         cones = _ConePair(*pics)
         outputs = []
-        for a, b in ((X1, X2), (X1, psd), (X1 @ X1, X2), (X1 @ X1, psd), (X1, X2)):
-            x1, x2 = pics[0].pack(a), pics[1].pack(b)
-            z = cones.project(np.concatenate((x1, x2)))
+        for a, b in ((X1, X2), (X1, psd2), (psd1, X2), (psd1, psd2), (X1, X2)):
+            x = np.concatenate((pics[0].pack(a), pics[1].pack(b)))
+            z = cones.project(x)
             outputs.append((z, z.copy()))
-            z1, z2 = cones.split(z)
-            assert np.array_equal(z1, pics[0].project(x1))
-            assert np.array_equal(z2, pics[1].project(x2))
+            for pic, z_i, M in zip(pics, cones.split(z), (a, b)):
+                assert np.abs(pic.unpack(z_i) - project_psd(M)).max() <= 1e-12
+            if a is psd1 and b is psd2:
+                assert np.array_equal(z, x)
         assert all(np.array_equal(z, kept) for z, kept in outputs)
+
+    @classmethod
+    def psd_member(cls, pic, rng):
+        """Random positive definite member, exactly reflection-symmetric
+        when the orbits are non-trivial (the rounding of G @ G is not)."""
+        G = cls.random_member(pic, rng)
+        M = G @ G + 0.1 * np.eye(pic.d)
+        return M if np.array_equal(pic.src, pic.stack) else M + M[::-1, ::-1]
 
     @staticmethod
     def asymmetric_member(pic, rng):
@@ -319,8 +333,8 @@ class TestSectorLayout:
     @pytest.mark.parametrize("m,n", DIMS)
     def test_projections_are_mirror_invariant(self, m, n):
         # every entry of a mirror pair of blocks is read back from its orbit
-        # representative, so the pairs come out exactly invariant, alone and
-        # in the merged projection, even for an input off the invariant
+        # representative, so the pairs come out exactly invariant in both
+        # cones of the merged projection, even for an input off the invariant
         # domain; a middle block (odd block count) represents itself and is
         # as invariant as its input, to rounding
         _, _, pics, rng = self.layout(m, n, False)
@@ -328,8 +342,7 @@ class TestSectorLayout:
             X1, X2 = (member(pic, rng) for pic in pics)
             x1, x2 = pics[0].pack(X1), pics[1].pack(X2)
             cones = _ConePair(*pics)
-            merged = cones.split(cones.project(np.concatenate((x1, x2))))
-            for pic, z in zip(pics * 2, (pics[0].project(x1), pics[1].project(x2), *merged)):
+            for pic, z in zip(pics, cones.split(cones.project(np.concatenate((x1, x2))))):
                 K, s, _ = pic.shape
                 in_middle = (pic.stack // (s * s) == K // 2) & (K % 2 == 1)
                 middle = pic.unpack(in_middle).real.astype(bool)
@@ -363,11 +376,27 @@ class TestSectorLayout:
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
     def test_ppt_rounding_is_a_ppt_state(self, m, n, rotated):
+        # PSD inputs, as the certify step passes: P (NPT, like every state
+        # supported on the NPT subspace) and a random positive definite one
+        dims, P, pics, rng = self.layout(m, n, rotated)
+        assert np.linalg.eigvalsh(partial_transpose(P, dims))[0] < -1e-3
+        for X in (P, self.psd_member(pics[0], rng)):
+            sigma = pics[0].unpack(_round_to_ppt(pics, pics[0].pack(X)))
+            assert np.trace(sigma).real == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.eigvalsh(sigma)[0] >= -1e-14
+            assert np.linalg.eigvalsh(partial_transpose(sigma, dims))[0] >= -1e-14
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_ppt_rounding_keeps_a_ppt_input(self, m, n, rotated):
+        # I + t H with ||t H||_F = 1/2 stays PPT (the partial transpose
+        # keeps the Frobenius norm): it is only normalized, and a zero
+        # input falls back to I/d
         dims, _, pics, rng = self.layout(m, n, rotated)
-        sigma = pics[0].unpack(_round_to_ppt(pics, pics[0].pack(self.random_member(pics[0], rng))))
-        assert np.trace(sigma).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(sigma)[0] >= -1e-14
-        assert np.linalg.eigvalsh(partial_transpose(sigma, dims))[0] >= -1e-14
+        H = self.random_member(pics[0], rng)
+        x = 3.0 * pics[0].pack(np.eye(dims.total) + 0.5 * H / np.linalg.norm(H))
+        assert np.array_equal(_round_to_ppt(pics, x), x / pics[0].trace(x))
+        assert np.array_equal(_round_to_ppt(pics, 0.0 * x), pics[0].eye / dims.total)
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
