@@ -245,11 +245,7 @@ def verify_matrix(
         count, negatives = 0, []
     in_subspace = None
     if check_subspace and hermitian:
-        basis = build_subspace(dims)
-        try:
-            in_subspace = range_in_subspace(basis, DensityMatrix(dims, mat))
-        except ValueError:
-            in_subspace = False
+        in_subspace = range_in_subspace(build_subspace(dims), mat)
     return VerificationReport(
         is_hermitian=hermitian, is_psd=psd, trace=trace,
         negative_count=count, negative_eigenvalues=negatives,

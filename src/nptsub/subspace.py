@@ -132,14 +132,23 @@ def contains(basis: SubspaceBasis, v: np.ndarray, rtol: float = CONTAINS_RTOL) -
 
 
 def range_in_subspace(
-    basis: SubspaceBasis, rho: DensityMatrix, rtol: float = CONTAINS_RTOL
+    basis: SubspaceBasis, rho: DensityMatrix | np.ndarray, rtol: float = CONTAINS_RTOL
 ) -> bool:
-    """Whether ||(I - P) rho (I - P)||_F <= rtol * ||rho||_F."""
-    if rho.dims != basis.dims:
-        raise ShapeMismatch(f"dims mismatch: {rho.dims} vs {basis.dims}")
-    comp = np.eye(basis.dims.total, dtype=complex) - subspace_projector(basis).P
-    resid = comp @ rho.mat @ comp
-    return float(np.linalg.norm(resid)) <= rtol * float(np.linalg.norm(rho.mat))
+    """Whether ||(I - P) M||_F <= rtol * ||M||_F for M = rho (a state or any
+    mn x mn matrix): range(M) lies in S exactly when (I - P) M = 0.
+
+    The sandwich (I - P) M (I - P) would not do for a matrix that is not
+    PSD: it also vanishes for |a><b| + |b><a| with a in S and b outside.
+    """
+    if isinstance(rho, DensityMatrix):
+        if rho.dims != basis.dims:
+            raise ShapeMismatch(f"dims mismatch: {rho.dims} vs {basis.dims}")
+        rho = rho.mat
+    d = basis.dims.total
+    if np.shape(rho) != (d, d):
+        raise ShapeMismatch(f"expected {(d, d)} matrix for dims {basis.dims}, got {np.shape(rho)}")
+    resid = rho - subspace_projector(basis).P @ rho
+    return float(np.linalg.norm(resid)) <= rtol * float(np.linalg.norm(rho))
 
 
 def antidiag_sums(M: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from nptsub import BipartiteDims, cli, sdp
+from nptsub import BipartiteDims, build_subspace, cli, sdp, subspace_projector
 from nptsub.errors import NoConvergence
 
 D22 = BipartiteDims(2, 2)
@@ -316,6 +316,27 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "range in NPT subspace" in out
+
+    def test_subspace_check_on_a_matrix_that_is_not_a_state(self):
+        # 2|v><v| has trace 2, so it fails state validation, yet its range
+        # is span{v}, inside S
+        dims = BipartiteDims(3, 3)
+        v = build_subspace(dims).orthonormal[:, 0]
+        report = cli.verify_matrix(2.0 * np.outer(v, v.conj()), dims, check_subspace=True)
+        assert report.range_in_subspace is True
+
+    def test_subspace_check_sees_a_column_outside(self):
+        # |a><b| + |b><a| with a in S and b = |00>, orthogonal to S:
+        # (I - P) M (I - P) vanishes, but the column b lies outside S
+        dims = BipartiteDims(3, 3)
+        a = build_subspace(dims).orthonormal[:, 0]
+        b = np.zeros(dims.total, dtype=complex)
+        b[0] = 1.0
+        M = np.outer(a, b.conj()) + np.outer(b, a.conj())
+        comp = np.eye(dims.total) - subspace_projector(build_subspace(dims)).P
+        assert np.linalg.norm(comp @ M @ comp) < 1e-12
+        report = cli.verify_matrix(M, dims, check_subspace=True)
+        assert report.range_in_subspace is False
 
 
 class TestSubspaceCommand:
