@@ -37,8 +37,9 @@ from .bipartite import (
     random_density_matrix,
 )
 from .errors import NoConvergence, NotInSubspace
-from .linalg import eigvalsh, hermiticity_defect, is_hermitian
+from .linalg import eigvalsh, hermiticity_defect, hermitize, is_hermitian
 from .sdp import (
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL_C,
     DEFAULT_TOL_GAP,
     construct_via_dual_cone,
@@ -232,13 +233,16 @@ def verify_matrix(
     tol_trace: float = 1e-10,
 ) -> VerificationReport:
     """Aggregate state checks: Hermiticity, positivity, trace, PT negatives."""
+    for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd), ("tol_trace", tol_trace)):
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{name} must be a finite non-negative number, got {tol!r}")
     thresholds = {"hermiticity": tol_herm, "psd": tol_psd, "trace": tol_trace}
     hermitian = is_hermitian(mat, rtol=tol_herm)
     trace = float(np.trace(mat).real)
     if hermitian:
-        lo = float(eigvalsh(mat)[0])
-        psd = lo >= -tol_psd
-        count, negs = count_negative_eigenvalues(partial_transpose(mat, dims))
+        H = hermitize(mat)
+        psd = float(eigvalsh(H)[0]) >= -tol_psd
+        count, negs = count_negative_eigenvalues(partial_transpose(H, dims))
         negatives = [float(x) for x in negs]
     else:
         psd = False
@@ -326,10 +330,9 @@ def _cmd_subspace(args) -> int:
         (out / "generators.json").write_text(
             serialize_vectors(basis.generators, dims, meta), encoding="ascii"
         )
+        meta = {"orthonormalization": "qr of the generators, R with positive diagonal"}
         (out / "basis.json").write_text(
-            serialize_vectors(basis.orthonormal, dims,
-                              {"orthonormalization": "modified gram-schmidt"}),
-            encoding="ascii",
+            serialize_vectors(basis.orthonormal, dims, meta), encoding="ascii"
         )
         if args.projector:
             P = subspace_projector(basis)
@@ -532,7 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="objective tolerance: the certified gap for direct (default "
                         f"{DEFAULT_TOL_GAP:g}), the bracket on c for dual-cone "
                         f"(default {DEFAULT_TOL_C:g})")
-    p.add_argument("--max-iter", type=int, default=200_000)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                   help=f"splitting-iteration budget per solve (default {DEFAULT_MAX_ITER})")
     p.add_argument("--out", type=Path, required=True, help="output matrix file")
     p.set_defaults(func=_cmd_construct)
 

@@ -23,7 +23,7 @@ s = z + u, the cone iterate plus its scaled dual, and after 200 plain
 iterations it is Anderson-accelerated (type II, memory 10; Walker & Ni,
 SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim.
 2020).  That cuts the iteration count on every block layout (dual-cone
-route at 7 x 7: 6,500 -> 1,400; at 9 x 9: 93,400 -> 24,100), while every
+route at 7 x 7: 6,500 -> 1,400; at 9 x 9: 93,400 -> 40,700), while every
 solve that certifies within 200 iterations keeps the plain arithmetic.
 Every 100 iterations beta is rebalanced from the relative residuals
 ||x - z|| / max(||x||, ||z||) and ||z - z_old|| / ||u||: states have
@@ -50,7 +50,7 @@ the iteration and in the certify steps, goes through ``_ConePair``: both
 cones share one batched eigh over one buffer, allocated once per solve.
 
 A sector-block input that is also invariant under the local reflection
-(j, k) -> (m-1-j, n-1-k), flat index i -> d-1-i, as P is to rounding,
+(j, k) -> (m-1-j, n-1-k), flat index i -> d-1-i, as P is exactly,
 keeps every iterate invariant: the splitting starts at I/d and every step
 is equivariant.  The reflection maps block i onto block K-1-i, entry
 (r, c) onto (b-1-r, b-1-c), so the blocks fall into mirror orbits, and a
@@ -127,8 +127,8 @@ _AA_START = 200
 _AA_REG = 1e-5
 
 #: Largest entry of |M - M reflected| (relative to max(1, max |M|)) for
-#: which the solvers treat M as reflection-invariant; the NPT projector is
-#: off by about 4e-16, and no certify step resolves 1e-14.
+#: which the solvers treat M as reflection-invariant (the NPT projector: 0;
+#: a numerical Q Q^dagger: about 4e-16); no certify step resolves 1e-14.
 _MIRROR_TOL = 1e-14
 
 
@@ -349,8 +349,8 @@ def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
     min(m, n) in each.  Any other M gets one complex block of all mn x mn
     entries in both pictures.  A sector-block M that is also invariant
     under the local reflection (j, k) -> (m-1-j, n-1-k), flat index
-    i -> d-1-i, to within ``_MIRROR_TOL`` (as the NPT projector is, to
-    rounding) keeps every iterate invariant too: both pictures then project
+    i -> d-1-i, to within ``_MIRROR_TOL`` (as the NPT projector is,
+    exactly) keeps every iterate invariant too: both pictures then project
     only the mirror orbits' representatives.  Raises ShapeMismatch unless M
     is mn x mn.
     """

@@ -5,11 +5,17 @@ generators |j>|k+1> - |j+1>|k>.  Realigning any v in S into its coefficient
 matrix gives a matrix whose anti-diagonals each sum to zero; that structure
 forces a 2x2 principal submatrix of the partially transposed state to have
 negative determinant, which is the certificate this module locates.
+
+The anti-diagonal indicators w_t = sum_{j+k=t} |j,k> span the orthogonal
+complement of S and are orthogonal with ||w_t||^2 = N_t, so the projector
+P = I - sum_t |w_t><w_t| / N_t (exactly reflection-invariant under
+(j, k) -> (m-1-j, n-1-k)) and every membership test are closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from .bipartite import (
     partial_transpose,
 )
 from .errors import NoWitness, NotInSubspace, ShapeMismatch
-from .linalg import eigh, hermitize
+from .linalg import eigh
 
 CONTAINS_RTOL = 1e-9
 ENTRY_NONZERO_TOL = 1e-10
@@ -83,42 +89,39 @@ def build_subspace(dims: BipartiteDims) -> SubspaceBasis:
     """Construct the (m-1)(n-1)-dimensional NPT subspace of C^m (x) C^n.
 
     Generator (j, k) is |j>|k+1> - |j+1>|k> for 0 <= j <= m-2 and
-    0 <= k <= n-2, enumerated in lexicographic (j, k) order.  For m = 1 or
-    n = 1 the basis is empty.
+    0 <= k <= n-2, enumerated in lexicographic (j, k) order, and
+    orthonormalized by QR with R's diagonal made positive (their Gram-Schmidt
+    basis, to rounding).  For m = 1 or n = 1 the basis is empty.
     """
-    m, n = dims.m, dims.n
-    d = dims.total
-    k_dim = dims.npt_dim
-    gens = np.zeros((d, k_dim), dtype=complex)
-    col = 0
-    for j in range(m - 1):
-        for k in range(n - 1):
-            gens[j * n + (k + 1), col] = 1.0
-            gens[(j + 1) * n + k, col] = -1.0
-            col += 1
-    return SubspaceBasis(dims, gens, _orthonormalize(gens))
+    n, cols = dims.n, np.arange(dims.npt_dim)
+    j, k = np.divmod(cols, max(n - 1, 1))
+    gens = np.zeros((dims.total, dims.npt_dim), dtype=complex)
+    gens[j * n + k + 1, cols] = 1.0
+    gens[(j + 1) * n + k, cols] = -1.0
+    Q, R = np.linalg.qr(gens)
+    return SubspaceBasis(dims, gens, Q * np.sign(R.diagonal().real))
 
 
-def _orthonormalize(columns: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass."""
-    d, k = columns.shape
-    out = np.zeros((d, 0), dtype=complex)
-    for i in range(k):
-        w = columns[:, i].astype(complex)
-        for _ in range(2):
-            if out.shape[1]:
-                w = w - out @ (out.conj().T @ w)
-        norm = np.linalg.norm(w)
-        if norm <= drop_tol * max(1.0, np.linalg.norm(columns[:, i])):
-            continue  # linearly dependent input; generators never trigger this
-        out = np.hstack([out, (w / norm)[:, None]])
-    return out
+@cache
+def _antidiagonals(dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray]:
+    """Anti-diagonal indicator A[t, j*n + k] = [j + k == t] and weights 1/N_t = 1/sum_i A[t, i]."""
+    j, k = np.divmod(np.arange(dims.total), dims.n)
+    A = (np.arange(dims.m + dims.n - 1)[:, None] == j + k).astype(float)
+    w = 1.0 / A.sum(axis=1)
+    A.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return A, w
+
+
+def _in_subspace(dims: BipartiteDims, M: np.ndarray, rtol: float) -> bool:
+    """Whether ||(I - P) M|| = ||diag(N)^(-1/2) A M|| <= rtol ||M||."""
+    A, w = _antidiagonals(dims)
+    return float(np.linalg.norm((A * np.sqrt(w)[:, None]) @ M)) <= rtol * float(np.linalg.norm(M))
 
 
 def subspace_projector(basis: SubspaceBasis) -> Projector:
-    """Orthogonal projector P = sum_b |b><b| over the orthonormal basis."""
-    Q = basis.orthonormal
-    return Projector(basis.dims, hermitize(Q @ Q.conj().T))
+    """Orthogonal projector P = I - sum_t |w_t><w_t| / N_t onto S, exactly real and sector-block."""
+    A, w = _antidiagonals(basis.dims)
+    return Projector(basis.dims, np.eye(basis.dims.total, dtype=complex) - (A.T * w) @ A)
 
 
 def contains(basis: SubspaceBasis, v: np.ndarray, rtol: float = CONTAINS_RTOL) -> bool:
@@ -126,9 +129,7 @@ def contains(basis: SubspaceBasis, v: np.ndarray, rtol: float = CONTAINS_RTOL) -
     v = np.asarray(v, dtype=complex)
     if v.shape != (basis.dims.total,):
         raise ShapeMismatch(f"expected vector of length {basis.dims.total}")
-    Q = basis.orthonormal
-    resid = v - Q @ (Q.conj().T @ v)
-    return float(np.linalg.norm(resid)) <= rtol * float(np.linalg.norm(v))
+    return _in_subspace(basis.dims, v, rtol)
 
 
 def range_in_subspace(
@@ -147,8 +148,7 @@ def range_in_subspace(
     d = basis.dims.total
     if np.shape(rho) != (d, d):
         raise ShapeMismatch(f"expected {(d, d)} matrix for dims {basis.dims}, got {np.shape(rho)}")
-    resid = rho - subspace_projector(basis).P @ rho
-    return float(np.linalg.norm(resid)) <= rtol * float(np.linalg.norm(rho))
+    return _in_subspace(basis.dims, rho, rtol)
 
 
 def antidiag_sums(M: np.ndarray) -> np.ndarray:
@@ -157,13 +157,8 @@ def antidiag_sums(M: np.ndarray) -> np.ndarray:
     Returns the rows+cols-1 sums for t = 0 ... rows+cols-2.  Realigned
     members of the NPT subspace have all sums equal to zero.
     """
-    M = np.asarray(M)
-    rows, cols = M.shape
-    out = np.zeros(rows + cols - 1, dtype=complex)
-    for r in range(rows):
-        for c in range(cols):
-            out[r + c] += M[r, c]
-    return out
+    M = np.asarray(M, dtype=complex)
+    return _antidiagonals(BipartiteDims(*M.shape))[0] @ M.ravel()
 
 
 def ensemble_from_density(rho: DensityMatrix, rel_tol: float = 1e-10) -> Ensemble:

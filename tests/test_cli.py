@@ -338,6 +338,39 @@ class TestVerifyCommand:
         report = cli.verify_matrix(M, dims, check_subspace=True)
         assert report.range_in_subspace is False
 
+    def test_hermiticity_tolerance_is_honoured(self, tmp_path, capsys):
+        # a defect of 1e-6 passes --tol-herm 1e-3, so the spectra are taken
+        # from the Hermitian part instead of being rechecked at 1e-12
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 1] = 1e-6
+        path = write_state(tmp_path / "skew.json", mat, D22)
+        code = cli.main(["verify", "--in", str(path), "--tol-herm", "1e-3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "hermitian: True" in out and "verdict: PASS" in out
+        code = cli.main(["verify", "--in", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "hermitian: False" in out and "verdict: FAIL" in out
+
+    @pytest.mark.parametrize("flag", ["--tol-herm", "--tol-psd", "--tol-trace"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_rejects_bad_tolerance(self, capsys, flag, value):
+        code = cli.main(["verify", "--in", cli.paper_fixture_path(), f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be a finite non-negative number" in captured.err
+        assert "verdict" not in captured.out
+
+    def test_zero_tolerances_are_exact_checks(self, tmp_path, capsys):
+        path = write_state(tmp_path / "mixed.json", np.eye(4, dtype=complex) / 4, D22)
+        code = cli.main([
+            "verify", "--in", str(path), "--tol-herm", "0", "--tol-psd", "0", "--tol-trace", "0",
+        ])
+        assert code == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+
 
 class TestSubspaceCommand:
     def test_2x2(self, tmp_path, capsys):
@@ -472,6 +505,11 @@ class TestConstructCommand:
             assert code == 2
             assert "max_iter must be at least 1, got 0" in capsys.readouterr().err
             assert not (tmp_path / "rho.json").exists()
+
+    def test_iteration_budget_defaults_to_the_library_budget(self):
+        args = cli.build_parser().parse_args(["construct", "--m", "2", "--n", "2", "--out", "x"])
+        for solver in (sdp.solve_construction_sdp, sdp.construct_via_dual_cone):
+            assert args.max_iter == library_default(solver, "max_iter")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_rejects_bad_tolerance(self, tmp_path, capsys, tol):

@@ -98,6 +98,95 @@ class TestProjector:
             assert np.linalg.norm(P @ g - g) <= 1e-10
 
 
+CLOSED_FORM_DIMS = [BipartiteDims(n, n) for n in range(2, 9)] + [
+    BipartiteDims(2, 5), BipartiteDims(5, 3), BipartiteDims(3, 7),
+]
+
+
+def gram_schmidt(columns):
+    """Reference: modified Gram-Schmidt with one re-orthogonalization pass."""
+    out = np.zeros((columns.shape[0], 0), dtype=complex)
+    for col in columns.T:
+        w = col.astype(complex)
+        for _ in range(2):
+            w = w - out @ (out.conj().T @ w)
+        out = np.hstack([out, (w / np.linalg.norm(w))[:, None]])
+    return out
+
+
+def antidiagonal_complement(dims):
+    """Reference: I - A^T diag(1/N) A with A[t, j*n + k] = [j + k == t]."""
+    m, n = dims.m, dims.n
+    A = np.zeros((m + n - 1, m * n))
+    for j in range(m):
+        for k in range(n):
+            A[j + k, j * n + k] = 1.0
+    return np.eye(m * n) - A.T @ np.diag(1.0 / A.sum(axis=1)) @ A
+
+
+def outside_fraction(basis, M):
+    """Dense reference ||(I - Q Q^dagger) M|| / ||M||."""
+    Q = basis.orthonormal
+    return np.linalg.norm(M - Q @ (Q.conj().T @ M)) / np.linalg.norm(M)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("dims", CLOSED_FORM_DIMS, ids=str)
+    def test_projector_is_the_antidiagonal_complement(self, dims):
+        P = subspace_projector(build_subspace(dims)).P
+        assert np.array_equal(P, antidiagonal_complement(dims))
+
+    @pytest.mark.parametrize("dims", CLOSED_FORM_DIMS, ids=str)
+    def test_projector_sectors_and_reflection(self, dims):
+        P = subspace_projector(build_subspace(dims)).P
+        t = np.add(*np.divmod(np.arange(dims.total), dims.n))
+        assert not P.imag.any()
+        assert not P[t[:, None] != t[None, :]].any()
+        assert np.abs(P - P[::-1, ::-1]).max() == 0.0
+
+    @pytest.mark.parametrize("dims", CLOSED_FORM_DIMS, ids=str)
+    def test_basis_is_the_gram_schmidt_basis(self, dims):
+        basis = build_subspace(dims)
+        Q = basis.orthonormal
+        assert np.abs(Q - gram_schmidt(basis.generators)).max() <= 1e-14
+        assert np.abs(Q @ Q.conj().T - subspace_projector(basis).P).max() <= 1e-14
+
+    @pytest.mark.parametrize("dims", [D22, D34, BipartiteDims(5, 3), BipartiteDims(6, 6)], ids=str)
+    def test_membership_matches_dense_reference(self, dims):
+        basis = build_subspace(dims)
+        d, Q = dims.total, basis.orthonormal
+        rng = np.random.Generator(np.random.PCG64(dims.total))
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a = unit(Q @ gaussian(basis.dim))
+        b = gaussian(d)
+        b_out = unit(b - Q @ (Q.conj().T @ b))
+        vectors = [a, gaussian(d), b_out, a + 5e-10 * b_out, a + 2e-9 * b_out]
+        for v in vectors:
+            assert contains(basis, v) == (outside_fraction(basis, v) <= 1e-9)
+        assert [contains(basis, v) for v in vectors] == [True, False, False, True, False]
+        X = gaussian(basis.dim, basis.dim)
+        matrices = [
+            Q @ X @ Q.conj().T,
+            gaussian(d, d),
+            np.outer(a, b_out.conj()) + np.outer(b_out, a.conj()),
+            Q @ X @ Q.conj().T + 2e-9 * np.outer(b_out, a.conj()) * np.linalg.norm(X),
+        ]
+        for M in matrices:
+            assert range_in_subspace(basis, M) == (outside_fraction(basis, M) <= 1e-9)
+        assert [range_in_subspace(basis, M) for M in matrices] == [True, False, False, False]
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (5, 1)])
+    def test_degenerate_dims(self, m, n):
+        dims = BipartiteDims(m, n)
+        basis = build_subspace(dims)
+        assert basis.orthonormal.shape == (dims.total, 0)
+        assert np.array_equal(subspace_projector(basis).P, np.zeros((dims.total, dims.total)))
+        assert not contains(basis, np.ones(dims.total))
+
+
 class TestContains:
     def test_generators_contained(self):
         basis = build_subspace(D34)
