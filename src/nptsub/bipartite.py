@@ -89,12 +89,13 @@ class Ensemble:
             )
         if self.probs.shape != (self.vectors.shape[1],):
             raise ShapeMismatch("one probability per vector required")
-        if np.any(self.probs <= 0.0):
+        # written so that a NaN, for which every comparison is False, fails
+        if not np.all(self.probs > 0.0):
             raise ValueError("ensemble probabilities must be strictly positive")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
+        if not abs(float(self.probs.sum()) - 1.0) <= 1e-12:
             raise ValueError("ensemble probabilities must sum to 1")
         norms = np.linalg.norm(self.vectors, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("ensemble vectors must be unit length")
         object.__setattr__(self, "probs", np.array(self.probs, dtype=float, copy=True))
         self.probs.flags.writeable = False

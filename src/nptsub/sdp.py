@@ -106,9 +106,6 @@ from .errors import DegenerateSubspace, NoConvergence, NotInDualCone, ShapeMisma
 from .linalg import _clamp_psd, _hermitian_part, eigvalsh, frob_inner, hermitize, project_psd
 from .subspace import Projector
 
-#: Objective clamp when the projector is zero and d is unbounded.
-D_MAX = 1.0e6
-
 #: Default splitting-iteration budget per solve.
 DEFAULT_MAX_ITER = 200_000
 
@@ -116,6 +113,10 @@ DEFAULT_MAX_ITER = 200_000
 #: dual-cone route's bracket on c, ``tol_c``.
 DEFAULT_TOL_GAP = 1e-4
 DEFAULT_TOL_C = 1e-6
+
+#: Largest dense violation lambda_max(rho^G + d P - I) the construction
+#: accepts for its returned (rho, d).
+_TOL_FEAS = 1e-7
 
 _OVER_RELAX = 1.7
 
@@ -147,7 +148,6 @@ class SdpSolution:
     converged: bool
     lower_bound: float
     upper_bound: float
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -497,7 +497,6 @@ def _split(cones: _ConePair, z, affine, certify, max_iter: int, cert_every: int)
 def solve_construction_sdp(
     dims: BipartiteDims,
     P,
-    tol_feas: float = 1e-7,
     tol_gap: float = DEFAULT_TOL_GAP,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SdpSolution:
@@ -509,27 +508,24 @@ def solve_construction_sdp(
     is attained by the returned (exactly feasible) rho, and a rounded dual
     certificate Y >= 0 with <Y, P> = 1 bounds the optimum from above by
     Tr Y - lambda_min(Y^G); iteration stops once the certified gap is at
-    most ``tol_gap``; certificates are taken every 50 iterations.
+    most ``tol_gap``; certificates are taken every 50 iterations.  The
+    solution is returned only when the certified gap is closed and the
+    dense residual lambda_max(rho^G + d P - I) is at most 1e-7.
 
-    Raises NoConvergence (with the best iterate attached as ``partial``)
-    when the budget runs out first, and ValueError for a tolerance that is
-    not finite and positive.
+    Raises DegenerateSubspace, before any iteration, for a P whose trace
+    is not positive (the NPT projector at m = 1 or n = 1, where d is
+    unbounded); NoConvergence (with the best iterate attached as
+    ``partial``) when the budget runs out first; and ValueError for a
+    ``tol_gap`` that is not finite and positive.
     """
-    _check_tols(tol_feas=tol_feas, tol_gap=tol_gap)
+    _check_tols(tol_gap=tol_gap)
     d_tot = dims.total
     Pmat = _solver_input(P)
     # S and P live in one picture, rho and P^G in the other
     pic_S, pic_r = _pictures(dims, Pmat)
     k = _tr(Pmat)
-    eye = np.eye(d_tot, dtype=complex)
-
-    if k < 0.5:  # zero projector: every state is feasible for every d
-        rho = DensityMatrix(dims, eye / d_tot)
-        res = _construction_residuals(rho.mat, 0.0, Pmat, dims)
-        return SdpSolution(
-            d=D_MAX, rho=rho, residuals=res, iterations=0, converged=True,
-            lower_bound=D_MAX, upper_bound=float("inf"), clamped=True,
-        )
+    if not k > 0.0:
+        raise DegenerateSubspace(f"construction needs a P of positive trace, got Tr P = {k!r} at dims {dims}")
 
     p = pic_S.pack(Pmat)
     pt = p[pic_S.pt]
@@ -578,7 +574,7 @@ def solve_construction_sdp(
         Y = pic_S.unpack(best_Y)
         ub = _tr(Y) - float(eigvalsh(partial_transpose(Y, dims))[0])
     residuals = _construction_residuals(rho, lb, Pmat, dims)
-    converged = bool(ub - lb <= tol_gap and residuals["pt_constraint_gap"] <= tol_feas)
+    converged = bool(ub - lb <= tol_gap and residuals["pt_constraint_gap"] <= _TOL_FEAS)
     solution = SdpSolution(
         d=float(lb), rho=DensityMatrix(dims, rho), residuals=residuals,
         iterations=it, converged=converged,
@@ -607,40 +603,31 @@ def _construction_residuals(rho, d, Pmat, dims) -> dict[str, float]:
 def _max_shift(pic: _Picture, m: np.ndarray, p: np.ndarray) -> float:
     """Largest d with d P <= M, for M = I - rho^G and P as entry vectors of pic.
 
-    Computed through the congruence M^(-1/2) P M^(-1/2) on the padded block
-    stack, then walked back until the margin lambda_min(M - d P) is
-    verifiably nonnegative (at least -1e-13).  A walk that has not got there
-    after 200 steps hands over to bisection on [0, d] with the same check.
-    Every returned d passed that check, so it is a true lower bound for the
+    The candidate is d = 1 / lambda_max(M^(-1/2) P M^(-1/2)), the congruence
+    taken on the padded block stack (P has positive trace, so the top
+    eigenvalue is positive).  It is returned when the margin
+    lambda_min(M - d P) is verifiably nonnegative (at least -1e-13);
+    otherwise bisection on [0, d] with the same check takes over.  Every
+    returned d passed that check, so it is a true lower bound for the
     construction SDP; -inf when not even d = 0 passes.
     """
     w, V = np.linalg.eigh(pic.padded(m))
     w = np.maximum(w, 1e-14)
     M_isqrt = (V / np.sqrt(w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
-    P = pic.blocks(p)
-    top = float(pic.eigvalsh(pic.entries(hermitize(M_isqrt @ P @ M_isqrt)))[-1])
-    if top <= 1e-12:
-        return D_MAX
+    top = float(pic.eigvalsh(pic.entries(hermitize(M_isqrt @ pic.blocks(p) @ M_isqrt)))[-1])
 
-    def margin(d):
-        """lambda_min(M - d P), an eigenvector for it and its block."""
-        w, V = np.linalg.eigh(pic.padded(m - d * p))
-        k = int(w[:, 0].argmin())
-        return float(w[k, 0]), V[k, :, 0], k
+    def feasible(d):
+        return pic.eigvalsh(m - d * p)[0] >= -1e-13
 
     d = 1.0 / top
-    for _ in range(200):
-        lam, v, k = margin(d)
-        if lam >= -1e-13:
-            return float(d)
-        slope = max(float((v.conj() @ (P[k] @ v)).real), 1e-2)
-        d -= (-lam) / slope * 1.25 + 1e-16
-    lo, hi = 0.0, 1.0 / top
-    if margin(lo)[0] < -1e-13:
+    if feasible(d):
+        return d
+    if not feasible(0.0):
         return -np.inf
+    lo, hi = 0.0, d
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if margin(mid)[0] >= -1e-13:
+        if feasible(mid):
             lo = mid
         else:
             hi = mid

@@ -27,8 +27,8 @@ from .bipartite import (
     freeze,
     partial_transpose,
 )
-from .errors import NoWitness, NotInSubspace, ShapeMismatch
-from .linalg import eigh
+from .errors import BadRank, NoWitness, NotInSubspace, ShapeMismatch
+from .linalg import eigh, hermitize
 
 CONTAINS_RTOL = 1e-9
 ENTRY_NONZERO_TOL = 1e-10
@@ -250,7 +250,9 @@ def _certificate(
     beta = (row_a, col_b)
     ai = alpha[0] * n + alpha[1]
     bi = beta[0] * n + beta[1]
-    rho_pt = partial_transpose(ens.to_density_matrix().mat, dims)
+    # the state of an already validated ensemble: no second DensityMatrix check
+    rho = hermitize((ens.vectors * ens.probs) @ ens.vectors.conj().T)
+    rho_pt = partial_transpose(rho, dims)
     sub = rho_pt[np.ix_([ai, bi], [ai, bi])].copy()
     det = float((sub[0, 0] * sub[1, 1]).real - abs(sub[0, 1]) ** 2)
     return WitnessCertificate(
@@ -268,13 +270,17 @@ def sample_mixture_in_subspace(
 ) -> Ensemble:
     """Random mixture of ``rank`` unit vectors drawn from the subspace.
 
-    Coefficients are standard complex Gaussians over the orthonormal basis;
-    weights are a flat Dirichlet draw.  Deterministic given the generator.
+    The rank is capped at the subspace dimension.  Coefficients are
+    standard complex Gaussians over the orthonormal basis; weights are a
+    flat Dirichlet draw.  Deterministic given the generator.  Raises
+    BadRank for a rank below 1.
     """
+    if rank < 1:
+        raise BadRank(f"rank must be at least 1, got {rank}")
     k = basis.dim
     if k == 0:
         raise NotInSubspace("subspace is zero-dimensional; nothing to sample")
-    r = max(1, min(rank, k))
+    r = min(rank, k)
     Q = basis.orthonormal
     cols = []
     while len(cols) < r:

@@ -212,6 +212,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             Ensemble(D22, np.array([1.0]), 2 * v)  # vectors must be unit
 
+    @pytest.mark.parametrize("defect", ["nan-prob", "nan-second-prob", "nan-vector"])
+    def test_ensemble_rejects_nan(self, defect):
+        # every comparison with NaN is False, so each check must fail on it
+        v = np.zeros((4, 2), dtype=complex)
+        v[0, 0] = v[3, 1] = 1.0
+        probs = np.array([0.5, 0.5])
+        if defect == "nan-prob":
+            probs = np.array([np.nan, np.nan])
+        elif defect == "nan-second-prob":
+            probs = np.array([1.0, np.nan])
+        else:
+            v[1, 1] = np.nan
+        with pytest.raises(ValueError):
+            Ensemble(D22, probs, v)
+
     def test_ensemble_to_density(self):
         v = np.zeros((4, 2), dtype=complex)
         v[0, 0] = 1.0

@@ -16,11 +16,20 @@ from nptsub import (
 )
 from nptsub import sdp
 from nptsub.linalg import project_psd
-from nptsub.sdp import D_MAX, _ConePair, _max_shift, _pictures, _round_to_ppt
+from nptsub.sdp import _ConePair, _max_shift, _pictures, _round_to_ppt
 
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
 D34 = BipartiteDims(3, 4)
+
+
+@pytest.fixture
+def no_iteration(monkeypatch):
+    """Fail the test if the splitting loop runs."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the splitting loop ran")
+
+    monkeypatch.setattr(sdp, "_split", fail)
 
 
 def npt_projector(dims):
@@ -110,19 +119,14 @@ class TestInputValidation:
             ENTRY_POINTS[entry](D22, M)
 
     @pytest.mark.parametrize("entry,name", [
-        ("construction_sdp", "tol_feas"),
         ("construction_sdp", "tol_gap"),
         ("optimize_over_ppt", "tol"),
         ("dual_cone_route", "tol_c"),
         ("decompose_dual_cone", "tol_residual"),
     ])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
-    def test_bad_tolerance(self, entry, name, bad, monkeypatch):
+    def test_bad_tolerance(self, entry, name, bad, no_iteration):
         # rejected before the first iteration, not after the whole budget
-        def no_iteration(*args, **kwargs):
-            raise AssertionError("the splitting loop ran")
-
-        monkeypatch.setattr(sdp, "_split", no_iteration)
         with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
             ENTRY_POINTS[entry](D22, npt_projector(D22).P, **{name: bad})
 
@@ -154,14 +158,28 @@ class TestConstructionSdp:
         count, _ = count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))
         assert count == dims.npt_dim
 
-    def test_zero_projector_clamps(self):
-        # m = 1 or n = 1: the projector is zero and the solve never iterates
-        for dims in (BipartiteDims(1, 4), BipartiteDims(4, 1)):
-            sol = solve_construction_sdp(dims, np.zeros((4, 4), dtype=complex))
-            assert sol.clamped
-            assert sol.iterations == 0
-            assert sol.d == D_MAX
-            assert np.allclose(sol.rho.mat, np.eye(4) / 4, atol=1e-14)
+    @pytest.mark.parametrize("m,n", [(1, 4), (4, 1)])
+    def test_zero_projector_is_degenerate(self, m, n, no_iteration):
+        # m = 1 or n = 1: the projector is zero and d is unbounded, so the
+        # solve is refused before the first iteration
+        with pytest.raises(errors.DegenerateSubspace):
+            solve_construction_sdp(BipartiteDims(m, n), np.zeros((4, 4), dtype=complex))
+
+    @pytest.mark.parametrize("P,optimum", [
+        (0.45 * singlet_projector(), 1.5 / 0.45),
+        (0.6 * singlet_projector(), 1.5 / 0.6),
+        (np.diag([0.4, 0.0, 0.0, 0.0]), 2.5),
+    ], ids=["0.45-singlet", "0.6-singlet", "diag-0.4"])
+    def test_small_trace_is_certified(self, P, optimum):
+        # a P of trace below 1 runs the same certified solve: the singlet
+        # bound d <= 3/2 scales to 1.5/s, and |11><11| attains 1/0.4
+        sol = solve_construction_sdp(D22, P)
+        assert sol.converged
+        assert sol.lower_bound <= optimum + 1e-9
+        assert sol.upper_bound >= optimum - 1e-9
+        assert sol.upper_bound - sol.lower_bound <= 1e-4
+        M = partial_transpose(sol.rho.mat, D22) + sol.lower_bound * P - np.eye(4)
+        assert np.linalg.eigvalsh(M)[-1] <= 1e-12
 
     def test_local_unitary_invariance(self):
         # conjugating the projector by A (x) B transforms the feasible set
@@ -419,8 +437,8 @@ class TestSectorLayout:
             assert d == pytest.approx(1.0 / np.linalg.eigvalsh(M_isqrt @ P @ M_isqrt)[-1], rel=1e-9)
 
     def test_feasible_shift_without_feasible_point(self):
-        # M = -I admits no d >= 0: the walk-back stalls, and the bisection
-        # reports that no shift is verified instead of an unchecked 0
+        # M = -I admits no d >= 0: the congruence candidate fails its check,
+        # and so does d = 0, so no shift is verified instead of an unchecked 0
         dims = BipartiteDims(3, 3)
         pic_S, _ = _pictures(dims, npt_projector(dims).P)
         assert _max_shift(pic_S, -pic_S.eye, pic_S.pack(npt_projector(dims).P)) == -np.inf
@@ -512,7 +530,7 @@ class TestBoundRecheck:
         dims = BipartiteDims(m, n)
         P = self.objective(kind, dims)
         sol = solve_construction_sdp(dims, P)
-        tol_feas = 1e-7  # the solver's default
+        tol_feas = sdp._TOL_FEAS
         assert sol.residuals["pt_constraint_gap"] <= tol_feas
         M = partial_transpose(sol.rho.mat, dims) + sol.lower_bound * P - np.eye(dims.total)
         assert np.linalg.eigvalsh(M)[-1] <= tol_feas

@@ -403,6 +403,12 @@ class TestSampling:
                 w = np.linalg.eigvalsh(partial_transpose(rho.mat, dims))
                 assert w[0] < -1e-12 * w[-1]
 
+    @pytest.mark.parametrize("rank", [0, -2])
+    def test_sample_rejects_rank_below_one(self, rank):
+        rng = np.random.Generator(np.random.PCG64(0))
+        with pytest.raises(errors.BadRank):
+            sample_mixture_in_subspace(build_subspace(D33), rank=rank, rng=rng)
+
     def test_single_dimension_sample(self):
         basis = build_subspace(D22)
         rng = np.random.Generator(np.random.PCG64(0))
