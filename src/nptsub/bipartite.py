@@ -133,7 +133,11 @@ def count_negative_eigenvalues(
     calling round-off negative.  Returns (count, the offending eigenvalues
     in ascending order).  The 0 x 0 matrix has none: (0, empty).
     """
-    w = eigvalsh(A)
+    return _negatives(eigvalsh(A), abs_floor, rel)
+
+
+def _negatives(w: np.ndarray, abs_floor: float = 1e-10, rel: float = 1e-9) -> tuple[int, np.ndarray]:
+    """``count_negative_eigenvalues`` of a matrix with ascending eigenvalues ``w``."""
     tau = max(abs_floor, rel * abs(float(w[-1]))) if w.size else abs_floor
     neg = w[w < -tau]
     return int(neg.size), neg

@@ -9,11 +9,14 @@ Matrices travel as JSON documents with embedded local dimensions and
 explicit [re, im] entry pairs; floats are printed with 17 significant
 digits so that parse(serialize(M)) reproduces M bit-exactly.  Both
 directions work on whole arrays: one formatting pass serves the payload
-and the checksum, and a load parses the entries with one numpy call.  A
-load accepts only integer m, n, an object as metadata and (mn) x (mn)
-entries of exactly two finite JSON numbers whose checksum (when stored)
-matches.  The product basis |j>|k> is ordered with the first factor major
-(index j*n + k), stated in every file's metadata.
+and the checksum, and a load converts the entry texts with one numpy
+call.  A load accepts only a "matrix" kind (or none), integer m, n, an
+object as metadata and (mn) x (mn) entries of exactly two finite JSON
+numbers whose checksum (when stored) matches, either over the entry
+texts as read (in a file written here they are the canonical texts) or
+over the entries formatted again (other spellings, integers).  The
+product basis |j>|k> is ordered with the first factor major (index
+j*n + k), stated in every file's metadata.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .bipartite import (
     GENERATOR_NAME,
     BipartiteDims,
     DensityMatrix,
+    _negatives,
     count_negative_eigenvalues,
     partial_transpose,
     random_density_matrix,
@@ -46,9 +50,10 @@ from .sdp import (
     solve_construction_sdp,
 )
 from .subspace import (
+    CONTAINS_RTOL,
+    _in_subspace,
     build_subspace,
     locate_witness,
-    range_in_subspace,
     sample_mixture_in_subspace,
     subspace_projector,
 )
@@ -105,11 +110,13 @@ def _fmt(x) -> str:
     raise MatrixFileError(f"cannot serialize {type(x)!r}")
 
 
-def _checksum(texts: list[str], rows: int, cols: int) -> str:
-    """SHA-256 of the entry texts: one line per row, "re im" pairs
-    separated by spaces."""
-    text = "\n".join([" ".join(["%s %s"] * cols)] * rows) % tuple(texts)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+def _checksum(texts: list[str] | list[bytes], rows: int, cols: int) -> str:
+    """SHA-256 of the entry texts (formatted, or as read from a file): one
+    line per row, "re im" pairs separated by spaces."""
+    layout = "\n".join([" ".join(["%s %s"] * cols)] * rows)
+    if texts and isinstance(texts[0], bytes):
+        return hashlib.sha256(layout.encode("ascii") % tuple(texts)).hexdigest()
+    return hashlib.sha256((layout % tuple(texts)).encode("ascii")).hexdigest()
 
 
 def _pairs_payload(texts: list[str], rows: int, cols: int) -> str:
@@ -143,8 +150,7 @@ def _document(kind: str, dims: BipartiteDims, payload_key: str, payload: str, me
 def serialize_matrix(mat: np.ndarray, dims: BipartiteDims, metadata: dict | None = None) -> str:
     mat = np.asarray(mat)
     texts = _float_texts(mat)
-    meta = dict(metadata or {})
-    meta.setdefault("checksum_sha256", _checksum(texts, *mat.shape))
+    meta = {**(metadata or {}), "checksum_sha256": _checksum(texts, *mat.shape)}
     return _document("matrix", dims, "matrix", _pairs_payload(texts, *mat.shape), meta)
 
 
@@ -162,27 +168,53 @@ def save_matrix(path, mat, dims, metadata=None):
         fh.write(text)
 
 
+def _floats(x):
+    """``x`` with every float text (bytes) turned into a float."""
+    if isinstance(x, bytes):
+        return float(x)
+    if isinstance(x, list):
+        return [_floats(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _floats(v) for k, v in x.items()}
+    return x
+
+
 def load_matrix(path) -> tuple[np.ndarray, BipartiteDims, dict]:
     """Parse a matrix document; verifies the checksum when present.
 
-    Rejects (``MatrixFileError``) a document whose "m" or "n" is not an
-    integer, whose "metadata" is not an object, whose "matrix" is not
-    (mn) x (mn) entries of exactly two JSON numbers, or whose entries are
-    not finite or do not match the stored checksum.
+    Rejects (``MatrixFileError``) a document of another "kind", one whose
+    "m" or "n" is not an integer, whose "metadata" is not an object, whose
+    "matrix" is not (mn) x (mn) entries of exactly two JSON numbers, or
+    whose entries are not finite or do not match the stored checksum.
+
+    The checksum is first taken over the entry texts as read, which in a
+    document ``serialize_matrix`` wrote are the canonical texts, so no
+    formatting pass is needed.  Any other document (an integer entry,
+    another spelling such as 5e-1, a mismatch) is checked against its
+    entries formatted again.  So a checksum computed over a document's
+    own non-canonical texts matches too.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        m, n, metadata = doc["m"], doc["n"], doc.get("metadata", {})
+            # floats stay as their ASCII texts, in a type JSON never
+            # produces (bytes), so a string entry still stands out
+            doc = json.load(fh, parse_float=str.encode)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        if doc.get("kind", "matrix") != "matrix":
+            raise ValueError(f"document kind {doc['kind']!r} is not 'matrix'")
+        m, n, metadata = doc["m"], doc["n"], _floats(doc.get("metadata", {}))
         if type(m) is not int or type(n) is not int or not isinstance(metadata, dict):
             raise ValueError("m and n must be integers and metadata an object")
         dims = BipartiteDims(m, n)
-        # pop and rebind, so that the parsed values are freed before the checksum pass
         values = np.array(doc.pop("matrix"), dtype=object)
-        if not set(map(type, values.ravel().tolist())) <= {int, float}:
+        texts = values.ravel().tolist()
+        types = set(map(type, texts))
+        # a float is NaN or an infinity, rejected as not finite below
+        if not types <= {bytes, int, float}:
             raise ValueError("entries must be [re, im] pairs of JSON numbers")
         values = values.astype(float)
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise MatrixFileError(f"cannot load matrix file {path}: {exc}") from exc
     d = dims.total
     if values.shape != (d, d, 2):
@@ -191,7 +223,10 @@ def load_matrix(path) -> tuple[np.ndarray, BipartiteDims, dict]:
         raise MatrixFileError("matrix entries must be finite")
     mat = values.view(complex).reshape(d, d)
     expected = metadata.get("checksum_sha256")
-    if expected is not None and matrix_checksum(mat) != expected:
+    if expected is not None and not (
+        (types == {bytes} and _checksum(texts, d, d) == expected)
+        or matrix_checksum(mat) == expected
+    ):
         raise MatrixFileError(f"checksum mismatch in {path}")
     return mat, dims, metadata
 
@@ -240,16 +275,18 @@ def verify_matrix(
     hermitian = is_hermitian(mat, rtol=tol_herm)
     trace = float(np.trace(mat).real)
     if hermitian:
+        # H and its partial transpose are exactly Hermitian: no re-hermitizing
         H = hermitize(mat)
-        psd = float(eigvalsh(H)[0]) >= -tol_psd
-        count, negs = count_negative_eigenvalues(partial_transpose(H, dims))
+        w, w_pt = np.linalg.eigvalsh(np.stack([H, partial_transpose(H, dims)]))
+        psd = float(w[0]) >= -tol_psd
+        count, negs = _negatives(w_pt)
         negatives = [float(x) for x in negs]
     else:
         psd = False
         count, negatives = 0, []
     in_subspace = None
     if check_subspace and hermitian:
-        in_subspace = range_in_subspace(build_subspace(dims), mat)
+        in_subspace = _in_subspace(dims, mat, CONTAINS_RTOL)
     return VerificationReport(
         is_hermitian=hermitian, is_psd=psd, trace=trace,
         negative_count=count, negative_eigenvalues=negatives,

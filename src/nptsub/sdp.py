@@ -510,7 +510,10 @@ def solve_construction_sdp(
     Tr Y - lambda_min(Y^G); iteration stops once the certified gap is at
     most ``tol_gap``; certificates are taken every 50 iterations.  The
     solution is returned only when the certified gap is closed and the
-    dense residual lambda_max(rho^G + d P - I) is at most 1e-7.
+    dense residual lambda_max(rho^G + d P - I) is at most 1e-7.  The lower
+    bound passes a margin check down to -1e-13, so it can exceed the upper
+    bound by rounding: up to 1e-12 relative, the upper bound is reported
+    as the lower one; a wider crossing raises NoConvergence.
 
     Raises DegenerateSubspace, before any iteration, for a P whose trace
     is not positive (the NPT projector at m = 1 or n = 1, where d is
@@ -573,18 +576,21 @@ def solve_construction_sdp(
     if best_Y is not None:
         Y = pic_S.unpack(best_Y)
         ub = _tr(Y) - float(eigvalsh(partial_transpose(Y, dims))[0])
+    # a crossing at rounding level closes the bracket (see the docstring)
+    empty = lb - ub > 1e-12 * abs(lb)
+    if not empty:
+        ub = max(ub, lb)
     residuals = _construction_residuals(rho, lb, Pmat, dims)
-    converged = bool(ub - lb <= tol_gap and residuals["pt_constraint_gap"] <= _TOL_FEAS)
+    converged = bool(not empty and ub - lb <= tol_gap and residuals["pt_constraint_gap"] <= _TOL_FEAS)
     solution = SdpSolution(
         d=float(lb), rho=DensityMatrix(dims, rho), residuals=residuals,
         iterations=it, converged=converged,
         lower_bound=float(lb), upper_bound=float(ub),
     )
     if not converged:
-        raise NoConvergence(
-            f"construction SDP gap {ub - lb:.3e} above {tol_gap:.1e} "
-            f"after {it} iterations", partial=solution,
-        )
+        reason = (f"bracket is empty: lower bound {lb!r} > upper bound {ub!r}" if empty
+                  else f"gap {ub - lb:.3e} above {tol_gap:.1e} after {it} iterations")
+        raise NoConvergence(f"construction SDP {reason}", partial=solution)
     return solution
 
 

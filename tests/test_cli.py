@@ -74,6 +74,18 @@ class TestSerialization:
         loaded, _, _ = cli.load_matrix(path)
         assert np.signbit(loaded[0, 1].real) and np.signbit(loaded[1, 0].real)
 
+    def test_save_stores_the_checksum_of_the_saved_matrix(self, tmp_path):
+        # metadata loaded from another document carries its checksum; the
+        # saved file must hold the checksum of the matrix written with it
+        path = tmp_path / "m.json"
+        cli.save_matrix(path, np.eye(4, dtype=complex) / 4, D22)
+        _, _, meta = cli.load_matrix(path)
+        other = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        cli.save_matrix(path, other, D22, meta)
+        loaded, _, new_meta = cli.load_matrix(path)
+        assert np.array_equal(loaded, other)
+        assert new_meta["checksum_sha256"] == cli.matrix_checksum(other) != meta["checksum_sha256"]
+
     def test_bundled_fixture_matches_repo_copy(self):
         import pathlib
 
@@ -112,6 +124,21 @@ def reference_float_text(x: float) -> str:
     return s
 
 
+def reference_values() -> np.ndarray:
+    """EDGE_VALUES, their negatives, random values over the whole exponent
+    range and large integral values."""
+    rng = np.random.default_rng(3)
+    scales = 10.0 ** rng.integers(-310, 300, 2000)
+    values = np.concatenate([
+        EDGE_VALUES, np.negative(EDGE_VALUES),
+        rng.standard_normal(2000) * scales,
+        np.round(rng.standard_normal(2000) * 10.0 ** rng.integers(0, 20, 2000)),
+        [2.0**52 + 0.5, 2.0**53 + 2, 1e17 - 16, 1e17 + 16, 2.2250738585072014e-308,
+         1.7976931348623157e308],
+    ])
+    return values[np.isfinite(values)]
+
+
 class TestFileBytes:
     """Documents and checksums stay byte-identical to the per-float writer."""
 
@@ -133,16 +160,7 @@ class TestFileBytes:
         assert meta["checksum_sha256"] == GOLDEN_CHECKSUM
 
     def test_texts_match_per_float_reference(self):
-        rng = np.random.default_rng(3)
-        scales = 10.0 ** rng.integers(-310, 300, 2000)
-        values = np.concatenate([
-            EDGE_VALUES, np.negative(EDGE_VALUES),
-            rng.standard_normal(2000) * scales,
-            np.round(rng.standard_normal(2000) * 10.0 ** rng.integers(0, 20, 2000)),
-            [2.0**52 + 0.5, 2.0**53 + 2, 1e17 - 16, 1e17 + 16, 2.2250738585072014e-308,
-             1.7976931348623157e308],
-        ])
-        values = values[np.isfinite(values)]
+        values = reference_values()
         assert cli._float_texts(values.astype(complex))[0::2] == [
             reference_float_text(v) for v in values
         ]
@@ -184,6 +202,111 @@ class TestFileBytes:
         report = cli.verify_matrix(loaded, ldims, check_subspace=True)
         assert report.passed and report.range_in_subspace is True
         assert report.negative_count >= 1
+
+
+def count_formatting(monkeypatch):
+    """Calls of ``cli._float_texts``, the formatting pass a load can skip."""
+    calls = []
+    real = cli._float_texts
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(cli, "_float_texts", counted)
+    return calls
+
+
+def one_entry_document(path, re_text, checksum):
+    path.write_text(
+        f'{{"kind": "matrix", "m": 1, "n": 1, "matrix": [[[{re_text}, 0.0]]], '
+        f'"metadata": {{"checksum_sha256": "{checksum}"}}}}'
+    )
+    return path
+
+
+class TestChecksumPaths:
+    """A load hashes the entry texts as read; only a document whose texts
+    are not the canonical ones is formatted again."""
+
+    def test_written_document_loads_without_formatting(self, tmp_path, monkeypatch):
+        from nptsub import sample_mixture_in_subspace
+
+        dims = BipartiteDims(8, 8)
+        rng = np.random.Generator(np.random.PCG64([1, 0]))
+        mat = sample_mixture_in_subspace(build_subspace(dims), rank=3, rng=rng).to_density_matrix().mat
+        path = tmp_path / "state.json"
+        cli.save_matrix(path, mat, dims)
+        calls = count_formatting(monkeypatch)
+        loaded, _, _ = cli.load_matrix(path)
+        assert calls == []
+        assert np.array_equal(loaded.view(float), mat.view(float))
+        assert np.array_equal(np.signbit(loaded.view(float)), np.signbit(mat.view(float)))
+
+    @pytest.mark.parametrize("text,value,canonical", [
+        ("0.5", 0.5, True),
+        ("-0.0", -0.0, True),
+        ("5e-1", 0.5, False),
+        ("1E+17", 1e17, False),
+        ("1", 1.0, False),
+        ("-0e0", -0.0, False),
+        ("0.50", 0.5, False),
+    ])
+    def test_other_spellings_load_through_the_formatted_checksum(
+        self, tmp_path, monkeypatch, text, value, canonical
+    ):
+        expected = cli.matrix_checksum(np.array([[value]], dtype=complex))
+        path = one_entry_document(tmp_path / "m.json", text, expected)
+        calls = count_formatting(monkeypatch)
+        mat, _, _ = cli.load_matrix(path)
+        assert (calls == []) == canonical
+        assert mat[0, 0].real == value and np.signbit(mat[0, 0].real) == np.signbit(value)
+
+    def test_checksum_over_the_texts_as_written_matches(self, tmp_path, monkeypatch):
+        # a checksum taken over the file's own texts matches what it holds
+        text = "5e-1 0.0"
+        path = one_entry_document(tmp_path / "m.json", "5e-1", hashlib.sha256(text.encode()).hexdigest())
+        calls = count_formatting(monkeypatch)
+        mat, _, _ = cli.load_matrix(path)
+        assert mat[0, 0] == 0.5 and calls == []
+
+    def test_edited_entry_fails_both_checks(self, tmp_path, monkeypatch):
+        path = one_entry_document(tmp_path / "m.json", "0.25", cli.matrix_checksum(np.array([[0.5]])))
+        calls = count_formatting(monkeypatch)
+        with pytest.raises(cli.MatrixFileError, match="checksum mismatch"):
+            cli.load_matrix(path)
+        assert len(calls) == 1
+
+    def test_string_entry_with_matching_checksum_is_rejected(self, tmp_path):
+        path = one_entry_document(tmp_path / "m.json", '"0.5"', cli.matrix_checksum(np.array([[0.5]])))
+        with pytest.raises(cli.MatrixFileError, match="JSON numbers"):
+            cli.load_matrix(path)
+
+    @pytest.mark.parametrize("method,key", [("direct", "d"), ("dual-cone", "c")])
+    def test_metadata_floats_load_as_json_floats(self, tmp_path, method, key):
+        path = tmp_path / "state.json"
+        argv = ["construct", "--m", "2", "--n", "3", "--method", method, "--out", str(path)]
+        assert cli.main(argv) == 0
+        _, _, meta = cli.load_matrix(path)
+        reference = json.loads(path.read_text())["metadata"]
+        # repr tells a float from an int and from the bytes a text is read as
+        assert repr(meta) == repr(reference)
+        assert type(meta[key]) is float
+        if method == "direct":
+            assert {type(v) for v in meta["residuals"].values()} == {float}
+
+    def test_parsed_texts_equal_python_floats(self, tmp_path):
+        # read back by load_matrix, the values equal float() of their texts
+        values = reference_values()
+        dims = BipartiteDims(5, 9)
+        flat = np.zeros(2 * dims.total**2)
+        flat[:values.size] = values
+        path = tmp_path / "values.json"
+        cli.save_matrix(path, flat.view(complex).reshape(dims.total, dims.total), dims)
+        loaded, _, _ = cli.load_matrix(path)
+        reference = np.array([float(t) for t in cli._float_texts(flat)[0::2]])
+        assert np.array_equal(loaded.view(float).ravel(), reference)
+        assert np.array_equal(np.signbit(loaded.view(float).ravel()), np.signbit(reference))
 
 
 class TestMalformedFiles:
@@ -237,12 +360,27 @@ class TestMalformedFiles:
         with pytest.raises(cli.MatrixFileError):
             cli.load_matrix(self.write(tmp_path / "bad.json", metadata=metadata))
 
-    @pytest.mark.parametrize("doc", ["[]", "3", '"matrix"', '{"m": 1, "n": 1}'])
+    @pytest.mark.parametrize("doc", [
+        "[]", "3", '"matrix"', '{"m": 1, "n": 1}',
+        pytest.param('{"m": 1, "n": 1, "matrix": [[[0.5, 0.0]]], "metadata": {"a": '
+                     + "[" * 100000 + "]" * 100000 + "}}", id="deep-metadata"),
+    ])
     def test_rejects_non_documents(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(doc)
         with pytest.raises(cli.MatrixFileError):
             cli.load_matrix(path)
+
+    def test_rejects_a_document_of_another_kind(self, tmp_path):
+        assert cli.main(["subspace", "--m", "2", "--n", "2", "--out", str(tmp_path)]) == 0
+        with pytest.raises(cli.MatrixFileError, match="kind 'vectors' is not 'matrix'"):
+            cli.load_matrix(tmp_path / "basis.json")
+
+    def test_document_without_kind_loads(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"m": 1, "n": 1, "matrix": [[[0.5, 0.0]]]}')
+        mat, dims, meta = cli.load_matrix(path)
+        assert mat[0, 0] == 0.5 and dims == BipartiteDims(1, 1) and meta == {}
 
     def test_verify_exits_2_on_metadata_list(self, tmp_path, capsys):
         path = self.write(tmp_path / "bad.json", metadata="[]")

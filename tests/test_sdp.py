@@ -177,9 +177,18 @@ class TestConstructionSdp:
         assert sol.converged
         assert sol.lower_bound <= optimum + 1e-9
         assert sol.upper_bound >= optimum - 1e-9
-        assert sol.upper_bound - sol.lower_bound <= 1e-4
+        assert sol.lower_bound <= sol.upper_bound <= sol.lower_bound + 1e-4
         M = partial_transpose(sol.rho.mat, D22) + sol.lower_bound * P - np.eye(4)
         assert np.linalg.eigvalsh(M)[-1] <= 1e-12
+
+    def test_wide_bracket_inversion_raises(self, monkeypatch):
+        # a lower bound far above the dual bound is not rounding: the
+        # solver must not report it as a certified (empty) bracket
+        monkeypatch.setattr(sdp, "_max_shift", lambda *args: 10.0)
+        with pytest.raises(errors.NoConvergence, match="bracket is empty") as err:
+            solve_construction_sdp(D22, npt_projector(D22).P)
+        assert err.value.partial.lower_bound == 10.0 > err.value.partial.upper_bound
+        assert not err.value.partial.converged
 
     def test_local_unitary_invariance(self):
         # conjugating the projector by A (x) B transforms the feasible set
