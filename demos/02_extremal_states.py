@@ -37,8 +37,8 @@ for m, n in [(2, 2), (3, 3), (3, 4)]:
 
     dec = construct_via_dual_cone(dims, P)
     count, negs = count_negative_eigenvalues(partial_transpose(dec.rho.mat, dims))
-    # lambda_min(X1) >= 0 makes X = X1 + X2^G a dual-cone split; the
-    # residual ||X - X1 - X2^G|| is rounding error by construction
+    # X = X1 + X2^G holds by construction; lambda_min(X1) >= 0 is what
+    # makes it a dual-cone split
     margin = np.linalg.eigvalsh(dec.X1)[0]
     print(f"dual cone : c = {dec.c:.6f}, split margin = {margin:.1e}, "
           f"negatives = {count}")

@@ -26,7 +26,6 @@ from .errors import (
     DegenerateSubspace,
     NoConvergence,
     NotHermitian,
-    NotInDualCone,
     NotInSubspace,
     NoWitness,
     ShapeMismatch,
@@ -37,7 +36,6 @@ from .sdp import (
     PptOptimum,
     SdpSolution,
     construct_via_dual_cone,
-    decompose_dual_cone,
     optimize_over_ppt,
     solve_construction_sdp,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "sample_mixture_in_subspace",
     "solve_construction_sdp",
     "optimize_over_ppt",
-    "decompose_dual_cone",
     "construct_via_dual_cone",
     "ShapeMismatch",
     "NotHermitian",
@@ -100,7 +97,6 @@ __all__ = [
     "BadRank",
     "NotInSubspace",
     "NoWitness",
-    "NotInDualCone",
     "DegenerateSubspace",
     "__version__",
 ]

@@ -33,9 +33,5 @@ class NoWitness(RuntimeError):
     """Witness search failed; only reachable on numerically void input."""
 
 
-class NotInDualCone(RuntimeError):
-    """Operator certified to lie outside the dual cone of the PPT states."""
-
-
 class DegenerateSubspace(ValueError):
     """The subspace is zero-dimensional (m = 1 or n = 1)."""

@@ -1,20 +1,18 @@
 """Semidefinite programs behind the extremal-state constructions.
 
-Three problems (G = partial transpose):
+Two problems (G = partial transpose):
 
 * ``solve_construction_sdp``   maximize d subject to rho^G <= I - d P over
   density matrices rho;
-* ``optimize_over_ppt``        optimize a Hermitian objective over the PPT
-  states {sigma >= 0, sigma^G >= 0, Tr sigma = 1};
-* ``decompose_dual_cone``      split X into X1 + X2^G with X1, X2 >= 0,
-  which succeeds exactly when X is in the dual cone of the PPT states.
+* ``optimize_over_ppt``        maximize a Hermitian objective <W, sigma>
+  over the PPT states {sigma >= 0, sigma^G >= 0, Tr sigma = 1}.
 
-The first two run on one splitting core, ``_split``.  The third needs no
-iteration of its own: a PSD pair (Y1, Y2) certifying
+Both run on one splitting core, ``_split``.  The dual-cone route,
+``construct_via_dual_cone``, needs no iteration beyond the PPT
+maximization that certifies c: a PSD pair (Y1, Y2) certifying
 lambda_max(W + Y1 + Y2^G) <= t gives t I - W - Y2^G >= Y1 >= 0, so the
-dual pair of a certified PPT optimum already is a dual-cone split.
-``decompose_dual_cone`` reads it off one PPT minimization of <X, sigma>,
-and ``construct_via_dual_cone`` off the maximization that certifies c.
+dual pair of the certified maximum of <P, sigma> already splits
+X = I - P / c into X1 + X2^G with X1, X2 >= 0.
 
 ``_split`` is an over-relaxed iteration between an affine set and the
 product of two PSD cones, on one entry vector [z1; z2] for both cones,
@@ -34,7 +32,7 @@ supplies only two steps:
 * its affine step, the closed-form proximal point of its affine set:
   pairs (rho, S) with S = I - d P - rho^G and Tr rho = 1 for the
   construction, pairs (sigma, sigma^G) with Tr sigma = 1 (pulled along
-  W / beta) for the PPT optimization;
+  W / beta) for the PPT maximization;
 * its certify step, which turns the current iterates into certified bounds
   and decides when to stop.
 
@@ -75,7 +73,7 @@ post hoc from rounded iterates.  Lower bounds come from exactly feasible
 points, upper bounds from exactly verifiable dual certificates (the PSD
 parts of -beta u), and iteration stops once the certified gap closes.
 The construction rounds its cone iterate to a state and finds the largest
-feasible shift d; the PPT optimization normalizes its cone iterate, PSD
+feasible shift d; the PPT maximization normalizes its cone iterate, PSD
 already, and contracts it toward I/d until its partial transpose is PSD
 too.  The certify steps run on the same block layout as the iteration:
 they are block projections, gathers and block eigenvalues, with the
@@ -85,7 +83,7 @@ certificate (the construction's lower bound is rechecked by its dense
 residuals), so a block layout can cost iterations but can never certify a
 wrong bound.
 
-Every entry point takes its input (P, W or X) as a Hermitian mn x mn
+Every entry point takes its input (P or W) as a Hermitian mn x mn
 matrix and raises ShapeMismatch or NotHermitian (NaN entries included)
 for anything else.
 """
@@ -102,8 +100,8 @@ from .bipartite import (
     count_negative_eigenvalues,
     partial_transpose,
 )
-from .errors import DegenerateSubspace, NoConvergence, NotInDualCone, ShapeMismatch
-from .linalg import _clamp_psd, _hermitian_part, eigvalsh, frob_inner, hermitize, project_psd
+from .errors import DegenerateSubspace, NoConvergence, ShapeMismatch
+from .linalg import _clamp_psd, _hermitian_part, eigvalsh, frob_inner, hermitize
 from .subspace import Projector
 
 #: Default splitting-iteration budget per solve.
@@ -155,7 +153,7 @@ class PptOptimum:
     """Certified optimum of a linear objective over the PPT states.
 
     ``dual_basis`` holds the PSD pair (Y1, Y2) realizing the dual bound
-    lambda_max(W + Y1 + Y2^G) = upper_bound for the maximization sense.
+    lambda_max(W + Y1 + Y2^G) = upper_bound on the maximum.
     """
 
     value: float
@@ -164,7 +162,7 @@ class PptOptimum:
     upper_bound: float
     iterations: int
     converged: bool
-    dual_basis: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
+    dual_basis: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -172,9 +170,8 @@ class ConeDecomposition:
     """Dual-cone route output: c, X = I - (1/c) P, the split, and the state.
 
     ``iterations`` counts the splitting iterations of the PPT solve that
-    certifies c; the split itself takes none.  ``residual`` is
-    ||X - X1 - X2^G||, rounding error by construction; how near the split
-    is to failing shows in lambda_min(X1) instead.
+    certifies c; the split itself takes none.  X = X1 + X2^G holds by
+    construction; how near the split is to failing shows in lambda_min(X1).
     """
 
     c: float
@@ -182,7 +179,6 @@ class ConeDecomposition:
     X1: np.ndarray = field(repr=False)
     X2: np.ndarray = field(repr=False)
     rho: DensityMatrix = field(repr=False)
-    residual: float
     iterations: int
 
 
@@ -193,6 +189,14 @@ def _solver_input(M) -> np.ndarray:
     fails the Hermiticity check, which a NaN entry always does.
     """
     return _hermitian_part(M.P if isinstance(M, Projector) else M)
+
+
+def _check_trace(dims: BipartiteDims, Pmat: np.ndarray) -> float:
+    """Tr P, or DegenerateSubspace unless it is positive (as at m = 1 or n = 1)."""
+    k = _tr(Pmat)
+    if not k > 0.0:
+        raise DegenerateSubspace(f"construction needs a P of positive trace, got Tr P = {k!r} at dims {dims}")
+    return k
 
 
 def _check_tols(**tols: float) -> None:
@@ -526,9 +530,7 @@ def solve_construction_sdp(
     Pmat = _solver_input(P)
     # S and P live in one picture, rho and P^G in the other
     pic_S, pic_r = _pictures(dims, Pmat)
-    k = _tr(Pmat)
-    if not k > 0.0:
-        raise DegenerateSubspace(f"construction needs a P of positive trace, got Tr P = {k!r} at dims {dims}")
+    k = _check_trace(dims, Pmat)
 
     p = pic_S.pack(Pmat)
     pt = p[pic_S.pt]
@@ -647,41 +649,25 @@ def _max_shift(pic: _Picture, m: np.ndarray, p: np.ndarray) -> float:
 def optimize_over_ppt(
     dims: BipartiteDims,
     W: np.ndarray,
-    sense: str = "max",
     tol: float = 1e-5,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> PptOptimum:
-    """Optimize <W, sigma> over {sigma >= 0, sigma^G >= 0, Tr sigma = 1}.
+    """Maximize <W, sigma> over {sigma >= 0, sigma^G >= 0, Tr sigma = 1}.
 
     The certified value is attained by the returned (exactly feasible)
-    sigma; dual certificates Y1, Y2 >= 0 bound the maximum from above by
-    lambda_max(W + Y1 + Y2^G).  ``upper_bound``/``lower_bound`` bracket the
-    true optimum within ``tol`` on success; certificates are taken every 100
-    iterations.  Raises ValueError for a ``tol`` that is not finite and
-    positive.
+    sigma; dual certificates Y1, Y2 >= 0 (``dual_basis``) bound the maximum
+    from above by lambda_max(W + Y1 + Y2^G).  ``upper_bound``/``lower_bound``
+    bracket the true optimum within ``tol`` on success; certificates are
+    taken every 100 iterations.  A minimum is the negated maximum of -W:
+    min <W, sigma> lies in [-upper_bound, -lower_bound] of the solve on -W.
+
+    Raises NoConvergence, with the PptOptimum attached as ``partial`` (its
+    bracket and dual pair are still certified), when the gap is above
+    ``tol`` after ``max_iter`` iterations; ValueError for a ``tol`` that is
+    not finite and positive.
     """
     _check_tols(tol=tol)
-    if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
     W = _solver_input(W)
-    if sense == "min":
-        res = _maximize_over_ppt(dims, -W, tol, max_iter)
-        flipped = PptOptimum(
-            value=-res.value, sigma=res.sigma,
-            lower_bound=-res.upper_bound, upper_bound=-res.lower_bound,
-            iterations=res.iterations, converged=res.converged,
-            dual_basis=res.dual_basis,  # certifies the negated problem
-        )
-        if not res.converged:
-            raise NoConvergence("PPT optimization did not converge", partial=flipped)
-        return flipped
-    res = _maximize_over_ppt(dims, W, tol, max_iter)
-    if not res.converged:
-        raise NoConvergence("PPT optimization did not converge", partial=res)
-    return res
-
-
-def _maximize_over_ppt(dims, W, tol, max_iter) -> PptOptimum:
     d_tot = dims.total
     trW = _tr(W)
     pic_1, pic_2 = _pictures(dims, W)  # sigma lives in W's picture
@@ -717,12 +703,15 @@ def _maximize_over_ppt(dims, W, tol, max_iter) -> PptOptimum:
     Y1, Y2 = pic_1.unpack(best_y[0]), pic_2.unpack(best_y[1])
     lb = frob_inner(W, sigma)
     ub = float(eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1])
-    return PptOptimum(
+    res = PptOptimum(
         value=lb, sigma=DensityMatrix(dims, sigma),
         lower_bound=lb, upper_bound=ub,
         iterations=it, converged=bool(ub - lb <= tol),
         dual_basis=(Y1, Y2),
     )
+    if not res.converged:
+        raise NoConvergence("PPT optimization did not converge", partial=res)
+    return res
 
 
 def _round_to_ppt(pics, x: np.ndarray) -> np.ndarray:
@@ -755,54 +744,8 @@ def _round_to_ppt(pics, x: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# dual-cone decomposition and the dual-cone construction route
+# the dual-cone construction route
 # --------------------------------------------------------------------------
-
-def decompose_dual_cone(
-    X: np.ndarray,
-    dims: BipartiteDims,
-    tol_residual: float = 1e-7,
-    max_iter: int = 20_000,
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Split X = X1 + X2^G with X1, X2 >= 0, read off one PPT minimization.
-
-    Minimizes <X, sigma> over the PPT states (``optimize_over_ppt``, tol
-    1e-9, at most ``max_iter`` splitting iterations).  Its dual pair
-    (Y1, Y2) certifies lambda_max(-X + Y1 + Y2^G) = -f for the floor's
-    lower end f, so X - Y2^G >= Y1 + f I, which is PSD once f >= 0.  The
-    split is X2 = Y2, PSD as it stands (the solver's cone projection), and
-    X1 = X - X2^G projected onto the PSD cone: a floor a hair below 0 (a
-    tangential contact) leaves a residual ||X - X1 - X2^G|| of its order.
-    Returns (X1, X2, residual, iterations).
-
-    Accepts the split when the residual is at most ``tol_residual``.
-    Otherwise raises NotInDualCone when the floor's certified upper end is
-    below -1e-8, and NoConvergence with (X1, X2, residual) attached when it
-    is not, and ValueError for a ``tol_residual`` that is not finite and
-    positive.
-    """
-    _check_tols(tol_residual=tol_residual)
-    X = _solver_input(X)
-    try:
-        floor = optimize_over_ppt(dims, X, "min", tol=1e-9, max_iter=max_iter)
-    except NoConvergence as exc:
-        floor = exc.partial  # its bracket and dual pair are still certified
-    X2 = floor.dual_basis[1]
-    X2_G = partial_transpose(X2, dims)
-    X1 = project_psd(X - X2_G)
-    residual = float(np.linalg.norm(X - X1 - X2_G))
-    if residual <= tol_residual:
-        return X1, X2, residual, floor.iterations
-    if floor.upper_bound < -1e-8:
-        raise NotInDualCone(
-            f"certified PPT overlap {floor.upper_bound:.3e} < 0; "
-            "X is outside the dual cone"
-        )
-    raise NoConvergence(
-        f"decomposition residual {residual:.3e} above {tol_residual:.1e} "
-        f"after {floor.iterations} iterations", partial=(X1, X2, residual),
-    )
-
 
 def construct_via_dual_cone(
     dims: BipartiteDims,
@@ -818,24 +761,29 @@ def construct_via_dual_cone(
     partial-transpose eigenvalues.  c is the certified upper end of the
     bracket, c = lambda_max(P + Y1 + Y2^G) for the solve's dual pair, so
     the split is closed-form: X2 = Y2 / c and X1 = X - X2^G, which is
-    (c I - P - Y1 - Y2^G) / c + Y1 / c >= 0.  Raises ValueError for a
-    ``tol_c`` that is not finite and positive.
+    (c I - P - Y1 - Y2^G) / c + Y1 / c >= 0.
+
+    Raises DegenerateSubspace, before any iteration, at m = 1 or n = 1 or
+    for a P whose trace is not positive; ValueError for a ``tol_c`` that
+    is not finite and positive; and NoConvergence, whose ``partial`` is
+    the PptOptimum when the PPT solve stops on its budget or certifies a c
+    outside (0, 1), the pair (X1, X2) when Tr(X2) <= 1e-8, and rho (a
+    DensityMatrix) when its negative count misses (m-1)(n-1).
     """
     _check_tols(tol_c=tol_c)
     if dims.npt_dim == 0:
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
     Pmat = _solver_input(P)
+    _check_trace(dims, Pmat)
 
-    opt = optimize_over_ppt(dims, Pmat, sense="max", tol=tol_c, max_iter=max_iter)
+    opt = optimize_over_ppt(dims, Pmat, tol=tol_c, max_iter=max_iter)
     c = float(opt.upper_bound)
     if not 0.0 < c < 1.0:
         raise NoConvergence(f"certified c = {c!r} is outside (0, 1)", partial=opt)
 
     X = hermitize(np.eye(dims.total) - Pmat / c)
     X2 = opt.dual_basis[1] / c
-    X2_G = partial_transpose(X2, dims)
-    X1 = X - X2_G
-    residual = float(np.linalg.norm(X - X1 - X2_G))
+    X1 = X - partial_transpose(X2, dims)
     t = _tr(X2)
     if t <= 1e-8:
         raise NoConvergence(f"dual pair gives Tr(X2) = {t:.3e}", partial=(X1, X2))
@@ -847,7 +795,4 @@ def construct_via_dual_cone(
             f"dual-cone state has {count} negative partial-transpose "
             f"eigenvalues, expected {dims.npt_dim}", partial=rho,
         )
-    return ConeDecomposition(
-        c=c, X=X, X1=X1, X2=X2, rho=rho,
-        residual=residual, iterations=opt.iterations,
-    )
+    return ConeDecomposition(c=c, X=X, X1=X1, X2=X2, rho=rho, iterations=opt.iterations)

@@ -155,9 +155,12 @@ def antidiag_sums(M: np.ndarray) -> np.ndarray:
     """Sums over the anti-diagonals {(r, c) : r + c = t} of a matrix.
 
     Returns the rows+cols-1 sums for t = 0 ... rows+cols-2.  Realigned
-    members of the NPT subspace have all sums equal to zero.
+    members of the NPT subspace have all sums equal to zero.  Raises
+    ShapeMismatch unless M is 2-D.
     """
     M = np.asarray(M, dtype=complex)
+    if M.ndim != 2:
+        raise ShapeMismatch(f"expected a 2-D matrix, got shape {M.shape}")
     return _antidiagonals(BipartiteDims(*M.shape))[0] @ M.ravel()
 
 

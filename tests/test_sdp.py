@@ -6,7 +6,6 @@ from nptsub import (
     build_subspace,
     construct_via_dual_cone,
     count_negative_eigenvalues,
-    decompose_dual_cone,
     errors,
     frob_inner,
     optimize_over_ppt,
@@ -59,14 +58,6 @@ def singlet_projector():
     return np.outer(v, v.conj())
 
 
-def swap_22():
-    V = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            V[i * 2 + j, j * 2 + i] = 1.0
-    return V
-
-
 def _product_see_saw(W, m, n, rng, restarts=40, sweeps=200):
     """Brute-force max of <a x b|W|a x b> by alternating eigenvector updates."""
     T = W.reshape(m, n, m, n)
@@ -94,7 +85,6 @@ ENTRY_POINTS = {
     "construction_sdp": lambda dims, M, **kw: solve_construction_sdp(dims, M, **kw),
     "dual_cone_route": lambda dims, M, **kw: construct_via_dual_cone(dims, M, **kw),
     "optimize_over_ppt": lambda dims, M, **kw: optimize_over_ppt(dims, M, **kw),
-    "decompose_dual_cone": lambda dims, M, **kw: decompose_dual_cone(M, dims, **kw),
 }
 
 
@@ -122,13 +112,20 @@ class TestInputValidation:
         ("construction_sdp", "tol_gap"),
         ("optimize_over_ppt", "tol"),
         ("dual_cone_route", "tol_c"),
-        ("decompose_dual_cone", "tol_residual"),
     ])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
     def test_bad_tolerance(self, entry, name, bad, no_iteration):
         # rejected before the first iteration, not after the whole budget
         with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
             ENTRY_POINTS[entry](D22, npt_projector(D22).P, **{name: bad})
+
+
+    @pytest.mark.parametrize("entry", ["construction_sdp", "dual_cone_route"])
+    @pytest.mark.parametrize("P", [np.zeros((4, 4)), -np.eye(4)], ids=["zero", "negative"])
+    def test_trace_not_positive_is_degenerate(self, entry, P, no_iteration):
+        # both routes refuse a P of trace <= 0 before the first iteration
+        with pytest.raises(errors.DegenerateSubspace, match="positive trace"):
+            ENTRY_POINTS[entry](D22, P)
 
 
 class TestConstructionSdp:
@@ -524,7 +521,7 @@ class TestBoundRecheck:
     def test_ppt_bounds(self, kind, m, n):
         dims = BipartiteDims(m, n)
         W = self.objective(kind, dims)
-        opt = optimize_over_ppt(dims, W, "max")
+        opt = optimize_over_ppt(dims, W)
         sigma = opt.sigma.mat
         Y1, Y2 = opt.dual_basis
         assert np.linalg.eigvalsh(Y1)[0] >= -1e-12
@@ -549,27 +546,30 @@ class TestOptimizeOverPpt:
     def test_singlet_overlap_is_half(self):
         # no PPT state overlaps the singlet by more than 1/2 (attained
         # by |01><01|)
-        opt = optimize_over_ppt(D22, singlet_projector(), "max", tol=1e-6)
+        opt = optimize_over_ppt(D22, singlet_projector(), tol=1e-6)
         assert opt.value == pytest.approx(0.5, abs=1e-5)
         assert opt.upper_bound == pytest.approx(0.5, abs=1e-5)
         assert opt.lower_bound <= opt.upper_bound + 1e-12
 
     def test_identity_objective(self):
-        opt = optimize_over_ppt(D22, np.eye(4, dtype=complex), "max")
+        opt = optimize_over_ppt(D22, np.eye(4, dtype=complex))
         assert opt.value == pytest.approx(1.0, abs=1e-8)
 
     def test_product_projector_saturates(self):
         W = np.diag([1.0, 0, 0, 0]).astype(complex)
-        opt = optimize_over_ppt(D22, W, "max", tol=1e-6)
+        opt = optimize_over_ppt(D22, W, tol=1e-6)
         assert opt.value == pytest.approx(1.0, abs=1e-5)
 
     def test_min_sense(self):
-        opt = optimize_over_ppt(D22, singlet_projector(), "min", tol=1e-6)
-        assert opt.value == pytest.approx(0.0, abs=1e-5)
-        assert opt.lower_bound <= opt.value + 1e-12
+        # a minimum is the negated maximum of -W: the singlet's PPT minimum
+        # 0 (attained by |00><00|) lies in [-upper_bound, -lower_bound]
+        opt = optimize_over_ppt(D22, -singlet_projector(), tol=1e-6)
+        assert -opt.upper_bound - 1e-12 <= 0.0 <= -opt.lower_bound + 1e-12
+        assert opt.upper_bound - opt.lower_bound <= 1e-6
+        assert -opt.value == pytest.approx(0.0, abs=1e-5)
 
     def test_feasible_sigma(self):
-        opt = optimize_over_ppt(D33, npt_projector(D33).P, "max", tol=1e-6)
+        opt = optimize_over_ppt(D33, npt_projector(D33).P, tol=1e-6)
         sig = opt.sigma.mat
         assert np.linalg.eigvalsh(sig)[0] >= -1e-8
         assert np.linalg.eigvalsh(partial_transpose(sig, D33))[0] >= -1e-8
@@ -591,67 +591,11 @@ class TestOptimizeOverPpt:
         W = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
         W = (W + W.conj().T) / 2
         oracle = _product_see_saw(W, m, n, rng)
-        opt = optimize_over_ppt(dims, W, "max", tol=1e-7)
+        opt = optimize_over_ppt(dims, W, tol=1e-7)
         # product states are PPT-feasible, so the optimizer can never fall
         # below the oracle; by separability it cannot exceed it either
         assert opt.value >= oracle - 1e-6
         assert opt.value <= oracle + 1e-5
-
-
-class TestDecomposeDualCone:
-    def test_psd_input(self):
-        rng = np.random.default_rng(0)
-        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        X = G @ G.conj().T
-        X1, X2, res, _ = decompose_dual_cone(X, D22)
-        assert res <= 1e-7
-        assert np.linalg.eigvalsh(X1)[0] >= -1e-9
-        assert np.linalg.eigvalsh(X2)[0] >= -1e-9
-
-    def test_swap_operator(self):
-        # the swap equals twice the partial transpose of the maximally
-        # entangled projector, so (0, 2 Phi) is one valid answer
-        V = swap_22()
-        assert np.allclose(partial_transpose(2 * maximally_entangled(), D22), V, atol=1e-14)
-        X1, X2, res, _ = decompose_dual_cone(V, D22)
-        assert res <= 1e-7
-        assert np.allclose(X1 + partial_transpose(X2, D22), V, atol=1e-6)
-
-    def test_identity_minus_twice_singlet(self):
-        X = np.eye(4, dtype=complex) - 2 * singlet_projector()
-        assert np.allclose(X, swap_22(), atol=1e-14)
-        X1, X2, res, _ = decompose_dual_cone(X, D22)
-        assert res <= 1e-7
-
-    def test_outside_dual_cone(self):
-        with pytest.raises(errors.NotInDualCone):
-            decompose_dual_cone(-np.eye(4, dtype=complex), D22, max_iter=500)
-
-    def test_boundary_operator_cold_start(self):
-        # I - (1/c)P sits on the dual-cone boundary: the PPT floor of
-        # <X, sigma> is 0 up to the bracket, a tangential contact
-        for dims in (BipartiteDims(2, 3), D34):
-            P = npt_projector(dims).P
-            c = optimize_over_ppt(dims, P, "max", tol=1e-6).upper_bound
-            X = np.eye(dims.total) - P / c
-            X1, X2, res, _ = decompose_dual_cone(X, dims)
-            assert res <= 1e-7
-            assert np.linalg.eigvalsh(X1)[0] >= -1e-9
-            assert np.linalg.eigvalsh(X2)[0] >= -1e-9
-
-    def test_random_dual_cone_members(self):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            G1 = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
-            G2 = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
-            X = G1 @ G1.conj().T + partial_transpose(G2 @ G2.conj().T, D33)
-            X1, X2, res, _ = decompose_dual_cone(X, D33)
-            assert res <= 1e-7
-
-    def test_entangled_projector_outside(self):
-        # <-Phi, Phi-ish PPT sigma> reaches -1/2 < 0
-        with pytest.raises(errors.NotInDualCone):
-            decompose_dual_cone(-maximally_entangled(), D22, max_iter=500)
 
 
 class TestDualConeRoute:
@@ -661,7 +605,6 @@ class TestDualConeRoute:
         assert np.allclose(
             np.linalg.eigvalsh(dec.X), [-1.0, 1.0, 1.0, 1.0], atol=1e-4
         )
-        assert dec.residual <= 1e-7
         assert frob_inner(maximally_entangled(), dec.rho.mat) >= 0.99
         count, negs = count_negative_eigenvalues(partial_transpose(dec.rho.mat, D22))
         assert count == 1
@@ -715,6 +658,16 @@ class TestDualConeRoute:
         with pytest.raises(errors.DegenerateSubspace):
             construct_via_dual_cone(BipartiteDims(1, 5), np.zeros((5, 5)))
 
+    def test_c_outside_unit_interval(self):
+        # every state has <2 I, sigma> = 2, so the certified c is 2: refused,
+        # with the PPT optimum that certified it attached
+        with pytest.raises(errors.NoConvergence, match=r"outside \(0, 1\)") as info:
+            construct_via_dual_cone(D22, 2.0 * np.eye(4))
+        opt = info.value.partial
+        assert isinstance(opt, sdp.PptOptimum)
+        assert opt.converged
+        assert opt.lower_bound - 1e-12 <= 2.0 <= opt.upper_bound + 1e-12
+
     def test_decomposition_psd(self):
         # the closed-form split from the certifying dual pair, on the
         # sector-block path (P) and the one-block path (rotated P)
@@ -724,7 +677,6 @@ class TestDualConeRoute:
                    for m, n in [(3, 3), (3, 4), (4, 4)]]
         for dims, P in inputs:
             dec = construct_via_dual_cone(dims, P)
-            assert dec.residual <= 1e-12
             assert np.linalg.norm(dec.X - dec.X1 - partial_transpose(dec.X2, dims)) <= 1e-12
             assert np.linalg.eigvalsh(dec.X1)[0] >= -1e-9
             assert np.linalg.eigvalsh(dec.X2)[0] >= -1e-9

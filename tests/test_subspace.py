@@ -223,6 +223,11 @@ class TestAntidiagSums:
     def test_identity(self):
         assert np.array_equal(antidiag_sums(np.eye(2)), [1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)], ids=["1-D", "3-D"])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(errors.ShapeMismatch, match="2-D"):
+            antidiag_sums(np.ones(shape))
+
     def test_realigned_members_sum_to_zero(self):
         dims = BipartiteDims(4, 5)
         basis = build_subspace(dims)
