@@ -60,15 +60,38 @@ class DensityMatrix:
         d = self.dims.total
         if self.mat.shape != (d, d):
             raise ShapeMismatch(f"expected {(d, d)} matrix, got {self.mat.shape}")
-        if not is_hermitian(self.mat):
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = float(np.trace(self.mat).real)
-        if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-            raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
-        lo = float(eigvalsh(self.mat)[0])
-        if lo < DENSITY_EIG_FLOOR:
-            raise ValueError(f"minimum eigenvalue {lo:.3e} below PSD floor")
+        error = _state_error(self.mat)
+        if error is not None:
+            raise ValueError(error)
         object.__setattr__(self, "mat", freeze(self.mat))
+
+
+def _state_error(mats: np.ndarray, lowest: np.ndarray | None = None) -> str | None:
+    """The checks of DensityMatrix on a matrix or a stack (..., d, d): why
+    the first matrix (in C order) that fails is not a state, or None.
+
+    Each matrix must be Hermitian within tolerance, of unit trace, and have
+    no eigenvalue below the PSD floor, checked in that order.  ``lowest``
+    holds the minimum eigenvalues where the caller has them already;
+    otherwise one eigvalsh computes those of the matrices that pass the
+    other two checks.
+    """
+    hermitian = is_hermitian(mats)
+    trace = np.trace(mats, axis1=-2, axis2=-1).real
+    bad = np.logical_not(hermitian) | (np.abs(trace - 1.0) > DENSITY_TRACE_TOL)
+    if lowest is None:
+        lowest = np.full(np.shape(bad), np.inf)
+        ok = ~bad
+        lowest[ok] = np.linalg.eigvalsh(hermitize(np.asarray(mats, dtype=complex)[ok]))[..., 0]
+    bad = bad | (lowest < DENSITY_EIG_FLOOR)
+    if not bad.any():
+        return None
+    first = np.unravel_index(np.argmax(bad), np.shape(bad))
+    if not np.asarray(hermitian)[first]:
+        return "density matrix is not Hermitian within tolerance"
+    if np.abs(trace[first] - 1.0) > DENSITY_TRACE_TOL:
+        return f"trace {float(trace[first])!r} differs from 1 beyond tolerance"
+    return f"minimum eigenvalue {float(lowest[first]):.3e} below PSD floor"
 
 
 @dataclass(frozen=True)
@@ -106,22 +129,31 @@ class Ensemble:
             yield float(p), v
 
     def to_density_matrix(self) -> DensityMatrix:
-        rho = (self.vectors * self.probs) @ self.vectors.conj().T
-        return DensityMatrix(self.dims, hermitize(rho))
+        return DensityMatrix(self.dims, _mixture(self.vectors, self.probs))
+
+
+def _mixture(vectors: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """sum_i p_i |v_i><v_i|, hermitized, for the columns v_i of ``vectors``
+    (d, r) and the weights ``probs`` (r,), or for each ensemble of a stack
+    (..., d, r) and (..., r).  Unvalidated."""
+    return hermitize((vectors * probs[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
 
 
 def partial_transpose(A: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    """Transpose the second tensor factor of an mn x mn matrix.
+    """Transpose the second tensor factor of an mn x mn matrix, or of each
+    matrix in a stack (..., mn, mn).
 
     Pure entry permutation: result[i*n+k, j*n+l] = A[i*n+l, j*n+k].
-    Bit-exact, involutive, trace- and Hermiticity-preserving.
+    Bit-exact, involutive, trace- and Hermiticity-preserving; a matrix
+    comes out the same alone or in a stack.
     """
     m, n = dims.m, dims.n
     d = m * n
     A = np.asarray(A)
-    if A.shape != (d, d):
-        raise ShapeMismatch(f"expected {(d, d)} matrix for dims {dims}, got {A.shape}")
-    return A.reshape(m, n, m, n).transpose(0, 3, 2, 1).copy().reshape(d, d)
+    if A.ndim < 2 or A.shape[-2:] != (d, d):
+        raise ShapeMismatch(f"expected {(d, d)} matrices for dims {dims}, got {A.shape}")
+    lead = A.shape[:-2]
+    return A.reshape(*lead, m, n, m, n).swapaxes(-3, -1).copy().reshape(A.shape)
 
 
 def count_negative_eigenvalues(
@@ -138,9 +170,17 @@ def count_negative_eigenvalues(
 
 def _negatives(w: np.ndarray, abs_floor: float = 1e-10, rel: float = 1e-9) -> tuple[int, np.ndarray]:
     """``count_negative_eigenvalues`` of a matrix with ascending eigenvalues ``w``."""
-    tau = max(abs_floor, rel * abs(float(w[-1]))) if w.size else abs_floor
-    neg = w[w < -tau]
-    return int(neg.size), neg
+    count = int(_negative_counts(w, abs_floor, rel))
+    return count, w[:count]
+
+
+def _negative_counts(w: np.ndarray, abs_floor: float = 1e-10, rel: float = 1e-9) -> np.ndarray:
+    """Number of eigenvalues below -max(abs_floor, rel * |lambda_max|) in
+    an ascending spectrum ``w`` (d,), or in each of a stack (..., d)."""
+    if not w.shape[-1]:
+        return np.zeros(w.shape[:-1], dtype=int)
+    tau = np.maximum(abs_floor, rel * np.abs(w[..., -1:]))
+    return (w < -tau).sum(axis=-1)
 
 
 def is_ppt(rho: DensityMatrix) -> bool:
@@ -188,11 +228,15 @@ def random_density_matrix(dims: BipartiteDims, rank: int, seed: int) -> DensityM
 
     Deterministic: identical seed gives bit-identical output.
     """
+    return DensityMatrix(dims, _ginibre_state(dims, rank, seed))
+
+
+def _ginibre_state(dims: BipartiteDims, rank: int, seed: int) -> np.ndarray:
+    """The matrix of ``random_density_matrix``, unvalidated."""
     d = dims.total
     if not 1 <= rank <= d:
         raise BadRank(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.Generator(np.random.PCG64(seed))
     G = complex_gaussians((d, rank), rng)
     rho = G @ G.conj().T
-    rho = hermitize(rho / np.trace(rho).real)
-    return DensityMatrix(dims, rho)
+    return hermitize(rho / np.trace(rho).real)

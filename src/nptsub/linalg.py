@@ -16,17 +16,23 @@ from .errors import NoConvergence, NotHermitian, ShapeMismatch
 HERMITICITY_RTOL = 1e-12
 
 
-def hermiticity_defect(A: np.ndarray) -> float:
-    """Largest entrywise deviation of A from its conjugate transpose."""
-    return float(np.abs(A - A.conj().T).max()) if A.size else 0.0
+def hermiticity_defect(A: np.ndarray):
+    """Largest entrywise deviation of A from its conjugate transpose; for a
+    stack (..., d, d), an array of one per matrix.  0 for an empty matrix."""
+    if not A.size:
+        return np.zeros(A.shape[:-2]) if A.ndim > 2 else 0.0
+    out = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return out if A.ndim > 2 else float(out)
 
 
-def is_hermitian(A: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    """Check max |A[i,j] - conj(A[j,i])| <= rtol * max(1, maxabs(A))."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+def is_hermitian(A: np.ndarray, rtol: float = HERMITICITY_RTOL):
+    """Check max |A[i,j] - conj(A[j,i])| <= rtol * max(1, maxabs(A)); for a
+    stack (..., d, d), an array of one check per matrix."""
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         return False
-    scale = max(1.0, float(np.abs(A).max())) if A.size else 1.0
-    return hermiticity_defect(A) <= rtol * scale
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1))) if A.size else 1.0
+    ok = hermiticity_defect(A) <= rtol * scale
+    return ok if A.ndim > 2 else bool(ok)
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:

@@ -23,12 +23,13 @@ from .bipartite import (
     BipartiteDims,
     DensityMatrix,
     Ensemble,
+    _mixture,
     complex_gaussians,
     freeze,
     partial_transpose,
 )
 from .errors import BadRank, NoWitness, NotInSubspace, ShapeMismatch
-from .linalg import eigh, hermitize
+from .linalg import eigh
 
 CONTAINS_RTOL = 1e-9
 ENTRY_NONZERO_TOL = 1e-10
@@ -186,9 +187,6 @@ def _as_ensemble(state, basis: SubspaceBasis) -> Ensemble:
         raise TypeError(f"expected Ensemble or DensityMatrix, got {type(state)!r}")
     if ens.dims != basis.dims:
         raise ShapeMismatch(f"dims mismatch: {ens.dims} vs {basis.dims}")
-    for idx, (_, v) in enumerate(ens):
-        if not contains(basis, v):
-            raise NotInSubspace(f"ensemble vector {idx} is not in the subspace")
     return ens
 
 
@@ -213,59 +211,112 @@ def locate_witness(state, basis: SubspaceBasis | None = None) -> WitnessCertific
     negative eigenvalue of rho^Gamma by eigenvalue interlacing.
 
     Ties are broken toward the smallest anti-diagonal, then the smallest
-    positions, so certificates are deterministic.
+    positions, so certificates are deterministic.  This is the stacked
+    search ``_witnesses`` on a stack of one; ``run_npt_suite`` runs it on
+    whole chunks of ensembles.  Raises NoWitness where the search finds no
+    pairing.
     """
     if isinstance(state, (Ensemble, DensityMatrix)) and basis is None:
         basis = build_subspace(state.dims)
     ens = _as_ensemble(state, basis)
-    m, n = basis.dims.m, basis.dims.n
-    probs = ens.probs
-    coeff = [v.reshape(m, n) for _, v in ens]
+    vectors, probs = ens.vectors[None], ens.probs[None]
+    rho_pt = partial_transpose(_mixture(vectors, probs), basis.dims)
+    found = _witnesses(vectors, probs, rho_pt, basis.dims)
+    if found.errors[0] is not None:
+        raise found.errors[0]
+    return found.certificate(0)
 
-    for t in range(m + n - 1):
-        # rows on anti-diagonal t, from largest row index to smallest
-        rows = list(range(min(m - 1, t), max(0, t - (n - 1)) - 1, -1))
-        diag = np.array([[C[j, t - j] for j in rows] for C in coeff])
-        mags = np.abs(diag).max(axis=0)
-        if not np.any(mags > ENTRY_NONZERO_TOL):
-            continue
-        j0 = int(np.argmax(mags > ENTRY_NONZERO_TOL))
-        a = diag[:, j0]
-        for j1 in range(j0 + 1, len(rows)):
-            mix = complex(np.sum(probs * np.conj(a) * diag[:, j1]))
-            if abs(mix) > ENTRY_NONZERO_TOL:
-                return _certificate(ens, basis.dims, t, rows[j0], rows[j1], mix)
-        raise NoWitness(
-            f"anti-diagonal {t} has a nonzero entry but every pairing "
-            f"washed out; |a| = {np.abs(a).max():.3e} (numerically "
-            "inconsistent with the anti-diagonal sum rule)"
+
+@cache
+def _search_order(dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices j*n + k in the witness search order (anti-diagonal
+    t = j + k ascending, row j descending within one), with the t and j of
+    each."""
+    j, k = np.divmod(np.arange(dims.total), dims.n)
+    order = np.lexsort((-j, j + k))
+    out = order, (j + k)[order], j[order]
+    for arr in out:
+        arr.flags.writeable = False  # shared by every caller
+    return out
+
+
+@dataclass(frozen=True)
+class _Witnesses:
+    """The witness search on a stack of k ensembles, one entry per ensemble.
+
+    ``errors[i]`` is the exception ``locate_witness`` raises for ensemble
+    i, or None; the other fields are meaningful only where it is None.
+    """
+
+    antidiag_index: np.ndarray
+    row_a: np.ndarray
+    row_b: np.ndarray
+    mixture_sum: np.ndarray
+    submatrix: np.ndarray  # (k, 2, 2) block of rho^Gamma at (alpha, beta)
+    determinant: np.ndarray
+    errors: list
+
+    def certificate(self, i: int) -> WitnessCertificate:
+        t, row_a, row_b = (int(x[i]) for x in (self.antidiag_index, self.row_a, self.row_b))
+        return WitnessCertificate(
+            alpha=(row_b, t - row_a),  # zero corner: above the first nonzero anti-diagonal
+            beta=(row_a, t - row_b),
+            antidiag_index=t,
+            submatrix=self.submatrix[i].copy(),
+            determinant=float(self.determinant[i]),
+            mixture_sum=complex(self.mixture_sum[i]),
         )
-    raise NoWitness("all ensemble vectors are numerically zero")
 
 
-def _certificate(
-    ens: Ensemble, dims: BipartiteDims, t: int, row_a: int, row_b: int, mix: complex
-) -> WitnessCertificate:
-    """Assemble the certificate and cross-check it against rho^Gamma."""
+def _witnesses(
+    vectors: np.ndarray, probs: np.ndarray, rho_pt: np.ndarray, dims: BipartiteDims
+) -> _Witnesses:
+    """Run the search of ``locate_witness`` on k ensembles at once.
+
+    ``vectors`` (k, mn, r) holds each ensemble's vectors as columns,
+    ``probs`` (k, r) its weights and ``rho_pt`` (k, mn, mn) the partial
+    transpose of its state.  Each vector is checked to lie in S.  The
+    mixture sums are np.sum(probs * conj(a) * b) over each ensemble, the
+    same arithmetic for an ensemble alone or in a stack.
+    """
+    k = len(vectors)
+    A, w = _antidiagonals(dims)
+    leak = np.linalg.norm((A * np.sqrt(w)[:, None]) @ vectors, axis=-2)
+    outside = ~(leak <= CONTAINS_RTOL * np.linalg.norm(vectors, axis=-2))
+    order, t_of, j_of = _search_order(dims)
+    C = vectors[:, order, :]
+    nonzero = np.abs(C).max(axis=-1) > ENTRY_NONZERO_TOL
+    first = nonzero.argmax(axis=1)
+    rows = np.arange(k)
+    t = t_of[first]
+    a = C[rows, first]
+    mix = np.sum((probs * np.conj(a))[:, None, :] * C, axis=-1)
+    later = (np.arange(dims.total) > first[:, None]) & (t_of == t[:, None])
+    paired = later & (np.abs(mix) > ENTRY_NONZERO_TOL)
+    second = paired.argmax(axis=1)
+    has_a, has_b = nonzero[rows, first], paired[rows, second]
+
+    errors = [None] * k
+    for i in np.flatnonzero(outside.any(axis=1) | ~has_a | ~has_b).tolist():
+        if outside[i].any():
+            idx = int(outside[i].argmax())
+            errors[i] = NotInSubspace(f"ensemble vector {idx} is not in the subspace")
+        elif not has_a[i]:
+            errors[i] = NoWitness("all ensemble vectors are numerically zero")
+        else:
+            errors[i] = NoWitness(
+                f"anti-diagonal {t[i]} has a nonzero entry but every pairing "
+                f"washed out; |a| = {np.abs(a[i]).max():.3e} (numerically "
+                "inconsistent with the anti-diagonal sum rule)"
+            )
+
+    second = np.where(has_b, second, first)  # keeps the corners below in range
+    row_a, row_b = j_of[first], j_of[second]
     n = dims.n
-    col_a, col_b = t - row_a, t - row_b
-    alpha = (row_b, col_a)  # zero corner: above the first nonzero anti-diagonal
-    beta = (row_a, col_b)
-    ai = alpha[0] * n + alpha[1]
-    bi = beta[0] * n + beta[1]
-    # the state of an already validated ensemble: no second DensityMatrix check
-    rho = hermitize((ens.vectors * ens.probs) @ ens.vectors.conj().T)
-    rho_pt = partial_transpose(rho, dims)
-    sub = rho_pt[np.ix_([ai, bi], [ai, bi])].copy()
-    det = float((sub[0, 0] * sub[1, 1]).real - abs(sub[0, 1]) ** 2)
-    return WitnessCertificate(
-        alpha=alpha,
-        beta=beta,
-        antidiag_index=t,
-        submatrix=sub,
-        determinant=det,
-        mixture_sum=mix,
-    )
+    corners = np.stack([row_b * n + t - row_a, row_a * n + t - row_b], axis=-1)
+    sub = rho_pt[rows[:, None, None], corners[:, :, None], corners[:, None, :]]
+    det = (sub[:, 0, 0] * sub[:, 1, 1]).real - np.abs(sub[:, 0, 1]) ** 2
+    return _Witnesses(t, row_a, row_b, mix[rows, second], sub, det, errors)
 
 
 def sample_mixture_in_subspace(

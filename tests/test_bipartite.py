@@ -81,6 +81,20 @@ class TestPartialTranspose:
     def test_shape_mismatch(self):
         with pytest.raises(errors.ShapeMismatch):
             partial_transpose(np.eye(5), D22)
+        with pytest.raises(errors.ShapeMismatch):
+            partial_transpose(np.ones(16), D22)
+        with pytest.raises(errors.ShapeMismatch):
+            partial_transpose(np.ones((3, 4, 5)), D22)
+
+    def test_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((2, 3, 12, 12)) + 1j * rng.standard_normal((2, 3, 12, 12))
+        B = partial_transpose(A, D34)
+        assert B.shape == A.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(B[idx], partial_transpose(A[idx], D34))
+        # a strided view (every other matrix of a stack) gives the same
+        assert np.array_equal(partial_transpose(A[:, ::2], D34), B[:, ::2])
 
     def test_swapped_side_same_spectrum(self):
         # transposing the other factor yields the transpose, so spectra agree
@@ -119,6 +133,19 @@ class TestNegativeCount:
     def test_empty_matrix(self):
         count, negs = count_negative_eigenvalues(np.zeros((0, 0)))
         assert count == 0 and negs.shape == (0,)
+
+    def test_stacked_counts(self):
+        # the count of each spectrum in a stack is the count of it alone
+        w = np.sort(np.random.default_rng(5).standard_normal((4, 3, 6)), axis=-1)
+        w[0, 0] = [-5e-11, 0, 0, 0, 0, 1.0]  # under the absolute floor
+        w[0, 1] = [-2e-9, 0, 0, 0, 0, 1.0]  # over it
+        w[0, 2] = [-2e-9, 0, 0, 0, 0, 3.0]  # under the relative threshold
+        counts = bipartite._negative_counts(w)
+        assert counts.shape == (4, 3)
+        for idx in np.ndindex(4, 3):
+            assert counts[idx] == bipartite._negatives(w[idx])[0]
+        assert counts[0].tolist() == [0, 1, 0]
+        assert bipartite._negative_counts(np.zeros((3, 0))).tolist() == [0, 0, 0]
 
 
 class TestIsPpt:
@@ -203,6 +230,35 @@ class TestValidation:
         mat = np.diag([1.5, -0.5, 0, 0]).astype(complex)
         with pytest.raises(ValueError):
             DensityMatrix(D22, mat)
+
+    def test_density_messages(self):
+        bad_herm = np.eye(4, dtype=complex) / 4
+        bad_herm[0, 1] = 0.1
+        cases = [
+            (bad_herm, "density matrix is not Hermitian within tolerance"),
+            (np.eye(4, dtype=complex), "trace 4.0 differs from 1 beyond tolerance"),
+            (np.diag([1.5, -0.5, 0, 0]).astype(complex),
+             "minimum eigenvalue -5.000e-01 below PSD floor"),
+        ]
+        for mat, message in cases:
+            with pytest.raises(ValueError) as err:
+                DensityMatrix(D22, mat)
+            assert str(err.value) == message
+            assert bipartite._state_error(mat) == message
+
+    def test_stacked_state_checks_report_first_failure(self):
+        # the message is the first failing matrix's, in C order, with each
+        # matrix checked for Hermiticity, then trace, then positivity
+        good = np.eye(4, dtype=complex) / 4
+        negative = np.diag([1.5, -0.5, 0, 0]).astype(complex)
+        heavy = np.eye(4, dtype=complex)
+        stack = np.stack([good, negative, heavy])
+        lowest = np.linalg.eigvalsh(stack)[:, 0]
+        assert bipartite._state_error(stack, lowest) == "minimum eigenvalue -5.000e-01 below PSD floor"
+        assert bipartite._state_error(stack[[0, 2, 1]], lowest[[0, 2, 1]]).startswith("trace 4.0")
+        assert bipartite._state_error(np.stack([good, good])) is None
+        assert bipartite._state_error(stack[None]).startswith("minimum eigenvalue")
+        assert bipartite._state_error(stack[[0, 2, 1]]).startswith("trace 4.0")
 
     def test_ensemble_checks(self):
         v = np.zeros((4, 1), dtype=complex)

@@ -1,14 +1,25 @@
 import hashlib
 import inspect
 import json
+import re
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from nptsub import BipartiteDims, build_subspace, cli, sdp, subspace_projector
-from nptsub.errors import NoConvergence
+from nptsub import (
+    BipartiteDims,
+    build_subspace,
+    cli,
+    count_negative_eigenvalues,
+    random_density_matrix,
+    sdp,
+    subspace,
+    subspace_projector,
+)
+from nptsub.errors import DegenerateSubspace, NoConvergence
 
 D22 = BipartiteDims(2, 2)
 D34 = BipartiteDims(3, 4)
@@ -447,6 +458,16 @@ class TestVerifyCommand:
         assert report["is_psd"] is True
         assert len(report["negative_eigenvalues"]) == 6
 
+    def test_json_report_unwritable(self, tmp_path, capsys):
+        # a report path in a missing directory is a usage error (exit 2),
+        # not a FAIL verdict (exit 1) by traceback
+        code = cli.main([
+            "verify", "--in", cli.paper_fixture_path(),
+            "--json-out", str(tmp_path / "missing" / "r.json"),
+        ])
+        assert code == 2
+        assert "error: cannot write output:" in capsys.readouterr().err
+
     def test_subspace_flag(self, capsys):
         code = cli.main([
             "verify", "--in", cli.paper_fixture_path(), "--subspace"
@@ -605,6 +626,27 @@ class TestConstructCommand:
         assert code == 3
         mat, dims, meta = cli.load_matrix(out)  # partial output still written
         assert meta["converged"] is False
+        with pytest.raises(NoConvergence) as err:
+            sdp.solve_construction_sdp(D34, subspace_projector(build_subspace(D34)), max_iter=3)
+        assert meta["iterations"] == err.value.partial.iterations
+        assert f"iterations = {err.value.partial.iterations}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method,solve", [
+        ("direct", sdp.solve_construction_sdp),
+        ("dual-cone", sdp.construct_via_dual_cone),
+    ])
+    def test_iterations_reported(self, tmp_path, capsys, method, solve):
+        # the file and the output carry the splitting iterations the solve ran
+        dims = BipartiteDims(3, 3)
+        out = tmp_path / "rho.json"
+        code = cli.main([
+            "construct", "--m", "3", "--n", "3", "--method", method, "--out", str(out),
+        ])
+        assert code == 0
+        iterations = solve(dims, subspace_projector(build_subspace(dims))).iterations
+        _, _, meta = cli.load_matrix(out)
+        assert meta["iterations"] == iterations
+        assert f"iterations = {iterations}\n" in capsys.readouterr().out
 
     def test_dual_cone_nonconvergence_without_state(self, tmp_path, capsys):
         # the PPT solve stops on its budget before any state exists: exit 3
@@ -752,6 +794,167 @@ class TestStressCommand:
 
     def test_usage_error(self):
         assert cli.main(["stress", "--suite", "bogus", "--m", "2", "--n", "2"]) == 2
+
+
+def reference_npt_suite(dims, trials, seed):
+    """The npt suite one trial at a time, the reference the chunked suite
+    must equal; patchable names are looked up through their modules."""
+    basis = build_subspace(dims)
+    failures = []
+    for i in range(trials):
+        rng = np.random.Generator(np.random.PCG64(seed + i))
+        ens = subspace.sample_mixture_in_subspace(basis, rank=min(3, basis.dim), rng=rng)
+        rho = ens.to_density_matrix()
+        w = np.linalg.eigvalsh(cli.partial_transpose(rho.mat, dims))
+        if not w[0] < -1e-12 * float(w[-1]):
+            failures.append((seed + i, f"not NPT: min PT eigenvalue {w[0]:.3e}"))
+            continue
+        try:
+            cert = subspace.locate_witness(ens, basis)
+        except Exception as exc:  # noqa: BLE001 - reported as the suite does
+            failures.append((seed + i, f"witness failed: {exc}"))
+            continue
+        if not cert.determinant < 0:
+            failures.append((seed + i, f"witness determinant {cert.determinant:.3e} >= 0"))
+            continue
+        mismatch = abs(cert.determinant + abs(cert.mixture_sum) ** 2)
+        if mismatch > 1e-10:
+            failures.append((seed + i, f"determinant identity off by {mismatch:.3e}"))
+    return cli.SuiteResult("npt", dims, trials, failures)
+
+
+def reference_bound_suite(dims, trials, seed):
+    """The bound suite one trial at a time (see ``reference_npt_suite``)."""
+    cap = dims.npt_dim
+    failures = []
+    for i in range(trials):
+        rho = random_density_matrix(dims, rank=dims.total, seed=seed + i)
+        count, _ = count_negative_eigenvalues(cli.partial_transpose(rho.mat, dims))
+        if count > cap:
+            failures.append((seed + i, f"{count} negatives exceeds cap {cap}"))
+    return cli.SuiteResult("bound", dims, trials, failures)
+
+
+def chunk_size(dims):
+    return len(next(cli._chunks(dims, 10**6, 0)))
+
+
+def pt_is_identity(monkeypatch):
+    # rho^Gamma := rho, which is PSD: no trial is NPT
+    monkeypatch.setattr(cli, "partial_transpose", lambda A, dims: A)
+
+
+def pt_is_negated(monkeypatch):
+    # rho^Gamma := -rho: a full-rank state has mn > (m-1)(n-1) negatives
+    monkeypatch.setattr(cli, "partial_transpose", lambda A, dims: -A)
+
+
+def no_entry_is_nonzero(monkeypatch):
+    # every coefficient counts as zero, so the witness search finds none
+    monkeypatch.setattr(subspace, "ENTRY_NONZERO_TOL", 10.0)
+
+
+def determinants_flipped(monkeypatch):
+    @dataclass(frozen=True)
+    class Flipped(subspace.WitnessCertificate):
+        def __post_init__(self):
+            object.__setattr__(self, "determinant", -self.determinant)
+
+    monkeypatch.setattr(subspace, "WitnessCertificate", Flipped)
+
+
+class TestSuites:
+    """The chunked suites against the per-trial reference loops above, and
+    every failure message they can report."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("m,n,trials", [(3, 4, 200), (5, 5, 100), (8, 8, 40)])
+    def test_equal_to_reference_at_benchmark_sizes(self, m, n, trials, seed):
+        dims = BipartiteDims(m, n)
+        assert cli.run_npt_suite(dims, trials, seed) == reference_npt_suite(dims, trials, seed)
+        assert cli.run_bound_suite(dims, trials, seed) == reference_bound_suite(dims, trials, seed)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 6), (3, 4), (5, 5), (8, 8)])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_equal_to_reference_across_chunk_boundary(self, m, n, extra):
+        dims = BipartiteDims(m, n)
+        trials = chunk_size(dims) + extra
+        if trials < 1:
+            pytest.skip("a chunk of one trial has no shorter run")
+        assert cli.run_npt_suite(dims, trials, 3) == reference_npt_suite(dims, trials, 3)
+        assert cli.run_bound_suite(dims, trials, 3) == reference_bound_suite(dims, trials, 3)
+
+    @pytest.mark.parametrize("patch,suite,reference", [
+        (pt_is_identity, cli.run_npt_suite, reference_npt_suite),
+        (pt_is_negated, cli.run_bound_suite, reference_bound_suite),
+        (no_entry_is_nonzero, cli.run_npt_suite, reference_npt_suite),
+        (determinants_flipped, cli.run_npt_suite, reference_npt_suite),
+    ])
+    def test_equal_to_reference_with_failures(self, monkeypatch, patch, suite, reference):
+        # the failure messages carry the spectra and determinants they report
+        patch(monkeypatch)
+        trials = chunk_size(D34) + 3
+        result = suite(D34, trials, 5)
+        assert result == reference(D34, trials, 5)
+        assert len(result.failures) == trials
+
+    def test_bound_cap_message(self, monkeypatch):
+        pt_is_negated(monkeypatch)
+        result = cli.run_bound_suite(D34, 4, 0)
+        assert [seed for seed, _ in result.failures] == [0, 1, 2, 3]
+        for _, msg in result.failures:
+            count = int(re.fullmatch(r"(\d+) negatives exceeds cap 6", msg).group(1))
+            assert 6 < count <= 12
+
+    def test_not_npt_message(self, monkeypatch):
+        pt_is_identity(monkeypatch)
+        result = cli.run_npt_suite(D34, 4, 0)
+        assert [seed for seed, _ in result.failures] == [0, 1, 2, 3]
+        for _, msg in result.failures:
+            assert re.fullmatch(r"not NPT: min PT eigenvalue -?\d\.\d{3}e[+-]\d+", msg)
+
+    def test_witness_failed_message(self, monkeypatch):
+        no_entry_is_nonzero(monkeypatch)
+        result = cli.run_npt_suite(D34, 3, 0)
+        assert result.failures == [
+            (s, "witness failed: all ensemble vectors are numerically zero") for s in range(3)
+        ]
+
+    def test_witness_determinant_message(self, monkeypatch):
+        determinants_flipped(monkeypatch)
+        result = cli.run_npt_suite(D34, 3, 0)
+        assert [seed for seed, _ in result.failures] == [0, 1, 2]
+        for _, msg in result.failures:
+            assert re.fullmatch(r"witness determinant \d\.\d{3}e-\d+ >= 0", msg)
+
+    def test_chunked_spectra_are_bit_identical(self):
+        # the drawn states and both spectra match trial-by-trial numpy calls
+        for dims in (D22, D34, BipartiteDims(5, 5), BipartiteDims(8, 8)):
+            seeds = range(chunk_size(dims) + 1)[-3:]
+            d = dims.total
+            S = np.empty((len(seeds), 2, d, d), dtype=complex)
+            for i, s in enumerate(seeds):
+                S[i, 0] = random_density_matrix(dims, d, s).mat
+            w_pt = cli._pt_spectra(S, dims)
+            for i, s in enumerate(seeds):
+                rho = random_density_matrix(dims, d, s).mat
+                assert np.array_equal(S[i, 0], rho)
+                assert np.array_equal(w_pt[i], np.linalg.eigvalsh(cli.partial_transpose(rho, dims)))
+
+    def test_invalid_state_raises(self, monkeypatch):
+        # a drawn matrix that is not a state stops the suite, as the
+        # DensityMatrix check of a single trial does
+        monkeypatch.setattr(cli, "_ginibre_state", lambda dims, rank, seed: np.eye(dims.total))
+        with pytest.raises(ValueError, match="trace 4.0 differs from 1"):
+            cli.run_bound_suite(D22, 3, 0)
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (3, 1), (1, 1)])
+    def test_npt_suite_rejects_trivial_subspace(self, m, n, capsys):
+        with pytest.raises(DegenerateSubspace):
+            cli.run_npt_suite(BipartiteDims(m, n), 2, 0)
+        code = cli.main(["stress", "--suite", "npt", "--m", str(m), "--n", str(n)])
+        assert code == 2
+        assert "npt suite needs m, n >= 2" in capsys.readouterr().err
 
 
 class TestBlackBox:

@@ -79,6 +79,25 @@ class TestEigh:
         assert linalg.eigvalsh(np.zeros((0, 0))).shape == (0,)
 
 
+class TestHermiticity:
+    def test_stack_checks_each_matrix(self):
+        rng = np.random.default_rng(6)
+        stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
+        stack[2, 0, 1] += 1e-6
+        assert linalg.is_hermitian(stack).tolist() == [True, True, False, True]
+        defects = linalg.hermiticity_defect(stack)
+        assert defects.shape == (4,)
+        for A, defect in zip(stack, defects):
+            assert linalg.hermiticity_defect(A) == defect
+            assert linalg.is_hermitian(A) is bool(defect == 0)
+
+    def test_non_square_and_empty(self):
+        assert linalg.is_hermitian(np.ones(3)) is False
+        assert linalg.is_hermitian(np.ones((2, 3, 4))) is False
+        assert linalg.is_hermitian(np.zeros((0, 0))) is True
+        assert linalg.hermiticity_defect(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+
+
 class TestProjectPsd:
     def test_psd_fixed_point(self):
         rng = np.random.default_rng(11)

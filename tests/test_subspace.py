@@ -18,6 +18,9 @@ from nptsub import (
     subspace_projector,
 )
 
+from nptsub.bipartite import _mixture
+from nptsub.subspace import _witnesses
+
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
 D34 = BipartiteDims(3, 4)
@@ -374,6 +377,31 @@ class TestWitness:
         v[0, 0] = 1.0
         with pytest.raises(errors.NotInSubspace):
             locate_witness(Ensemble(dims, np.array([1.0]), v), basis)
+
+    def test_stacked_search_matches_each_ensemble(self):
+        # one search over a stack gives each ensemble's own certificate or
+        # error: inside S, outside S, and numerically zero
+        basis = build_subspace(D34)
+        draws = [sample_mixture_in_subspace(basis, 3, np.random.Generator(np.random.PCG64(s)))
+                 for s in range(4)]
+        vectors = np.stack([ens.vectors for ens in draws])
+        probs = np.stack([ens.probs for ens in draws])
+        vectors[1, :, 2] = 0.0
+        vectors[1, 0, 2] = 1.0  # |00> is not in S
+        vectors[2] *= 1e-12  # every coefficient below the search tolerance
+        found = _witnesses(vectors, probs, partial_transpose(_mixture(vectors, probs), D34), D34)
+        assert str(found.errors[1]) == "ensemble vector 2 is not in the subspace"
+        assert isinstance(found.errors[1], errors.NotInSubspace)
+        assert str(found.errors[2]) == "all ensemble vectors are numerically zero"
+        assert isinstance(found.errors[2], errors.NoWitness)
+        for i in (0, 3):
+            assert found.errors[i] is None
+            alone = locate_witness(draws[i], basis)
+            cert = found.certificate(i)
+            assert (cert.alpha, cert.beta, cert.antidiag_index) == (alone.alpha, alone.beta, alone.antidiag_index)
+            assert cert.determinant == alone.determinant
+            assert cert.mixture_sum == alone.mixture_sum
+            assert np.array_equal(cert.submatrix, alone.submatrix)
 
     def test_deterministic(self):
         basis = build_subspace(D34)
