@@ -20,6 +20,10 @@ GENERATOR_NAME = "pcg64+box-muller"
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 
+#: The negativity rule: an eigenvalue is negative below -max(floor, rel * |lambda_max|).
+NEGATIVE_ABS_FLOOR = 1e-10
+NEGATIVE_REL = 1e-9
+
 
 def freeze(arr: np.ndarray) -> np.ndarray:
     """Read-only copy; value types hold these so instances stay immutable."""
@@ -57,13 +61,14 @@ class DensityMatrix:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        mat = np.asarray(self.mat)
         d = self.dims.total
-        if self.mat.shape != (d, d):
-            raise ShapeMismatch(f"expected {(d, d)} matrix, got {self.mat.shape}")
-        error = _state_error(self.mat)
+        if mat.shape != (d, d):
+            raise ShapeMismatch(f"expected {(d, d)} matrix, got {mat.shape}")
+        error = _state_error(mat)
         if error is not None:
             raise ValueError(error)
-        object.__setattr__(self, "mat", freeze(self.mat))
+        object.__setattr__(self, "mat", freeze(mat))
 
 
 def _state_error(mats: np.ndarray, lowest: np.ndarray | None = None) -> str | None:
@@ -106,6 +111,10 @@ class Ensemble:
     vectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        # held as read-only array copies, made before any check reads a shape
+        object.__setattr__(self, "probs", np.array(self.probs, dtype=float, copy=True))
+        self.probs.flags.writeable = False
+        object.__setattr__(self, "vectors", freeze(self.vectors))
         if self.vectors.ndim != 2 or self.vectors.shape[0] != self.dims.total:
             raise ShapeMismatch(
                 f"vectors must be {self.dims.total} x r, got {self.vectors.shape}"
@@ -120,9 +129,6 @@ class Ensemble:
         norms = np.linalg.norm(self.vectors, axis=0)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("ensemble vectors must be unit length")
-        object.__setattr__(self, "probs", np.array(self.probs, dtype=float, copy=True))
-        self.probs.flags.writeable = False
-        object.__setattr__(self, "vectors", freeze(self.vectors))
 
     def __iter__(self):
         for p, v in zip(self.probs, self.vectors.T):
@@ -156,30 +162,31 @@ def partial_transpose(A: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return A.reshape(*lead, m, n, m, n).swapaxes(-3, -1).copy().reshape(A.shape)
 
 
-def count_negative_eigenvalues(
-    A: np.ndarray, abs_floor: float = 1e-10, rel: float = 1e-9
-) -> tuple[int, np.ndarray]:
-    """Count eigenvalues below the negativity threshold.
-
-    The threshold tau = max(abs_floor, rel * |lambda_max|) guards against
-    calling round-off negative.  Returns (count, the offending eigenvalues
-    in ascending order).  The 0 x 0 matrix has none: (0, empty).
-    """
-    return _negatives(eigvalsh(A), abs_floor, rel)
+def _pt_spectra(A: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A^Gamma, eigvalsh(A), eigvalsh(A^Gamma)) of an exactly Hermitian A (mn, mn) or
+    stack (..., mn, mn), from one eigvalsh over the stack [A, A^Gamma]; each
+    spectrum is the one a lone eigvalsh call gives.  Unvalidated."""
+    S = np.stack([A, partial_transpose(A, dims)], axis=-3)
+    w = np.linalg.eigvalsh(S)
+    return S[..., 1, :, :], w[..., 0, :], w[..., 1, :]
 
 
-def _negatives(w: np.ndarray, abs_floor: float = 1e-10, rel: float = 1e-9) -> tuple[int, np.ndarray]:
-    """``count_negative_eigenvalues`` of a matrix with ascending eigenvalues ``w``."""
-    count = int(_negative_counts(w, abs_floor, rel))
+def count_negative_eigenvalues(A: np.ndarray) -> tuple[int, np.ndarray]:
+    """Count eigenvalues below -max(NEGATIVE_ABS_FLOOR, NEGATIVE_REL * |lambda_max|),
+    the package's one negativity rule, which keeps round-off from counting.
+    Returns (count, the offending eigenvalues in ascending order); the 0 x 0
+    matrix has none: (0, empty)."""
+    w = eigvalsh(A)
+    count = int(_negative_counts(w))
     return count, w[:count]
 
 
-def _negative_counts(w: np.ndarray, abs_floor: float = 1e-10, rel: float = 1e-9) -> np.ndarray:
-    """Number of eigenvalues below -max(abs_floor, rel * |lambda_max|) in
-    an ascending spectrum ``w`` (d,), or in each of a stack (..., d)."""
+def _negative_counts(w: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues negative by the rule of ``count_negative_eigenvalues``
+    in an ascending spectrum ``w`` (d,), or in each of a stack (..., d)."""
     if not w.shape[-1]:
         return np.zeros(w.shape[:-1], dtype=int)
-    tau = np.maximum(abs_floor, rel * np.abs(w[..., -1:]))
+    tau = np.maximum(NEGATIVE_ABS_FLOOR, NEGATIVE_REL * np.abs(w[..., -1:]))
     return (w < -tau).sum(axis=-1)
 
 

@@ -22,6 +22,7 @@ j*n + k), stated in every file's metadata.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -32,19 +33,19 @@ import numpy as np
 
 from . import __version__
 from .bipartite import (
+    DENSITY_EIG_FLOOR,
+    DENSITY_TRACE_TOL,
     GENERATOR_NAME,
     BipartiteDims,
     DensityMatrix,
     _ginibre_state,
     _mixture,
     _negative_counts,
-    _negatives,
+    _pt_spectra,
     _state_error,
-    count_negative_eigenvalues,
-    partial_transpose,
 )
 from .errors import DegenerateSubspace, NoConvergence, NotInSubspace
-from .linalg import eigvalsh, hermiticity_defect, hermitize, is_hermitian
+from .linalg import HERMITICITY_RTOL, eigvalsh, hermiticity_defect, hermitize, is_hermitian
 from .sdp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL_C,
@@ -53,7 +54,6 @@ from .sdp import (
     solve_construction_sdp,
 )
 from .subspace import (
-    CONTAINS_RTOL,
     _in_subspace,
     _witnesses,
     build_subspace,
@@ -267,9 +267,9 @@ def verify_matrix(
     mat: np.ndarray,
     dims: BipartiteDims,
     check_subspace: bool = False,
-    tol_herm: float = 1e-12,
-    tol_psd: float = 1e-10,
-    tol_trace: float = 1e-10,
+    tol_herm: float = HERMITICITY_RTOL,
+    tol_psd: float = -DENSITY_EIG_FLOOR,
+    tol_trace: float = DENSITY_TRACE_TOL,
 ) -> VerificationReport:
     """Aggregate state checks: Hermiticity, positivity, trace, PT negatives."""
     for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd), ("tol_trace", tol_trace)):
@@ -280,17 +280,16 @@ def verify_matrix(
     trace = float(np.trace(mat).real)
     if hermitian:
         # H and its partial transpose are exactly Hermitian: no re-hermitizing
-        H = hermitize(mat)
-        w, w_pt = np.linalg.eigvalsh(np.stack([H, partial_transpose(H, dims)]))
+        _, w, w_pt = _pt_spectra(hermitize(mat), dims)
         psd = float(w[0]) >= -tol_psd
-        count, negs = _negatives(w_pt)
-        negatives = [float(x) for x in negs]
+        count = int(_negative_counts(w_pt))
+        negatives = w_pt[:count].tolist()
     else:
         psd = False
         count, negatives = 0, []
     in_subspace = None
     if check_subspace and hermitian:
-        in_subspace = _in_subspace(dims, mat, CONTAINS_RTOL)
+        in_subspace = _in_subspace(dims, mat)
     return VerificationReport(
         is_hermitian=hermitian, is_psd=psd, trace=trace,
         negative_count=count, negative_eigenvalues=negatives,
@@ -329,22 +328,6 @@ def _chunks(dims: BipartiteDims, trials: int, seed: int):
         yield range(start, min(start + size, seed + trials))
 
 
-def _pt_spectra(S: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    """Ascending spectra of the partial transposes of a stack of states.
-
-    ``S`` (k, 2, mn, mn) holds the states in S[:, 0]; this fills S[:, 1]
-    with their partial transposes and runs one eigvalsh over both.  The
-    states' spectra serve the DensityMatrix checks, which raise ValueError
-    for the first matrix that is not a state.
-    """
-    S[:, 1] = partial_transpose(S[:, 0], dims)
-    w = np.linalg.eigvalsh(S)
-    error = _state_error(S[:, 0], w[:, 0, 0])
-    if error is not None:
-        raise ValueError(error)
-    return w[:, 1]
-
-
 def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     """Sample mixtures supported on the NPT subspace; all must be NPT and
     carry a valid witness certificate.
@@ -355,6 +338,7 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     of at most _SUITE_CHUNK_BYTES of stacked matrices: one eigvalsh gives
     the states' DensityMatrix checks and their partial-transpose spectra,
     and one stacked ``locate_witness`` search gives every certificate.
+    A trial is NPT by the negativity rule of ``is_ppt``.
     Raises DegenerateSubspace, before any trial, at m = 1 or n = 1.
     """
     if dims.npt_dim == 0:
@@ -367,13 +351,16 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
                  for s in seeds]
         vectors = np.stack([ens.vectors for ens in draws])
         probs = np.stack([ens.probs for ens in draws])
-        S = np.empty((len(seeds), 2, dims.total, dims.total), dtype=complex)
-        S[:, 0] = _mixture(vectors, probs)
-        w = _pt_spectra(S, dims)
-        found = _witnesses(vectors, probs, S[:, 1], dims)
+        rho = _mixture(vectors, probs)
+        rho_pt, w, w_pt = _pt_spectra(rho, dims)
+        error = _state_error(rho, w[:, 0])
+        if error is not None:
+            raise ValueError(error)
+        found = _witnesses(vectors, probs, rho_pt, dims)
+        npt = _negative_counts(w_pt) > 0
         for i, s in enumerate(seeds):
-            if not w[i, 0] < -1e-12 * float(w[i, -1]):
-                failures.append((s, f"not NPT: min PT eigenvalue {w[i, 0]:.3e}"))
+            if not npt[i]:
+                failures.append((s, f"not NPT: min PT eigenvalue {w_pt[i, 0]:.3e}"))
                 continue
             if found.errors[i] is not None:
                 failures.append((s, f"witness failed: {found.errors[i]}"))
@@ -397,10 +384,12 @@ def run_bound_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     cap = dims.npt_dim
     failures = []
     for seeds in _chunks(dims, trials, seed):
-        S = np.empty((len(seeds), 2, dims.total, dims.total), dtype=complex)
-        for i, s in enumerate(seeds):
-            S[i, 0] = _ginibre_state(dims, dims.total, s)
-        counts = _negative_counts(_pt_spectra(S, dims))
+        rho = np.stack([_ginibre_state(dims, dims.total, s) for s in seeds])
+        _, w, w_pt = _pt_spectra(rho, dims)
+        error = _state_error(rho, w[:, 0])
+        if error is not None:
+            raise ValueError(error)
+        counts = _negative_counts(w_pt)
         failures += [(s, f"{count} negatives exceeds cap {cap}")
                      for s, count in zip(seeds, counts.tolist()) if count > cap]
     return SuiteResult("bound", dims, trials, failures)
@@ -493,7 +482,8 @@ def _cmd_construct(args) -> int:
             diagnostics = {"split_margin": float(eigvalsh(dec.X1)[0])}
             meta.update({"c": dec.c, "converged": True, "iterations": dec.iterations, **diagnostics})
             summary = f"c = {dec.c:.6g}"
-    count, negs = count_negative_eigenvalues(partial_transpose(rho.mat, dims))
+    report = verify_matrix(rho.mat, dims)  # the count `verify` prints for the file
+    count, negs = report.negative_count, report.negative_eigenvalues
     meta["negative_count"] = count
     try:
         save_matrix(args.out, rho.mat, dims, meta)
@@ -527,18 +517,19 @@ def _cmd_verify(args) -> int:
         mat, dims, check_subspace=args.subspace,
         tol_herm=args.tol_herm, tol_psd=args.tol_psd, tol_trace=args.tol_trace,
     )
-    print(f"dims: {dims.m} x {dims.n} (total {dims.total})")
-    print(f"hermitian: {report.is_hermitian} (defect {hermiticity_defect(mat):.3g})")
-    print(f"psd: {report.is_psd}")
-    print(f"trace: {report.trace:.6g}")
-    print(f"partial transpose negatives: {report.negative_count} "
-          f"(cap (m-1)(n-1) = {dims.npt_dim})")
+    # with --json-out -, stdout carries only the JSON document
+    say = functools.partial(print, file=sys.stderr if args.json_out == "-" else sys.stdout)
+    say(f"dims: {dims.m} x {dims.n} (total {dims.total})")
+    say(f"hermitian: {report.is_hermitian} (defect {hermiticity_defect(mat):.3g})")
+    say(f"psd: {report.is_psd}")
+    say(f"trace: {report.trace:.6g}")
+    say(f"partial transpose negatives: {report.negative_count} "
+        f"(cap (m-1)(n-1) = {dims.npt_dim})")
     if report.negative_eigenvalues:
-        print("negative eigenvalues:",
-              " ".join(f"{x:.6g}" for x in report.negative_eigenvalues))
+        say("negative eigenvalues:", " ".join(f"{x:.6g}" for x in report.negative_eigenvalues))
     if report.range_in_subspace is not None:
-        print(f"range in NPT subspace: {report.range_in_subspace}")
-    print("thresholds:", " ".join(f"{k}={v:g}" for k, v in report.thresholds.items()))
+        say(f"range in NPT subspace: {report.range_in_subspace}")
+    say("thresholds:", " ".join(f"{k}={v:g}" for k, v in report.thresholds.items()))
     if args.json_out:
         text = _fmt(asdict(report)) + "\n"
         if args.json_out == "-":
@@ -550,7 +541,7 @@ def _cmd_verify(args) -> int:
             except OSError as exc:
                 print(f"error: cannot write output: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-    print("verdict:", "PASS" if report.passed else "FAIL")
+    say("verdict:", "PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -590,6 +581,9 @@ def _cmd_witness(args) -> int:
 def _cmd_stress(args) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     dims = BipartiteDims(args.m, args.n)
     if args.suite == "npt":
@@ -641,9 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", type=Path, required=True)
     p.add_argument("--subspace", action="store_true",
                    help="also check range containment in the NPT subspace")
-    p.add_argument("--tol-herm", type=float, default=1e-12)
-    p.add_argument("--tol-psd", type=float, default=1e-10)
-    p.add_argument("--tol-trace", type=float, default=1e-10)
+    p.add_argument("--tol-herm", type=float, default=HERMITICITY_RTOL)
+    p.add_argument("--tol-psd", type=float, default=-DENSITY_EIG_FLOOR)
+    p.add_argument("--tol-trace", type=float, default=DENSITY_TRACE_TOL)
     p.add_argument("--json-out", default=None,
                    help="write the machine-readable report here ('-' for stdout)")
     p.set_defaults(func=_cmd_verify)

@@ -33,6 +33,7 @@ from .linalg import eigh
 
 CONTAINS_RTOL = 1e-9
 ENTRY_NONZERO_TOL = 1e-10
+ENSEMBLE_EIG_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,10 @@ def _antidiagonals(dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray]:
     return A, w
 
 
-def _in_subspace(dims: BipartiteDims, M: np.ndarray, rtol: float) -> bool:
-    """Whether ||(I - P) M|| = ||diag(N)^(-1/2) A M|| <= rtol ||M||."""
+def _in_subspace(dims: BipartiteDims, M: np.ndarray) -> bool:
+    """Whether ||(I - P) M|| = ||diag(N)^(-1/2) A M|| <= CONTAINS_RTOL ||M||."""
     A, w = _antidiagonals(dims)
-    return float(np.linalg.norm((A * np.sqrt(w)[:, None]) @ M)) <= rtol * float(np.linalg.norm(M))
+    return bool(np.linalg.norm((A * np.sqrt(w)[:, None]) @ M) <= CONTAINS_RTOL * np.linalg.norm(M))
 
 
 def subspace_projector(basis: SubspaceBasis) -> Projector:
@@ -125,18 +126,16 @@ def subspace_projector(basis: SubspaceBasis) -> Projector:
     return Projector(basis.dims, np.eye(basis.dims.total, dtype=complex) - (A.T * w) @ A)
 
 
-def contains(basis: SubspaceBasis, v: np.ndarray, rtol: float = CONTAINS_RTOL) -> bool:
-    """Whether ||(I - P) v|| <= rtol * ||v||."""
+def contains(basis: SubspaceBasis, v: np.ndarray) -> bool:
+    """Whether ||(I - P) v|| <= CONTAINS_RTOL * ||v||."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (basis.dims.total,):
         raise ShapeMismatch(f"expected vector of length {basis.dims.total}")
-    return _in_subspace(basis.dims, v, rtol)
+    return _in_subspace(basis.dims, v)
 
 
-def range_in_subspace(
-    basis: SubspaceBasis, rho: DensityMatrix | np.ndarray, rtol: float = CONTAINS_RTOL
-) -> bool:
-    """Whether ||(I - P) M||_F <= rtol * ||M||_F for M = rho (a state or any
+def range_in_subspace(basis: SubspaceBasis, rho: DensityMatrix | np.ndarray) -> bool:
+    """Whether ||(I - P) M||_F <= CONTAINS_RTOL * ||M||_F for M = rho (a state or any
     mn x mn matrix): range(M) lies in S exactly when (I - P) M = 0.
 
     The sandwich (I - P) M (I - P) would not do for a matrix that is not
@@ -149,7 +148,7 @@ def range_in_subspace(
     d = basis.dims.total
     if np.shape(rho) != (d, d):
         raise ShapeMismatch(f"expected {(d, d)} matrix for dims {basis.dims}, got {np.shape(rho)}")
-    return _in_subspace(basis.dims, rho, rtol)
+    return _in_subspace(basis.dims, rho)
 
 
 def antidiag_sums(M: np.ndarray) -> np.ndarray:
@@ -165,15 +164,15 @@ def antidiag_sums(M: np.ndarray) -> np.ndarray:
     return _antidiagonals(BipartiteDims(*M.shape))[0] @ M.ravel()
 
 
-def ensemble_from_density(rho: DensityMatrix, rel_tol: float = 1e-10) -> Ensemble:
+def ensemble_from_density(rho: DensityMatrix) -> Ensemble:
     """Spectral ensemble of a state, discarding negligible eigenvalues.
 
-    Keeps eigenpairs with eigenvalue > rel_tol * lambda_max and renormalizes
-    the weights to sum to 1.
+    Keeps eigenpairs with eigenvalue > ENSEMBLE_EIG_RTOL * lambda_max and
+    renormalizes the weights to sum to 1.
     """
     spec = eigh(rho.mat)
     w, V = spec.eigenvalues, spec.eigenvectors
-    keep = w > rel_tol * float(w[-1])
+    keep = w > ENSEMBLE_EIG_RTOL * float(w[-1])
     probs = w[keep]
     return Ensemble(rho.dims, probs / probs.sum(), V[:, keep])
 

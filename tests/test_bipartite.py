@@ -143,7 +143,7 @@ class TestNegativeCount:
         counts = bipartite._negative_counts(w)
         assert counts.shape == (4, 3)
         for idx in np.ndindex(4, 3):
-            assert counts[idx] == bipartite._negatives(w[idx])[0]
+            assert counts[idx] == count_negative_eigenvalues(np.diag(w[idx]).astype(complex))[0]
         assert counts[0].tolist() == [0, 1, 0]
         assert bipartite._negative_counts(np.zeros((3, 0))).tolist() == [0, 0, 0]
 
@@ -259,6 +259,18 @@ class TestValidation:
         assert bipartite._state_error(np.stack([good, good])) is None
         assert bipartite._state_error(stack[None]).startswith("minimum eigenvalue")
         assert bipartite._state_error(stack[[0, 2, 1]]).startswith("trace 4.0")
+
+    def test_list_inputs_are_converted_before_shape_checks(self):
+        assert DensityMatrix(D22, [[0.25, 0, 0, 0], [0, 0.25, 0, 0],
+                                   [0, 0, 0.25, 0], [0, 0, 0, 0.25]]).mat.shape == (4, 4)
+        with pytest.raises(errors.ShapeMismatch, match=r"expected \(4, 4\) matrix, got \(2, 2\)"):
+            DensityMatrix(D22, [[0.5, 0], [0, 0.5]])
+        ens = Ensemble(D22, [1.0], [[1.0], [0.0], [0.0], [0.0]])
+        assert ens.vectors.shape == (4, 1) and ens.probs.shape == (1,)
+        with pytest.raises(errors.ShapeMismatch, match="vectors must be 4 x r"):
+            Ensemble(D22, [1.0], [1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(errors.ShapeMismatch, match="one probability per vector"):
+            Ensemble(D22, [0.5, 0.5], [[1.0], [0.0], [0.0], [0.0]])
 
     def test_ensemble_checks(self):
         v = np.zeros((4, 1), dtype=complex)

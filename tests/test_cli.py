@@ -11,6 +11,7 @@ import pytest
 
 from nptsub import (
     BipartiteDims,
+    bipartite,
     build_subspace,
     cli,
     count_negative_eigenvalues,
@@ -458,6 +459,17 @@ class TestVerifyCommand:
         assert report["is_psd"] is True
         assert len(report["negative_eigenvalues"]) == 6
 
+    @pytest.mark.parametrize("flags", [[], ["--subspace"]])
+    def test_json_report_on_stdout_is_the_whole_stdout(self, capsys, flags):
+        # with --json-out -, the human report moves to stderr
+        code = cli.main(["verify", "--in", cli.paper_fixture_path(), "--json-out", "-", *flags])
+        captured = capsys.readouterr()
+        assert code == 0
+        report = json.loads(captured.out)
+        assert report["negative_count"] == 6
+        assert "partial transpose negatives: 6" in captured.err
+        assert "verdict: PASS" in captured.err
+
     def test_json_report_unwritable(self, tmp_path, capsys):
         # a report path in a missing directory is a usage error (exit 2),
         # not a FAIL verdict (exit 1) by traceback
@@ -786,6 +798,13 @@ class TestStressCommand:
         assert code == 0
         assert "25/25 passed" in out
 
+    def test_negative_seed(self, capsys):
+        code = cli.main(["stress", "--suite", "bound", "--m", "2", "--n", "2", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: --seed must be >= 0\n"
+        assert captured.out == ""
+
     def test_bad_trials(self):
         assert cli.main([
             "stress", "--suite", "bound", "--m", "2", "--n", "2",
@@ -805,9 +824,9 @@ def reference_npt_suite(dims, trials, seed):
         rng = np.random.Generator(np.random.PCG64(seed + i))
         ens = subspace.sample_mixture_in_subspace(basis, rank=min(3, basis.dim), rng=rng)
         rho = ens.to_density_matrix()
-        w = np.linalg.eigvalsh(cli.partial_transpose(rho.mat, dims))
-        if not w[0] < -1e-12 * float(w[-1]):
-            failures.append((seed + i, f"not NPT: min PT eigenvalue {w[0]:.3e}"))
+        pt = bipartite.partial_transpose(rho.mat, dims)
+        if count_negative_eigenvalues(pt)[0] == 0:
+            failures.append((seed + i, f"not NPT: min PT eigenvalue {np.linalg.eigvalsh(pt)[0]:.3e}"))
             continue
         try:
             cert = subspace.locate_witness(ens, basis)
@@ -829,7 +848,7 @@ def reference_bound_suite(dims, trials, seed):
     failures = []
     for i in range(trials):
         rho = random_density_matrix(dims, rank=dims.total, seed=seed + i)
-        count, _ = count_negative_eigenvalues(cli.partial_transpose(rho.mat, dims))
+        count, _ = count_negative_eigenvalues(bipartite.partial_transpose(rho.mat, dims))
         if count > cap:
             failures.append((seed + i, f"{count} negatives exceeds cap {cap}"))
     return cli.SuiteResult("bound", dims, trials, failures)
@@ -841,12 +860,12 @@ def chunk_size(dims):
 
 def pt_is_identity(monkeypatch):
     # rho^Gamma := rho, which is PSD: no trial is NPT
-    monkeypatch.setattr(cli, "partial_transpose", lambda A, dims: A)
+    monkeypatch.setattr(bipartite, "partial_transpose", lambda A, dims: A)
 
 
 def pt_is_negated(monkeypatch):
     # rho^Gamma := -rho: a full-rank state has mn > (m-1)(n-1) negatives
-    monkeypatch.setattr(cli, "partial_transpose", lambda A, dims: -A)
+    monkeypatch.setattr(bipartite, "partial_transpose", lambda A, dims: -A)
 
 
 def no_entry_is_nonzero(monkeypatch):
@@ -928,18 +947,29 @@ class TestSuites:
             assert re.fullmatch(r"witness determinant \d\.\d{3}e-\d+ >= 0", msg)
 
     def test_chunked_spectra_are_bit_identical(self):
-        # the drawn states and both spectra match trial-by-trial numpy calls
+        # the partial transposes and both spectra of a chunk match
+        # trial-by-trial numpy calls
         for dims in (D22, D34, BipartiteDims(5, 5), BipartiteDims(8, 8)):
             seeds = range(chunk_size(dims) + 1)[-3:]
-            d = dims.total
-            S = np.empty((len(seeds), 2, d, d), dtype=complex)
-            for i, s in enumerate(seeds):
-                S[i, 0] = random_density_matrix(dims, d, s).mat
-            w_pt = cli._pt_spectra(S, dims)
-            for i, s in enumerate(seeds):
-                rho = random_density_matrix(dims, d, s).mat
-                assert np.array_equal(S[i, 0], rho)
-                assert np.array_equal(w_pt[i], np.linalg.eigvalsh(cli.partial_transpose(rho, dims)))
+            rho = np.stack([random_density_matrix(dims, dims.total, s).mat for s in seeds])
+            rho_pt, w, w_pt = bipartite._pt_spectra(rho, dims)
+            for i in range(len(seeds)):
+                pt = bipartite.partial_transpose(rho[i], dims)
+                assert np.array_equal(rho_pt[i], pt)
+                assert np.array_equal(w[i], np.linalg.eigvalsh(rho[i]))
+                assert np.array_equal(w_pt[i], np.linalg.eigvalsh(pt))
+
+    def test_round_off_negativity_is_not_npt(self, monkeypatch):
+        # lambda_min(rho^Gamma) = -5e-11 with lambda_max = 0.5 lies above
+        # -max(1e-10, 1e-9 * 0.5): the suite calls the trial PPT, as is_ppt does
+        d = D34.total
+        fake = np.diag([-5e-11, 0.5, 0.5] + [0.0] * (d - 3)).astype(complex)
+        monkeypatch.setattr(bipartite, "partial_transpose",
+                            lambda A, dims: np.broadcast_to(fake, np.shape(A)).copy())
+        rho = random_density_matrix(D34, rank=d, seed=0)
+        assert bipartite.is_ppt(rho)
+        result = cli.run_npt_suite(D34, 2, 0)
+        assert result.failures == [(s, "not NPT: min PT eigenvalue -5.000e-11") for s in (0, 1)]
 
     def test_invalid_state_raises(self, monkeypatch):
         # a drawn matrix that is not a state stops the suite, as the
