@@ -7,6 +7,7 @@ transpose always acts on the second factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,14 +122,9 @@ class Ensemble:
             )
         if self.probs.shape != (self.vectors.shape[1],):
             raise ShapeMismatch("one probability per vector required")
-        # written so that a NaN, for which every comparison is False, fails
-        if not np.all(self.probs > 0.0):
-            raise ValueError("ensemble probabilities must be strictly positive")
-        if not abs(float(self.probs.sum()) - 1.0) <= 1e-12:
-            raise ValueError("ensemble probabilities must sum to 1")
-        norms = np.linalg.norm(self.vectors, axis=0)
-        if not np.all(np.abs(norms - 1.0) <= 1e-12):
-            raise ValueError("ensemble vectors must be unit length")
+        error = _ensemble_error(self.vectors, self.probs)
+        if error is not None:
+            raise ValueError(error)
 
     def __iter__(self):
         for p, v in zip(self.probs, self.vectors.T):
@@ -136,6 +132,23 @@ class Ensemble:
 
     def to_density_matrix(self) -> DensityMatrix:
         return DensityMatrix(self.dims, _mixture(self.vectors, self.probs))
+
+
+def _ensemble_error(vectors: np.ndarray, probs: np.ndarray) -> str | None:
+    """The checks of Ensemble on its vectors (d, r) and weights (r,), or on
+    each ensemble of a stack (..., d, r) and (..., r): why they fail, or None.
+
+    The weights must be strictly positive and sum to 1, the vectors unit
+    length, each within 1e-12; written so that a NaN, for which every
+    comparison is False, fails.
+    """
+    if not np.all(probs > 0.0):
+        return "ensemble probabilities must be strictly positive"
+    if not np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12):
+        return "ensemble probabilities must sum to 1"
+    if not np.all(np.abs(np.linalg.norm(vectors, axis=-2) - 1.0) <= 1e-12):
+        return "ensemble vectors must be unit length"
+    return None
 
 
 def _mixture(vectors: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -216,34 +229,68 @@ def unrealign(M: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return M.T.reshape(dims.total).copy()
 
 
-def complex_gaussians(shape, rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Gaussians (E|z|^2 = 1) via Box-Muller.
+def _generators(seeds) -> list[np.random.Generator]:
+    """The generator of each seed: PCG64, as GENERATOR_NAME records.
 
-    Uses only uniform 64-bit draws from ``rng`` so the stream is fully
-    determined by the generator algorithm (see GENERATOR_NAME).
+    Raises ValueError for a negative seed, before any draw.
     """
-    count = int(np.prod(shape)) if shape else 1
-    u1 = 1.0 - rng.random(count)  # in (0, 1]
-    u2 = rng.random(count)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = r * np.exp(2j * np.pi * u2) / np.sqrt(2.0)
-    return z.reshape(shape)
+    low = min(seeds)
+    if low < 0:
+        raise ValueError(f"seed must be >= 0, got {low}")
+    return [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+
+
+def _uniform_rows(rngs, count: int) -> np.ndarray:
+    """One ``rng.random(count)`` draw from each generator, as the rows of a
+    (len(rngs), count) array.  A generator yields its doubles in sequence,
+    so one draw of a + b holds the draws of a and then b."""
+    out = np.empty((len(rngs), count))
+    for row, rng in zip(out, rngs):
+        rng.random(out=row)
+    return out
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussians (E|z|^2 = 1) from uniforms in [0, 1) by
+    the Box-Muller transform: over the last axis of ``u`` (..., 2c), the
+    first c values set the radii and the next c the phases of the c
+    Gaussians (..., c).  Elementwise, so a value does not depend on the
+    stack around it."""
+    c = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., :c]))  # 1 - u in (0, 1]
+    return r * np.exp(2j * np.pi * u[..., c:]) / np.sqrt(2.0)
+
+
+def complex_gaussians(shape, rng: np.random.Generator) -> np.ndarray:
+    """Standard complex Gaussians (E|z|^2 = 1) of the given shape, via Box-Muller.
+
+    One ``rng.random`` call of two uniforms per value, so the stream is
+    fully determined by the generator algorithm (see GENERATOR_NAME).  An
+    int shape is a length: ``()`` gives one value (a 0-d array), while 0
+    or (0,) gives an empty array and draws nothing.
+    """
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    return _box_muller(rng.random(2 * math.prod(shape))).reshape(shape)
 
 
 def random_density_matrix(dims: BipartiteDims, rank: int, seed: int) -> DensityMatrix:
     """Sample rho = G G^dagger / Tr(G G^dagger), G an mn x rank Ginibre matrix.
 
-    Deterministic: identical seed gives bit-identical output.
+    Deterministic: identical seed gives bit-identical output.  Raises
+    BadRank unless 1 <= rank <= mn and ValueError for a negative seed.
     """
-    return DensityMatrix(dims, _ginibre_state(dims, rank, seed))
+    return DensityMatrix(dims, _ginibre_states(dims, rank, [seed])[0])
 
 
-def _ginibre_state(dims: BipartiteDims, rank: int, seed: int) -> np.ndarray:
-    """The matrix of ``random_density_matrix``, unvalidated."""
+def _ginibre_states(dims: BipartiteDims, rank: int, seeds) -> np.ndarray:
+    """The matrices of ``random_density_matrix(dims, rank, s)`` for each s
+    in ``seeds``, stacked (len(seeds), mn, mn) and unvalidated: one uniform
+    draw per seed, then one Box-Muller transform and one stacked G G^dagger
+    for all of them.  Each matrix is bit-identical to the one drawn alone."""
     d = dims.total
     if not 1 <= rank <= d:
         raise BadRank(f"rank must be in [1, {d}], got {rank}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    G = complex_gaussians((d, rank), rng)
-    rho = G @ G.conj().T
-    return hermitize(rho / np.trace(rho).real)
+    u = _uniform_rows(_generators(seeds), 2 * d * rank)
+    G = _box_muller(u).reshape(-1, d, rank)
+    rho = G @ G.conj().swapaxes(-1, -2)
+    return hermitize(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None])

@@ -38,7 +38,8 @@ from .bipartite import (
     GENERATOR_NAME,
     BipartiteDims,
     DensityMatrix,
-    _ginibre_state,
+    _generators,
+    _ginibre_states,
     _mixture,
     _negative_counts,
     _pt_spectra,
@@ -55,10 +56,10 @@ from .sdp import (
 )
 from .subspace import (
     _in_subspace,
+    _sample_mixtures,
     _witnesses,
     build_subspace,
     locate_witness,
-    sample_mixture_in_subspace,
     subspace_projector,
 )
 
@@ -332,25 +333,28 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     """Sample mixtures supported on the NPT subspace; all must be NPT and
     carry a valid witness certificate.
 
-    Trial i draws its mixture from generator seed ``seed + i`` (as
-    ``sample_mixture_in_subspace`` with rank min(3, dim S)), so results do
-    not depend on execution order.  The drawn trials are checked in chunks
-    of at most _SUITE_CHUNK_BYTES of stacked matrices: one eigvalsh gives
-    the states' DensityMatrix checks and their partial-transpose spectra,
-    and one stacked ``locate_witness`` search gives every certificate.
-    A trial is NPT by the negativity rule of ``is_ppt``.
-    Raises DegenerateSubspace, before any trial, at m = 1 or n = 1.
+    Trial i draws the mixture ``sample_mixture_in_subspace`` draws with
+    rank min(3, dim S) from generator seed ``seed + i``, bit for bit, so
+    results do not depend on execution order.  The trials run in chunks of
+    at most _SUITE_CHUNK_BYTES of stacked matrices, each drawn as one
+    stack (``_sample_mixtures``: one uniform draw per trial, then one
+    Box-Muller transform and one basis map for the chunk, with the checks
+    of Ensemble on every mixture).  One eigvalsh gives the states'
+    DensityMatrix checks and their partial-transpose spectra, and one
+    stacked ``locate_witness`` search gives every certificate.  A trial is
+    NPT by the negativity rule of ``is_ppt``.
+    Raises ValueError for trials < 1 or seed < 0 and DegenerateSubspace
+    at m = 1 or n = 1, before any trial.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if dims.npt_dim == 0:
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
     basis = build_subspace(dims)
     rank = min(3, basis.dim)
     failures = []
     for seeds in _chunks(dims, trials, seed):
-        draws = [sample_mixture_in_subspace(basis, rank, np.random.Generator(np.random.PCG64(s)))
-                 for s in seeds]
-        vectors = np.stack([ens.vectors for ens in draws])
-        probs = np.stack([ens.probs for ens in draws])
+        vectors, probs = _sample_mixtures(basis, rank, _generators(seeds))
         rho = _mixture(vectors, probs)
         rho_pt, w, w_pt = _pt_spectra(rho, dims)
         error = _state_error(rho, w[:, 0])
@@ -378,13 +382,18 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
 def run_bound_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     """Unrestricted random states never exceed (m-1)(n-1) PT negatives.
 
-    Trial i is ``random_density_matrix(dims, mn, seed + i)``; the trials
-    are counted in chunks, one eigvalsh each, as in ``run_npt_suite``.
+    Trial i is ``random_density_matrix(dims, mn, seed + i)``, bit for bit.
+    The trials run in chunks as in ``run_npt_suite``: each chunk's states
+    are drawn as one stack (``_ginibre_states``), checked as DensityMatrix
+    checks them and counted with one eigvalsh.  Raises ValueError for
+    trials < 1 or seed < 0, before any trial.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     cap = dims.npt_dim
     failures = []
     for seeds in _chunks(dims, trials, seed):
-        rho = np.stack([_ginibre_state(dims, dims.total, s) for s in seeds])
+        rho = _ginibre_states(dims, dims.total, seeds)
         _, w, w_pt = _pt_spectra(rho, dims)
         error = _state_error(rho, w[:, 0])
         if error is not None:
@@ -551,10 +560,10 @@ def _cmd_witness(args) -> int:
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.m is not None or args.n is not None:
-        if (args.m, args.n) != (dims.m, dims.n):
-            print(f"error: flags (--m {args.m} --n {args.n}) disagree with "
-                  f"file dims ({dims.m}, {dims.n})", file=sys.stderr)
+    for flag, given, actual in (("--m", args.m, dims.m), ("--n", args.n, dims.n)):
+        if given is not None and given != actual:
+            print(f"error: flag {flag} {given} disagrees with file dims "
+                  f"({dims.m}, {dims.n})", file=sys.stderr)
             return EXIT_USAGE
     basis = build_subspace(dims)
     try:

@@ -23,8 +23,10 @@ from .bipartite import (
     BipartiteDims,
     DensityMatrix,
     Ensemble,
+    _box_muller,
+    _ensemble_error,
     _mixture,
-    complex_gaussians,
+    _uniform_rows,
     freeze,
     partial_transpose,
 )
@@ -34,6 +36,8 @@ from .linalg import eigh
 CONTAINS_RTOL = 1e-9
 ENTRY_NONZERO_TOL = 1e-10
 ENSEMBLE_EIG_RTOL = 1e-10
+#: A sampled column of norm at or below this is drawn again.
+SAMPLE_NORM_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -325,22 +329,61 @@ def sample_mixture_in_subspace(
 
     The rank is capped at the subspace dimension.  Coefficients are
     standard complex Gaussians over the orthonormal basis; weights are a
-    flat Dirichlet draw.  Deterministic given the generator.  Raises
-    BadRank for a rank below 1.
+    flat Dirichlet draw.  Deterministic given the generator: the stacked
+    sampler ``_sample_mixtures`` on a stack of one.  Raises BadRank for a
+    rank below 1.
     """
     if rank < 1:
         raise BadRank(f"rank must be at least 1, got {rank}")
-    k = basis.dim
-    if k == 0:
+    if basis.dim == 0:
         raise NotInSubspace("subspace is zero-dimensional; nothing to sample")
-    r = min(rank, k)
-    Q = basis.orthonormal
-    cols = []
-    while len(cols) < r:
-        v = Q @ complex_gaussians(k, rng)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            cols.append(v / norm)
-    weights = -np.log(1.0 - rng.random(r))
-    weights /= weights.sum()
-    return Ensemble(basis.dims, weights, np.array(cols).T)
+    vectors, probs = _sample_mixtures(basis, min(rank, basis.dim), [rng])
+    return Ensemble(basis.dims, probs[0], vectors[0])
+
+
+def _sample_mixtures(
+    basis: SubspaceBasis, r: int, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors (k, mn, r) and weights (k, r) of k mixtures of r unit
+    vectors in S, 1 <= r <= dim S, one from each of k generators.
+
+    Each generator makes one draw: r columns of 2 dim S uniforms, then r
+    for the weights; Box-Muller, the basis map and the normalization run
+    over the whole stack.  A column of norm <= SAMPLE_NORM_FLOOR is
+    discarded and drawn again from the uniforms that follow it, as a
+    column-by-column sampler would.  Raises ValueError where a mixture
+    fails the checks of Ensemble.
+    """
+    width = 2 * basis.dim
+    u = _uniform_rows(rngs, width * r + r)
+    vectors, probs, norms = _mixture_draws(basis.orthonormal, u, r)
+    for i in np.flatnonzero((norms <= SAMPLE_NORM_FLOOR).any(axis=1)).tolist():
+        row = u[i]
+        while (bad := np.flatnonzero(norms[i] <= SAMPLE_NORM_FLOOR)).size:
+            # drop the first short column's uniforms; the stream reads on
+            c = int(bad[0])
+            row = np.concatenate([row[:width * c], row[width * (c + 1):], rngs[i].random(width)])
+            v, p, nrm = _mixture_draws(basis.orthonormal, row[None], r)
+            vectors[i], probs[i], norms[i] = v[0], p[0], nrm[0]
+    error = _ensemble_error(vectors, probs)
+    if error is not None:
+        raise ValueError(error)
+    return vectors, probs
+
+
+def _mixture_draws(Q: np.ndarray, u: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit columns (k, mn, r), Dirichlet weights (k, r) and the norms (k, r)
+    the columns had before scaling, from rows of uniforms (k, 2 dim(S) r + r).
+
+    The arithmetic of a single draw, item by item: Q @ z as one matrix-vector
+    product per column, each squared norm as the dot products of its real
+    and imaginary parts, so a stacked draw is bit-identical to a lone one.
+    """
+    k, width = len(u), 2 * Q.shape[1]
+    z = _box_muller(u[:, :width * r].reshape(k, r, width))
+    v = (Q @ z[..., None])[..., 0]  # (k, r, mn)
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    weights = -np.log(1.0 - u[:, width * r:])
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return (v / norms[..., None]).swapaxes(-1, -2), weights, norms

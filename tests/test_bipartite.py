@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -213,12 +215,93 @@ class TestRandomDensityMatrix:
             assert count <= 6
 
 
+    def test_negative_seed_rejected_before_any_draw(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            random_density_matrix(D34, rank=4, seed=-1)
+
+
+def sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+#: sha256 of random_density_matrix(dims, rank, seed).mat, recorded before the
+#: draws were stacked: the "pcg64+box-muller" stream that files and `stress`
+#: name.  The values are those of x86-64 with numpy 2.4 and OpenBLAS 0.3; a
+#: different libm or BLAS may round the last bit differently.
+GINIBRE_DIGESTS = {
+    ((2, 2), 1, 0): "3690f8907f6d61efbf1ab25c49cd42648aa6024a8a3ff1a8c0ee5bc979383f00",
+    ((2, 2), 4, 0): "6fe90bddafa1a1c4953f9b67b0db1fd61904226d0abbcb2b49d93fb0652aa29e",
+    ((2, 2), 1, 1): "75829d9219929cfc2f9963be8f56495decb64cfb51400f659e4a5a937efd58fa",
+    ((2, 2), 4, 1): "0bafe40b9239f051758d68e4bb4b4925af90ab2ae7d1185bf8cddf06482391cf",
+    ((2, 2), 1, 7): "ee3e23e170a74c7cb6410c25801339ddbb58d0532f70ca0c89f48389b193602e",
+    ((2, 2), 4, 7): "e3350ee5cb091aa310d4d823181d6604f6b203d93bf2c59e6fedc5eb6ebfaa0e",
+    ((3, 4), 1, 0): "5c07fbfd03f58b40aa97aa5891239d7c5112492cdc07fbf4881e941a0936fa43",
+    ((3, 4), 12, 0): "7a6a04a0d7281beb53d9106791f79087622f78c2807802a9182428ad4f2dcc8b",
+    ((3, 4), 1, 1): "48a721bddd512f045980c293c04266ae69465d183ae177dd47999b734f3b4eb9",
+    ((3, 4), 12, 1): "676561691eb85e93eb1d5ead18cc519f2b5185250ef25cdf450e3e35b007a2d3",
+    ((3, 4), 1, 7): "7c17df8fb6574e28f362e4217f8cec28675d45a78e0e3f0544509a7641ec58e5",
+    ((3, 4), 12, 7): "e8da60b808d664f30a0334c8b098da1f11939b2703e61e13334cc03e9daa57b1",
+    ((8, 8), 1, 0): "a610c438c1abd8d70895bcb46d0d9a0dff63d8c2935ef0cfaecd12dc44b38165",
+    ((8, 8), 64, 0): "f95cfc81feda93555685e62508a78bd635af8855e2c7a431039dd45cca11b8a7",
+    ((8, 8), 1, 1): "7d885d68b7db9ec9b6b2bd0ced5768f5fe763d532cc4f43076ff4c4b1bc3e3d1",
+    ((8, 8), 64, 1): "38c1fee4a0809c78a15596ea1bb5b1a095820a2bd1a09d2f3b43c9c737c5e939",
+    ((8, 8), 1, 7): "474d0dc7daa6ea5777a099435ff260e72b9ce7921cf1f6b4abafb6e35364a465",
+    ((8, 8), 64, 7): "dd2afd3d9e170a1c23804b1619182013f1051f2353b9ed100a68183cdd7c74ce",
+}
+
+
+class TestStream:
+    @pytest.mark.parametrize("key", sorted(GINIBRE_DIGESTS))
+    def test_ginibre_digest(self, key):
+        (m, n), rank, seed = key
+        rho = random_density_matrix(BipartiteDims(m, n), rank=rank, seed=seed)
+        assert sha256(rho.mat) == GINIBRE_DIGESTS[key]
+
+    @pytest.mark.parametrize("rank", [1, 5, 12])
+    def test_stacked_ginibre_is_each_lone_draw(self, rank):
+        seeds = range(40, 47)
+        rho = bipartite._ginibre_states(D34, rank, seeds)
+        for s, mat in zip(seeds, rho):
+            assert np.array_equal(mat, random_density_matrix(D34, rank=rank, seed=s).mat)
+
+    def test_ginibre_is_one_draw_of_gaussians(self):
+        # G comes from complex_gaussians((mn, rank), rng), reading the
+        # generator from its start
+        rng = np.random.Generator(np.random.PCG64(3))
+        G = bipartite.complex_gaussians((12, 2), rng)
+        rho = G @ G.conj().T
+        rho = rho / np.trace(rho).real
+        expected = (rho + rho.conj().T) / 2
+        assert np.array_equal(random_density_matrix(D34, rank=2, seed=3).mat, expected)
+
+
 class TestGaussians:
     def test_moments(self):
         rng = np.random.Generator(np.random.PCG64(5))
         z = bipartite.complex_gaussians(20000, rng)
         assert abs(z.mean()) < 0.02
         assert abs((np.abs(z) ** 2).mean() - 1.0) < 0.02
+
+    def test_box_muller_recipe(self):
+        # radii from the first half of the uniforms, phases from the second
+        rng = np.random.Generator(np.random.PCG64(8))
+        z = bipartite.complex_gaussians((2, 3), rng)
+        u = np.random.Generator(np.random.PCG64(8)).random(12)
+        r = np.sqrt(-2.0 * np.log(1.0 - u[:6]))
+        assert np.array_equal(z, (r * np.exp(2j * np.pi * u[6:]) / np.sqrt(2.0)).reshape(2, 3))
+
+    @pytest.mark.parametrize("shape,out_shape,draws", [
+        ((), (), 2), (0, (0,), 0), ((0,), (0,), 0), ((3, 0), (3, 0), 0),
+        (4, (4,), 8), ((2, 3), (2, 3), 12),
+    ])
+    def test_shapes_and_draws(self, shape, out_shape, draws):
+        rng = np.random.Generator(np.random.PCG64(2))
+        z = bipartite.complex_gaussians(shape, rng)
+        assert z.shape == out_shape and z.dtype == complex
+        # the generator has moved on by exactly two uniforms per value
+        ref = np.random.Generator(np.random.PCG64(2))
+        ref.random(draws)
+        assert rng.random() == ref.random()
 
 
 class TestValidation:

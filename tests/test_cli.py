@@ -773,6 +773,25 @@ class TestWitnessCommand:
         path = write_state(tmp_path / "singlet.json", singlet_matrix(), D22)
         assert cli.main(["witness", "--in", str(path), "--m", "3", "--n", "4"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--m", "3"], ["--n", "4"], ["--m", "3", "--n", "4"]])
+    def test_agreeing_flags_reach_the_search(self, capsys, flags):
+        # only the flags given are compared; the fixture is not in S
+        code = cli.main(["witness", "--in", cli.paper_fixture_path(), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("not in subspace: ")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--m", "3", "--n", "5"], "flag --n 5 disagrees with file dims (3, 4)"),
+        (["--n", "5"], "flag --n 5 disagrees with file dims (3, 4)"),
+        (["--m", "2"], "flag --m 2 disagrees with file dims (3, 4)"),
+        (["--m", "4", "--n", "3"], "flag --m 4 disagrees with file dims (3, 4)"),
+    ])
+    def test_disagreeing_flag_is_named(self, capsys, flags, message):
+        code = cli.main(["witness", "--in", cli.paper_fixture_path(), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_parse_failure(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -974,9 +993,34 @@ class TestSuites:
     def test_invalid_state_raises(self, monkeypatch):
         # a drawn matrix that is not a state stops the suite, as the
         # DensityMatrix check of a single trial does
-        monkeypatch.setattr(cli, "_ginibre_state", lambda dims, rank, seed: np.eye(dims.total))
+        monkeypatch.setattr(cli, "_ginibre_states",
+                            lambda dims, rank, seeds: np.stack([np.eye(dims.total)] * len(seeds)))
         with pytest.raises(ValueError, match="trace 4.0 differs from 1"):
             cli.run_bound_suite(D22, 3, 0)
+
+    def test_invalid_mixture_raises(self, monkeypatch):
+        # a drawn mixture that Ensemble would reject stops the suite
+        draws = subspace._mixture_draws
+
+        def doubled_weights(Q, u, r):
+            vectors, probs, norms = draws(Q, u, r)
+            return vectors, 2 * probs, norms
+
+        monkeypatch.setattr(subspace, "_mixture_draws", doubled_weights)
+        with pytest.raises(ValueError, match="^ensemble probabilities must sum to 1$"):
+            cli.run_npt_suite(D34, 3, 0)
+
+    @pytest.mark.parametrize("suite", [cli.run_npt_suite, cli.run_bound_suite])
+    @pytest.mark.parametrize("trials,seed,message", [
+        (-3, 1, "trials must be >= 1, got -3"),
+        (0, 1, "trials must be >= 1, got 0"),
+        (5, -1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_bad_trials_and_seed(self, monkeypatch, suite, trials, seed, message):
+        # raised before any generator is made
+        monkeypatch.setattr(np.random, "PCG64", None)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            suite(D34, trials, seed)
 
     @pytest.mark.parametrize("m,n", [(1, 3), (3, 1), (1, 1)])
     def test_npt_suite_rejects_trivial_subspace(self, m, n, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,12 @@ from nptsub import (
     range_in_subspace,
     realign,
     sample_mixture_in_subspace,
+    subspace,
     subspace_projector,
 )
 
-from nptsub.bipartite import _mixture
-from nptsub.subspace import _witnesses
+from nptsub.bipartite import _ensemble_error, _mixture, complex_gaussians
+from nptsub.subspace import _sample_mixtures, _witnesses
 
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
@@ -452,3 +455,113 @@ class TestSampling:
         assert np.allclose(
             ens.to_density_matrix().mat, np.outer(g, g.conj()), atol=1e-12
         )
+
+
+def sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+#: sha256 of the vectors and the probs of sample_mixture_in_subspace(basis,
+#: 3, Generator(PCG64(seed))), recorded before the draws were stacked: the
+#: stream the npt suite draws.  The values are those of x86-64 with numpy 2.4
+#: and OpenBLAS 0.3; a different libm or BLAS may round the last bit
+#: differently.
+MIXTURE_DIGESTS = {
+    ((2, 2), 0): ("d6ff7287ddef4197483daac3535d157fbe3cf9eb32a5e25a03d175336ca7312a",
+                  "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    ((2, 2), 1): ("998890eba3a97c6f76792c0326858dbd83677f6756fb18b9d37f080bd8cd7c48",
+                  "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    ((2, 2), 7): ("e805cb710a20ba5f0081e6a3987c17251cd3f172bf9edc2a650eb73c798f2a8e",
+                  "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    ((3, 4), 0): ("a219c9f4e9874933c42219848833415247702647af3f6017f54f953fa92ba691",
+                  "aceb251714c4f699f1fe2098f9338312b4cc993038ce8e4131308e06dc5fe10d"),
+    ((3, 4), 1): ("0a7e976d3a89329e02a4c9ca3f73251250a730b6a90269b548882d1ade5b90f5",
+                  "eabe47b9765785745a9c5e90593ff4a52e5c42e2218539a818ce29a171535b8e"),
+    ((3, 4), 7): ("13ec18686343106d2f055a454ce71779e7f415778c877c7b08cd81249eb869e4",
+                  "4a01c5322a029c33aab0e56df9dd0dd48fc8cde292d11d2cfe565c29802509d3"),
+    ((8, 8), 0): ("ec3c3333ec4ba46c3c246d975c5c21974a957e94adf176a77cb055bb61556388",
+                  "0972cb62681cdda2a8d781292f42b7d3069986009ff89826c87751999781c240"),
+    ((8, 8), 1): ("b77750359a9ce019fb9c0b802dfe4bcf8002f2844901d043ea68c928b4ef4c2c",
+                  "4fd468217402bc7737ce9fb5f17690d000b94c83ae4fa79623e8f5adc1f90ac2"),
+    ((8, 8), 7): ("4b954443f6e489f5d18dcfa83e38c2fb9b4431c896531efb5858645162f32b20",
+                  "06c77a68ae8fd55105934a2f0a25d0589ca7f6cdcb082a4a5bb6643606b90eec"),
+}
+
+
+def column_by_column(basis, r, rng, floor):
+    """The mixture sampler one column at a time: a column of norm <= floor
+    is discarded and the next is drawn; the weights come after the columns.
+    Returns the vectors, the weights and the number of discarded columns."""
+    Q, cols, discarded = basis.orthonormal, [], 0
+    while len(cols) < r:
+        v = Q @ complex_gaussians(basis.dim, rng)
+        norm = np.linalg.norm(v)
+        if norm > floor:
+            cols.append(v / norm)
+        else:
+            discarded += 1
+    weights = -np.log(1.0 - rng.random(r))
+    weights /= weights.sum()
+    return np.array(cols).T, weights, discarded
+
+
+def generators(seeds):
+    return [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+
+
+class TestStackedSampling:
+    @pytest.mark.parametrize("key", sorted(MIXTURE_DIGESTS))
+    def test_mixture_digest(self, key):
+        (m, n), seed = key
+        ens = sample_mixture_in_subspace(build_subspace(BipartiteDims(m, n)), 3,
+                                         np.random.Generator(np.random.PCG64(seed)))
+        assert (sha256(ens.vectors), sha256(ens.probs)) == MIXTURE_DIGESTS[key]
+
+    @pytest.mark.parametrize("dims", [D22, D34, BipartiteDims(8, 8)])
+    def test_stack_is_each_column_by_column_draw(self, dims):
+        basis = build_subspace(dims)
+        r = min(3, basis.dim)
+        seeds = range(20, 29)
+        vectors, probs = _sample_mixtures(basis, r, generators(seeds))
+        for i, rng in enumerate(generators(seeds)):
+            ref_v, ref_p, _ = column_by_column(basis, r, rng, subspace.SAMPLE_NORM_FLOOR)
+            assert np.array_equal(vectors[i], ref_v)
+            assert np.array_equal(probs[i], ref_p)
+
+    @pytest.mark.parametrize("dims", [D34, BipartiteDims(5, 5)])
+    def test_forced_redraws_match_column_by_column(self, monkeypatch, dims):
+        # a floor near the median column norm discards about half the
+        # columns, several in a row in some trials; each discarded column is
+        # drawn again from the uniforms after it, alone or in a stack, and
+        # the generator is left where the column-by-column sampler leaves it
+        basis = build_subspace(dims)
+        floor = np.sqrt(basis.dim)
+        monkeypatch.setattr(subspace, "SAMPLE_NORM_FLOOR", floor)
+        seeds = range(30)
+        rngs = generators(seeds)
+        vectors, probs = _sample_mixtures(basis, 3, rngs)
+        discarded = []
+        for i, (rng, ref_rng) in enumerate(zip(rngs, generators(seeds))):
+            ref_v, ref_p, count = column_by_column(basis, 3, ref_rng, floor)
+            discarded.append(count)
+            assert np.array_equal(vectors[i], ref_v)
+            assert np.array_equal(probs[i], ref_p)
+            assert rng.random() == ref_rng.random()
+            alone = sample_mixture_in_subspace(basis, 3, generators([seeds[i]])[0])
+            assert np.array_equal(alone.vectors, ref_v)
+            assert np.array_equal(alone.probs, ref_p)
+        assert 0 in discarded and max(discarded) >= 2
+
+    def test_stacked_checks_name_the_failure(self):
+        basis = build_subspace(D34)
+        vectors, probs = _sample_mixtures(basis, 3, generators(range(4)))
+        assert _ensemble_error(vectors, probs) is None
+        bad = probs.copy()
+        bad[2, 0] = np.nan
+        assert _ensemble_error(vectors, bad) == "ensemble probabilities must be strictly positive"
+        bad = probs.copy()
+        bad[3] *= 1.0 + 1e-9
+        assert _ensemble_error(vectors, bad) == "ensemble probabilities must sum to 1"
+        bad = vectors.copy()
+        bad[1, :, 2] *= 1.0 + 1e-9
+        assert _ensemble_error(bad, probs) == "ensemble vectors must be unit length"
