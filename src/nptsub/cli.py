@@ -10,13 +10,18 @@ explicit [re, im] entry pairs; floats are printed with 17 significant
 digits so that parse(serialize(M)) reproduces M bit-exactly.  Both
 directions work on whole arrays: one formatting pass serves the payload
 and the checksum, and a load converts the entry texts with one numpy
-call.  A load accepts only a "matrix" kind (or none), integer m, n, an
-object as metadata and (mn) x (mn) entries of exactly two finite JSON
-numbers whose checksum (when stored) matches, either over the entry
-texts as read (in a file written here they are the canonical texts) or
-over the entries formatted again (other spellings, integers).  The
-product basis |j>|k> is ordered with the first factor major (index
-j*n + k), stated in every file's metadata.
+call.  The formatting pass formats each distinct magnitude once, and a
+negative value's text is "-" followed by its magnitude's text, so the
+bytes are those of per-value "%.17g".  A save raises ShapeMismatch for a
+matrix that is not (mn) x (mn) (vectors: not mn rows) before it formats
+anything, so an existing file stays as it was.  A load accepts only a
+"matrix" kind (or none), integer m, n, an object as metadata and
+(mn) x (mn) entries of exactly two finite JSON numbers whose checksum
+(when stored) matches, either over the entry texts as read (in a file
+written here they are the canonical texts) or over the entries formatted
+again (other spellings, integers).  The product basis |j>|k> is ordered
+with the first factor major (index j*n + k), stated in every file's
+metadata.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .bipartite import (
     _pt_spectra,
     _state_error,
 )
-from .errors import DegenerateSubspace, NoConvergence, NotInSubspace
+from .errors import DegenerateSubspace, NoConvergence, NotInSubspace, ShapeMismatch
 from .linalg import HERMITICITY_RTOL, eigvalsh, hermiticity_defect, hermitize, is_hermitian
 from .sdp import (
     DEFAULT_MAX_ITER,
@@ -85,19 +90,28 @@ def _float_texts(values) -> list[str]:
     "%.17g" prints an integral value below 1e17 in magnitude without a
     point; those get ".0" so json reads them back as floats (an int would
     lose the sign of -0.0).
+
+    Each distinct magnitude is formatted once, and a value whose sign bit
+    is set reads "-" followed by its magnitude's text.  For every finite
+    double v (-0.0 included) "%.17g" of -v is "-" and "%.17g" of v, and the
+    ".0" rule depends on |v| alone, so the texts are those of per-value
+    formatting.  The package's matrices repeat most magnitudes (Hermitian
+    mirror entries, zero rows, the projector's few distinct values).
     """
     x = np.ascontiguousarray(values, dtype=complex).view(float).ravel()
     if not np.isfinite(x).all():
         bad = x[~np.isfinite(x)][0]
         raise MatrixFileError(f"non-finite value {float(bad)!r} cannot be serialized")
-    texts = ("%.17g " * x.size % tuple(x.tolist())).split()
-    for i in np.flatnonzero((x == np.trunc(x)) & (np.abs(x) < 1e17)).tolist():
+    mags, inverse = np.unique(np.abs(x), return_inverse=True)
+    texts = ("%.17g " * mags.size % tuple(mags.tolist())).split()
+    for i in np.flatnonzero((mags == np.trunc(mags)) & (mags < 1e17)).tolist():
         texts[i] += ".0"
-    return texts
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    return table[inverse + mags.size * np.signbit(x)].tolist()
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -110,6 +124,9 @@ def _fmt(x) -> str:
     if isinstance(x, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in x) + "]"
     if isinstance(x, dict):
+        for k in x:
+            if not isinstance(k, str):
+                raise MatrixFileError(f"metadata key {k!r} is not a string")
         items = sorted(x.items())
         return "{" + ", ".join(f"{json.dumps(k)}: {_fmt(v)}" for k, v in items) + "}"
     raise MatrixFileError(f"cannot serialize {type(x)!r}")
@@ -131,8 +148,11 @@ def _pairs_payload(texts: list[str], rows: int, cols: int) -> str:
 
 
 def matrix_checksum(mat: np.ndarray) -> str:
-    """SHA-256 over the canonical 17-digit entry encoding."""
+    """SHA-256 over the canonical 17-digit entry encoding.  Raises
+    ShapeMismatch unless ``mat`` is 2-D."""
     mat = np.asarray(mat)
+    if mat.ndim != 2:
+        raise ShapeMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
     return _checksum(_float_texts(mat), *mat.shape)
 
 
@@ -153,15 +173,25 @@ def _document(kind: str, dims: BipartiteDims, payload_key: str, payload: str, me
 
 
 def serialize_matrix(mat: np.ndarray, dims: BipartiteDims, metadata: dict | None = None) -> str:
+    """The matrix document of ``mat``; raises ShapeMismatch unless it is
+    (mn) x (mn), the only shape ``load_matrix`` accepts for ``dims``."""
     mat = np.asarray(mat)
+    d = dims.total
+    if mat.shape != (d, d):
+        raise ShapeMismatch(f"expected {(d, d)} matrix for dims {dims}, got shape {mat.shape}")
     texts = _float_texts(mat)
     meta = {**(metadata or {}), "checksum_sha256": _checksum(texts, *mat.shape)}
     return _document("matrix", dims, "matrix", _pairs_payload(texts, *mat.shape), meta)
 
 
 def serialize_vectors(vectors: np.ndarray, dims: BipartiteDims, metadata: dict | None = None) -> str:
-    """One [re, im]-encoded vector per column of ``vectors``."""
-    cols = np.asarray(vectors).T
+    """One [re, im]-encoded vector per column of ``vectors``, which must be
+    2-D with mn rows (ShapeMismatch otherwise)."""
+    vectors = np.asarray(vectors)
+    if vectors.ndim != 2 or vectors.shape[0] != dims.total:
+        raise ShapeMismatch(f"expected a 2-D ({dims.total}, k) array for dims {dims}, "
+                            f"got shape {vectors.shape}")
+    cols = vectors.T
     payload = _pairs_payload(_float_texts(cols), *cols.shape)
     return _document("vectors", dims, "vectors", payload, metadata or {})
 

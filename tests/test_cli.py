@@ -20,7 +20,7 @@ from nptsub import (
     subspace,
     subspace_projector,
 )
-from nptsub.errors import DegenerateSubspace, NoConvergence
+from nptsub.errors import DegenerateSubspace, NoConvergence, ShapeMismatch
 
 D22 = BipartiteDims(2, 2)
 D34 = BipartiteDims(3, 4)
@@ -98,6 +98,45 @@ class TestSerialization:
         assert np.array_equal(loaded, other)
         assert new_meta["checksum_sha256"] == cli.matrix_checksum(other) != meta["checksum_sha256"]
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (16,), (1, 4, 4)])
+    def test_save_rejects_a_matrix_of_another_shape(self, tmp_path, shape):
+        # load_matrix accepts only (mn) x (mn) entries, so nothing is written
+        path = tmp_path / "state.json"
+        path.write_text("old")
+        with pytest.raises(ShapeMismatch, match=r"expected \(4, 4\) matrix"):
+            cli.save_matrix(path, np.ones(shape) / 4, D22)
+        assert path.read_text() == "old"
+        with pytest.raises(ShapeMismatch):
+            cli.save_matrix(tmp_path / "new.json", np.ones(shape) / 4, D22)
+        assert not (tmp_path / "new.json").exists()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 4), (4,), (4, 2, 1)])
+    def test_serialize_vectors_needs_mn_rows(self, shape):
+        with pytest.raises(ShapeMismatch, match=r"2-D \(4, k\)"):
+            cli.serialize_vectors(np.ones(shape), D22)
+        doc = json.loads(cli.serialize_vectors(np.ones((4, 2)), D22))
+        assert len(doc["vectors"]) == 2 and len(doc["vectors"][0]) == 4
+
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 2, 2)])
+    def test_checksum_needs_a_2d_matrix(self, shape):
+        with pytest.raises(ShapeMismatch, match="2-D matrix"):
+            cli.matrix_checksum(np.ones(shape))
+
+    def test_numpy_bool_metadata(self, tmp_path):
+        path = tmp_path / "m.json"
+        meta = {"flag": np.bool_(True), "off": np.bool_(False), "flags": [np.bool_(True)]}
+        cli.save_matrix(path, np.eye(4, dtype=complex) / 4, D22, meta)
+        _, _, loaded = cli.load_matrix(path)
+        assert loaded["flag"] is True and loaded["off"] is False and loaded["flags"] == [True]
+
+    @pytest.mark.parametrize("meta", [{1: "x"}, {"nested": {(0, 1): 0.5}}])
+    def test_non_str_metadata_key(self, tmp_path, meta):
+        path = tmp_path / "m.json"
+        path.write_text("old")
+        with pytest.raises(cli.MatrixFileError, match="metadata key .* is not a string"):
+            cli.save_matrix(path, np.eye(4, dtype=complex) / 4, D22, meta)
+        assert path.read_text() == "old"
+
     def test_bundled_fixture_matches_repo_copy(self):
         import pathlib
 
@@ -151,6 +190,26 @@ def reference_values() -> np.ndarray:
     return values[np.isfinite(values)]
 
 
+def mixture_8x8() -> np.ndarray:
+    """A seeded rank-3 state on S at 8 x 8, as the benchmark round-trips."""
+    from nptsub import sample_mixture_in_subspace
+
+    rng = np.random.Generator(np.random.PCG64([1, 0]))
+    ens = sample_mixture_in_subspace(build_subspace(BipartiteDims(8, 8)), rank=3, rng=rng)
+    return ens.to_density_matrix().mat
+
+
+def repeated_values() -> np.ndarray:
+    """Magnitudes that recur with both signs in shuffled order (signed
+    zeros, integral values near 1e16 and 1e17, subnormals), then the parts
+    of an 8 x 8 state, whose mirror entries share magnitudes."""
+    rng = np.random.default_rng(5)
+    mags = np.array([0.0, 1e16 - 2, 1e16, 1e16 + 2, 1e17 - 16, 1e17, 1e17 + 16, 123.0,
+                     5e-324, 1e-310, 2.225073858507201e-308, 0.1, 1 / 3])
+    signed = rng.choice(mags, 600) * rng.choice([-1.0, 1.0], 600)
+    return np.concatenate([signed, mixture_8x8().view(float).ravel()])
+
+
 class TestFileBytes:
     """Documents and checksums stay byte-identical to the per-float writer."""
 
@@ -172,11 +231,26 @@ class TestFileBytes:
         assert meta["checksum_sha256"] == GOLDEN_CHECKSUM
 
     def test_texts_match_per_float_reference(self):
-        values = reference_values()
+        values = np.concatenate([reference_values(), repeated_values()])
+        assert np.signbit(values[values == 0]).any() and not np.signbit(values[values == 0]).all()
         assert cli._float_texts(values.astype(complex))[0::2] == [
             reference_float_text(v) for v in values
         ]
         assert cli._float_texts(values)[1::2] == ["0.0"] * values.size
+        # re and im parts of one Hermitian state, mirror entries side by side
+        state = mixture_8x8()
+        assert cli._float_texts(state) == [reference_float_text(v) for v in state.view(float).ravel()]
+
+    @pytest.mark.parametrize("name,digest", [
+        ("projector", "7403235ec6eeda9e10cdd3068382c3f4856c90657bb876c6a2df49a1752d672a"),
+        ("mixture", "d06633fb40a94a109557fd0e1da6112ea685fff84538aef0666d3770585128a8"),
+    ])
+    def test_8x8_document_bytes(self, name, digest):
+        # digests of the documents the per-value formatter wrote
+        dims = BipartiteDims(8, 8)
+        mat = subspace_projector(build_subspace(dims)).P if name == "projector" else mixture_8x8()
+        text = cli.serialize_matrix(mat, dims, {"tool_version": "0.1.0"})
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_generators_3x4_bytes(self):
         from nptsub import build_subspace
