@@ -3,7 +3,11 @@
 Subcommands: ``subspace``, ``construct``, ``verify``, ``witness``,
 ``stress``.  Exit codes: 0 success/pass, 1 verification or property
 failure (a ``construct`` state whose negative count is not (m-1)(n-1)
-included), 2 usage or parse error, 3 solver non-convergence.
+included), 2 usage or parse error, 3 solver non-convergence.  Every
+command judges a state by the one rule of DensityMatrix, with its fixed
+thresholds: ``verify`` passes a matrix exactly when ``witness`` accepts
+it as a state.  A ``construct`` file records ``converged`` true only when
+the solve converged and its state has (m-1)(n-1) negatives.
 
 Matrices travel as JSON documents with embedded local dimensions and
 explicit [re, im] entry pairs; floats are printed with 17 significant
@@ -294,25 +298,21 @@ class VerificationReport:
         )
 
 
-def verify_matrix(
-    mat: np.ndarray,
-    dims: BipartiteDims,
-    check_subspace: bool = False,
-    tol_herm: float = HERMITICITY_RTOL,
-    tol_psd: float = -DENSITY_EIG_FLOOR,
-    tol_trace: float = DENSITY_TRACE_TOL,
-) -> VerificationReport:
-    """Aggregate state checks: Hermiticity, positivity, trace, PT negatives."""
-    for name, tol in (("tol_herm", tol_herm), ("tol_psd", tol_psd), ("tol_trace", tol_trace)):
-        if not (np.isfinite(tol) and tol >= 0):
-            raise ValueError(f"{name} must be a finite non-negative number, got {tol!r}")
-    thresholds = {"hermiticity": tol_herm, "psd": tol_psd, "trace": tol_trace}
-    hermitian = is_hermitian(mat, rtol=tol_herm)
+def verify_matrix(mat: np.ndarray, dims: BipartiteDims, check_subspace: bool = False) -> VerificationReport:
+    """Aggregate state checks: Hermiticity, positivity, trace, PT negatives.
+
+    The thresholds are those of DensityMatrix (HERMITICITY_RTOL,
+    DENSITY_EIG_FLOOR, DENSITY_TRACE_TOL), so a matrix passes exactly
+    when it constructs a DensityMatrix.
+    """
+    thresholds = {"hermiticity": HERMITICITY_RTOL, "psd": -DENSITY_EIG_FLOOR,
+                  "trace": DENSITY_TRACE_TOL}
+    hermitian = is_hermitian(mat)
     trace = float(np.trace(mat).real)
     if hermitian:
         # H and its partial transpose are exactly Hermitian: no re-hermitizing
         _, w, w_pt = _pt_spectra(hermitize(mat), dims)
-        psd = float(w[0]) >= -tol_psd
+        psd = float(w[0]) >= DENSITY_EIG_FLOOR
         count = int(_negative_counts(w_pt))
         negatives = w_pt[:count].tolist()
     else:
@@ -524,6 +524,8 @@ def _cmd_construct(args) -> int:
     report = verify_matrix(rho.mat, dims)  # the count `verify` prints for the file
     count, negs = report.negative_count, report.negative_eigenvalues
     meta["negative_count"] = count
+    # converged: the solve converged and its state has the paper's count
+    meta["converged"] = meta["converged"] and count == dims.npt_dim
     try:
         save_matrix(args.out, rho.mat, dims, meta)
     except OSError as exc:
@@ -552,10 +554,7 @@ def _cmd_verify(args) -> int:
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = verify_matrix(
-        mat, dims, check_subspace=args.subspace,
-        tol_herm=args.tol_herm, tol_psd=args.tol_psd, tol_trace=args.tol_trace,
-    )
+    report = verify_matrix(mat, dims, check_subspace=args.subspace)
     # with --json-out -, stdout carries only the JSON document
     say = functools.partial(print, file=sys.stderr if args.json_out == "-" else sys.stdout)
     say(f"dims: {dims.m} x {dims.n} (total {dims.total})")
@@ -674,9 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", type=Path, required=True)
     p.add_argument("--subspace", action="store_true",
                    help="also check range containment in the NPT subspace")
-    p.add_argument("--tol-herm", type=float, default=HERMITICITY_RTOL)
-    p.add_argument("--tol-psd", type=float, default=-DENSITY_EIG_FLOOR)
-    p.add_argument("--tol-trace", type=float, default=DENSITY_TRACE_TOL)
     p.add_argument("--json-out", default=None,
                    help="write the machine-readable report here ('-' for stdout)")
     p.set_defaults(func=_cmd_verify)

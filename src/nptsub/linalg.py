@@ -1,8 +1,9 @@
 """Dense complex Hermitian linear algebra used by every other module.
 
 All matrices are plain ``numpy.ndarray`` objects of dtype complex128,
-row-major.  Tolerances are relative to max(1, ||A||_F) with an absolute
-floor of 1e-12, since everything in this package is O(1) scaled.
+row-major.  The one tolerance here, HERMITICITY_RTOL = 1e-12, bounds the
+largest entry of A - A^dagger relative to max(1, max |A[i,j]|), so it is
+absolute for the package's O(1)-scaled matrices.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ def hermiticity_defect(A: np.ndarray):
     return out if A.ndim > 2 else float(out)
 
 
-def is_hermitian(A: np.ndarray, rtol: float = HERMITICITY_RTOL):
-    """Check max |A[i,j] - conj(A[j,i])| <= rtol * max(1, maxabs(A)); for a
-    stack (..., d, d), an array of one check per matrix."""
+def is_hermitian(A: np.ndarray):
+    """Check max |A[i,j] - conj(A[j,i])| <= HERMITICITY_RTOL * max(1, max |A[i,j]|);
+    for a stack (..., d, d), an array of one check per matrix."""
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         return False
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1))) if A.size else 1.0
-    ok = hermiticity_defect(A) <= rtol * scale
+    ok = hermiticity_defect(A) <= HERMITICITY_RTOL * scale
     return ok if A.ndim > 2 else bool(ok)
 
 

@@ -614,32 +614,16 @@ def _max_shift(pic: _Picture, m: np.ndarray, p: np.ndarray) -> float:
     The candidate is d = 1 / lambda_max(M^(-1/2) P M^(-1/2)), the congruence
     taken on the padded block stack (P has positive trace, so the top
     eigenvalue is positive).  It is returned when the margin
-    lambda_min(M - d P) is verifiably nonnegative (at least -1e-13);
-    otherwise bisection on [0, d] with the same check takes over.  Every
-    returned d passed that check, so it is a true lower bound for the
-    construction SDP; -inf when not even d = 0 passes.
+    lambda_min(M - d P) is verifiably nonnegative (at least -1e-13), so it
+    is a true lower bound for the construction SDP; otherwise -inf: this
+    certify round offers no lower bound.
     """
     w, V = np.linalg.eigh(pic.padded(m))
     w = np.maximum(w, 1e-14)
     M_isqrt = (V / np.sqrt(w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
     top = float(pic.eigvalsh(pic.entries(hermitize(M_isqrt @ pic.blocks(p) @ M_isqrt)))[-1])
-
-    def feasible(d):
-        return pic.eigvalsh(m - d * p)[0] >= -1e-13
-
     d = 1.0 / top
-    if feasible(d):
-        return d
-    if not feasible(0.0):
-        return -np.inf
-    lo, hi = 0.0, d
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return d if pic.eigvalsh(m - d * p)[0] >= -1e-13 else -np.inf
 
 
 # --------------------------------------------------------------------------

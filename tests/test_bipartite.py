@@ -378,6 +378,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Ensemble(D22, probs, v)
 
+    def test_ensemble_iterates_weight_vector_pairs(self):
+        v = np.zeros((4, 2), dtype=complex)
+        v[0, 0] = v[3, 1] = 1.0
+        pairs = list(Ensemble(D22, np.array([0.25, 0.75]), v))
+        assert [type(p) for p, _ in pairs] == [float, float]
+        assert [p for p, _ in pairs] == [0.25, 0.75]
+        for (_, vec), col in zip(pairs, v.T):
+            assert np.array_equal(vec, col)
+
     def test_ensemble_to_density(self):
         v = np.zeros((4, 2), dtype=complex)
         v[0, 0] = 1.0

@@ -11,10 +11,13 @@ import pytest
 
 from nptsub import (
     BipartiteDims,
+    DensityMatrix,
     bipartite,
     build_subspace,
     cli,
     count_negative_eigenvalues,
+    hermitize,
+    linalg,
     random_density_matrix,
     sdp,
     subspace,
@@ -23,6 +26,7 @@ from nptsub import (
 from nptsub.errors import DegenerateSubspace, NoConvergence, ShapeMismatch
 
 D22 = BipartiteDims(2, 2)
+D33 = BipartiteDims(3, 3)
 D34 = BipartiteDims(3, 4)
 
 
@@ -584,37 +588,83 @@ class TestVerifyCommand:
         assert report.range_in_subspace is False
 
     def test_hermiticity_tolerance_is_honoured(self, tmp_path, capsys):
-        # a defect of 1e-6 passes --tol-herm 1e-3, so the spectra are taken
-        # from the Hermitian part instead of being rechecked at 1e-12
+        # a defect of 1e-6 is far above HERMITICITY_RTOL: not Hermitian, FAIL
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = 1e-6
         path = write_state(tmp_path / "skew.json", mat, D22)
-        code = cli.main(["verify", "--in", str(path), "--tol-herm", "1e-3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "hermitian: True" in out and "verdict: PASS" in out
         code = cli.main(["verify", "--in", str(path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "hermitian: False" in out and "verdict: FAIL" in out
 
     @pytest.mark.parametrize("flag", ["--tol-herm", "--tol-psd", "--tol-trace"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e-6", "1e-3"])
     def test_rejects_bad_tolerance(self, capsys, flag, value):
+        # verify has no tolerance flags: any value, valid or not, is a usage
+        # error from the parser, before any verdict
         code = cli.main(["verify", "--in", cli.paper_fixture_path(), f"{flag}={value}"])
         captured = capsys.readouterr()
         assert code == 2
-        name = flag[2:].replace("-", "_")
-        assert f"error: {name} must be a finite non-negative number" in captured.err
+        assert "unrecognized arguments" in captured.err
         assert "verdict" not in captured.out
 
-    def test_zero_tolerances_are_exact_checks(self, tmp_path, capsys):
-        path = write_state(tmp_path / "mixed.json", np.eye(4, dtype=complex) / 4, D22)
-        code = cli.main([
-            "verify", "--in", str(path), "--tol-herm", "0", "--tol-psd", "0", "--tol-trace", "0",
-        ])
-        assert code == 0
-        assert "verdict: PASS" in capsys.readouterr().out
+    def test_reports_the_state_thresholds(self):
+        report = cli.verify_matrix(np.eye(4, dtype=complex) / 4, D22)
+        assert report.thresholds == {
+            "hermiticity": linalg.HERMITICITY_RTOL,
+            "psd": -bipartite.DENSITY_EIG_FLOOR,
+            "trace": bipartite.DENSITY_TRACE_TOL,
+        }
+
+    @pytest.mark.parametrize("defect,size,passes", [
+        ("trace", 5e-11, True), ("trace", -5e-11, True),
+        ("trace", 2e-10, False), ("trace", -2e-10, False),
+        ("eigenvalue", -5e-11, True), ("eigenvalue", -2e-10, False),
+        ("hermiticity", 5e-13, True), ("hermiticity", 2e-12, False),
+    ])
+    def test_one_verdict(self, tmp_path, capsys, defect, size, passes):
+        # a matrix on either side of each DensityMatrix threshold: verify
+        # passes it exactly when it is a state, and witness (the mixture is
+        # supported on S) certifies it exactly when verify passes it
+        dims = D33
+        v = build_subspace(dims).orthonormal
+        proj = [np.outer(v[:, i], v[:, i].conj()) for i in range(3)]
+        mat = 0.5 * proj[0] + 0.5 * proj[1]
+        if defect == "trace":
+            mat = mat * (1.0 + size)
+        elif defect == "eigenvalue":
+            mat = 0.5 * proj[0] + (0.5 - size) * proj[1] + size * proj[2]
+        else:
+            mat = hermitize(mat)
+            mat[0, 1] += size
+        try:
+            DensityMatrix(dims, mat)
+            is_state = True
+        except ValueError:
+            is_state = False
+        assert is_state == passes
+        assert cli.verify_matrix(mat, dims).passed == passes
+        path = write_state(tmp_path / "m.json", mat, dims)
+        code = cli.main(["verify", "--in", str(path)])
+        assert f"verdict: {'PASS' if passes else 'FAIL'}" in capsys.readouterr().out
+        assert code == (0 if passes else 1)
+        code = cli.main(["witness", "--in", str(path)])
+        err = capsys.readouterr().err
+        assert code == (0 if passes else 1)
+        assert ("not a valid state" in err) == (not passes)
+
+
+@pytest.mark.parametrize("argv", [
+    ["subspace", "--m", "2", "--n", "2", "--out"],
+    ["construct", "--m", "2", "--n", "2", "--out"],
+], ids=["subspace", "construct"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    # the output path runs through a regular file, so it cannot be created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main([*argv, str(blocker / "out")])
+    assert code == 2
+    assert "error: cannot write output:" in capsys.readouterr().err
 
 
 class TestSubspaceCommand:
@@ -746,6 +796,27 @@ class TestConstructCommand:
         assert "PPT optimization did not converge" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dual_cone_count_miss_writes_the_state(self, tmp_path, capsys, monkeypatch):
+        # a PPT solve whose dual pair (0, I) certifies c = 1/2 gives rho = I/9,
+        # with 0 of the 4 negatives: the state is written, flagged, and exit 3
+        opt = sdp.PptOptimum(
+            value=0.5, sigma=DensityMatrix(D33, np.eye(9) / 9), lower_bound=0.5, upper_bound=0.5,
+            iterations=1, converged=True, dual_basis=(np.zeros((9, 9)), np.eye(9)),
+        )
+        monkeypatch.setattr(sdp, "optimize_over_ppt", lambda *args, **kwargs: opt)
+        out = tmp_path / "rho.json"
+        code = cli.main([
+            "construct", "--m", "3", "--n", "3", "--method", "dual-cone", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "warning: solver did not converge; partial output written" in err
+        mat, _, meta = cli.load_matrix(out)
+        assert np.array_equal(mat, np.eye(9) / 9)
+        assert meta["converged"] is False
+        assert meta["negative_count"] == 0
+        assert meta["failure"] == "dual-cone state has 0 negative partial-transpose eigenvalues, expected 4"
+
     def test_exit_code_reports_negative_count(self, tmp_path, capsys):
         # exit 0 exactly when the written state has the full (m-1)(n-1) = 36
         # negatives; a missed count exits 1 with an error line
@@ -758,6 +829,7 @@ class TestConstructCommand:
         _, _, meta = cli.load_matrix(out)
         count = meta["negative_count"]
         assert (code == 0) == (count == 36)
+        assert meta["converged"] == (count == 36)
         if code != 0:
             assert code == 1
             assert f"error: {count} negative partial-transpose eigenvalues" in err
@@ -906,6 +978,19 @@ class TestStressCommand:
 
     def test_usage_error(self):
         assert cli.main(["stress", "--suite", "bogus", "--m", "2", "--n", "2"]) == 2
+
+    def test_failures_are_listed(self, capsys, monkeypatch):
+        # the first 20 failing trials are printed, one line each, and exit 1
+        failures = [(s, f"failure {s}") for s in range(3, 28)]
+        monkeypatch.setattr(
+            cli, "run_bound_suite",
+            lambda dims, trials, seed: cli.SuiteResult("bound", dims, trials, failures),
+        )
+        code = cli.main(["stress", "--suite", "bound", "--m", "2", "--n", "2", "--trials", "30"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0].startswith("suite bound at (2,2): 5/30 passed")
+        assert lines[1:] == [f"  FAIL seed={s}: failure {s}" for s in range(3, 23)]
 
 
 def reference_npt_suite(dims, trials, seed):

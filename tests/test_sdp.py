@@ -3,6 +3,7 @@ import pytest
 
 from nptsub import (
     BipartiteDims,
+    DensityMatrix,
     build_subspace,
     construct_via_dual_cone,
     count_negative_eigenvalues,
@@ -444,7 +445,7 @@ class TestSectorLayout:
 
     def test_feasible_shift_without_feasible_point(self):
         # M = -I admits no d >= 0: the congruence candidate fails its check,
-        # and so does d = 0, so no shift is verified instead of an unchecked 0
+        # so no shift is verified instead of an unchecked one
         dims = BipartiteDims(3, 3)
         pic_S, _ = _pictures(dims, npt_projector(dims).P)
         assert _max_shift(pic_S, -pic_S.eye, pic_S.pack(npt_projector(dims).P)) == -np.inf
@@ -667,6 +668,36 @@ class TestDualConeRoute:
         assert isinstance(opt, sdp.PptOptimum)
         assert opt.converged
         assert opt.lower_bound - 1e-12 <= 2.0 <= opt.upper_bound + 1e-12
+
+    @staticmethod
+    def crafted_optimum(monkeypatch, dims, Y2):
+        """Replace the PPT solve by a converged optimum certifying c = 1/2
+        with the dual pair (0, Y2)."""
+        d = dims.total
+        opt = sdp.PptOptimum(
+            value=0.5, sigma=DensityMatrix(dims, np.eye(d) / d), lower_bound=0.5,
+            upper_bound=0.5, iterations=1, converged=True, dual_basis=(np.zeros((d, d)), Y2),
+        )
+        monkeypatch.setattr(sdp, "optimize_over_ppt", lambda *args, **kwargs: opt)
+
+    def test_vanishing_x2_raises_with_the_pair(self, monkeypatch):
+        # Y2 = 0 gives X2 = 0: no state to normalize, so the split is attached
+        self.crafted_optimum(monkeypatch, D33, np.zeros((9, 9)))
+        with pytest.raises(errors.NoConvergence, match=r"dual pair gives Tr\(X2\) = 0\.000e\+00") as info:
+            construct_via_dual_cone(D33, npt_projector(D33))
+        X1, X2 = info.value.partial
+        assert np.array_equal(X2, np.zeros((9, 9)))
+        assert np.allclose(X1, np.eye(9) - 2.0 * npt_projector(D33).P, rtol=0, atol=1e-15)
+
+    def test_count_miss_raises_with_the_state(self, monkeypatch):
+        # Y2 = I gives rho = I/9, which is PPT: 0 negatives against 4
+        self.crafted_optimum(monkeypatch, D33, np.eye(9))
+        with pytest.raises(errors.NoConvergence, match="dual-cone state has 0 negative partial-transpose "
+                           "eigenvalues, expected 4") as info:
+            construct_via_dual_cone(D33, npt_projector(D33))
+        rho = info.value.partial
+        assert isinstance(rho, DensityMatrix)
+        assert np.array_equal(rho.mat, np.eye(9) / 9)
 
     def test_decomposition_psd(self):
         # the closed-form split from the certifying dual pair, on the

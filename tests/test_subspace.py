@@ -19,6 +19,7 @@ from nptsub import (
     sample_mixture_in_subspace,
     subspace,
     subspace_projector,
+    unrealign,
 )
 
 from nptsub.bipartite import _ensemble_error, _mixture, complex_gaussians
@@ -414,6 +415,30 @@ class TestWitness:
         c2 = locate_witness(ens, basis)
         assert c1.alpha == c2.alpha and c1.beta == c2.beta
         assert c1.determinant == c2.determinant
+
+
+def wrong_dims_state():
+    return DensityMatrix(D22, np.eye(4, dtype=complex) / 4)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: realign(np.zeros(11), D34), errors.ShapeMismatch, "expected vector of length 12"),
+    (lambda: realign(np.zeros((3, 4)), D34), errors.ShapeMismatch, "expected vector of length 12"),
+    (lambda: unrealign(np.zeros((3, 4)), D34), errors.ShapeMismatch, r"expected \(4, 3\) matrix"),
+    (lambda: unrealign(np.zeros(12), D34), errors.ShapeMismatch, r"expected \(4, 3\) matrix"),
+    (lambda: contains(build_subspace(D34), np.zeros(11)), errors.ShapeMismatch, "expected vector of length 12"),
+    (lambda: range_in_subspace(build_subspace(D34), np.zeros((12, 11))), errors.ShapeMismatch,
+     r"expected \(12, 12\) matrix for dims"),
+    (lambda: range_in_subspace(build_subspace(D34), wrong_dims_state()), errors.ShapeMismatch, "dims mismatch"),
+    (lambda: locate_witness(wrong_dims_state(), build_subspace(D34)), errors.ShapeMismatch, "dims mismatch"),
+    (lambda: locate_witness(np.eye(4) / 4), TypeError, "expected Ensemble or DensityMatrix"),
+    (lambda: sample_mixture_in_subspace(build_subspace(BipartiteDims(1, 4)), 1, np.random.default_rng(0)),
+     errors.NotInSubspace, "subspace is zero-dimensional"),
+], ids=["realign-length", "realign-2d", "unrealign-shape", "unrealign-1d", "contains", "range-shape",
+        "range-dims", "witness-dims", "witness-type", "sample-zero-dim"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestEnsembleFromDensity:
