@@ -49,6 +49,7 @@ from .bipartite import (
     DensityMatrix,
     _generators,
     _ginibre_states,
+    _meets_psd_floor,
     _mixture,
     _negative_counts,
     _pt_spectra,
@@ -284,8 +285,8 @@ class VerificationReport:
     is_hermitian: bool
     is_psd: bool
     trace: float
-    negative_count: int
-    negative_eigenvalues: list[float]
+    negative_count: int | None
+    negative_eigenvalues: list[float] | None
     range_in_subspace: bool | None
     thresholds: dict[str, float]
 
@@ -303,21 +304,24 @@ def verify_matrix(mat: np.ndarray, dims: BipartiteDims, check_subspace: bool = F
 
     The thresholds are those of DensityMatrix (HERMITICITY_RTOL,
     DENSITY_EIG_FLOOR, DENSITY_TRACE_TOL), so a matrix passes exactly
-    when it constructs a DensityMatrix.
+    when it constructs a DensityMatrix.  A Hermitian matrix's positivity is
+    decided by ``_meets_psd_floor`` (a Cholesky factorization, no
+    eigenvalues), and its one eigvalsh is that of its partial transpose.
+    A matrix that is not Hermitian has no spectrum: its negatives are not
+    computed (None), nor is its range.
     """
     thresholds = {"hermiticity": HERMITICITY_RTOL, "psd": -DENSITY_EIG_FLOOR,
                   "trace": DENSITY_TRACE_TOL}
     hermitian = is_hermitian(mat)
     trace = float(np.trace(mat).real)
+    psd, count, negatives = False, None, None
     if hermitian:
         # H and its partial transpose are exactly Hermitian: no re-hermitizing
-        _, w, w_pt = _pt_spectra(hermitize(mat), dims)
-        psd = float(w[0]) >= DENSITY_EIG_FLOOR
+        H = hermitize(mat)
+        psd = bool(_meets_psd_floor(H[None])[0])
+        _, w_pt = _pt_spectra(H, dims)
         count = int(_negative_counts(w_pt))
         negatives = w_pt[:count].tolist()
-    else:
-        psd = False
-        count, negatives = 0, []
     in_subspace = None
     if check_subspace and hermitian:
         in_subspace = _in_subspace(dims, mat)
@@ -344,10 +348,10 @@ class SuiteResult:
         return not self.failures
 
 
-#: Bytes of stacked states and partial transposes (complex128) in one chunk
-#: of a suite: 56 trials at 3 x 4, 13 at 5 x 5 and 2 at 8 x 8, enough to
-#: share each numpy call across trials.  Chunks of 2 MB ran about 5% faster
-#: but raised the process's peak memory by over 5 MB; this adds about 0.7 MB.
+#: Bytes of the stacked states and partial transposes (complex128, half
+#: each) of one chunk of a suite: 56 trials at 3 x 4, 13 at 5 x 5 and 2 at
+#: 8 x 8, enough to share each numpy call across trials.  Chunks of 2 MB ran
+#: about 5% faster but raised the process's peak memory by over 5 MB.
 _SUITE_CHUNK_BYTES = 2**18
 
 
@@ -369,8 +373,9 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     at most _SUITE_CHUNK_BYTES of stacked matrices, each drawn as one
     stack (``_sample_mixtures``: one uniform draw per trial, then one
     Box-Muller transform and one basis map for the chunk, with the checks
-    of Ensemble on every mixture).  One eigvalsh gives the states'
-    DensityMatrix checks and their partial-transpose spectra, and one
+    of Ensemble on every mixture).  The states get the checks of
+    DensityMatrix as one stack (one Cholesky factorization for the PSD
+    floor), one eigvalsh gives their partial-transpose spectra, and one
     stacked ``locate_witness`` search gives every certificate.  A trial is
     NPT by the negativity rule of ``is_ppt``.
     Raises ValueError for trials < 1 or seed < 0 and DegenerateSubspace
@@ -386,10 +391,10 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     for seeds in _chunks(dims, trials, seed):
         vectors, probs = _sample_mixtures(basis, rank, _generators(seeds))
         rho = _mixture(vectors, probs)
-        rho_pt, w, w_pt = _pt_spectra(rho, dims)
-        error = _state_error(rho, w[:, 0])
+        error = _state_error(rho)
         if error is not None:
             raise ValueError(error)
+        rho_pt, w_pt = _pt_spectra(rho, dims)
         found = _witnesses(vectors, probs, rho_pt, dims)
         npt = _negative_counts(w_pt) > 0
         for i, s in enumerate(seeds):
@@ -415,7 +420,8 @@ def run_bound_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     Trial i is ``random_density_matrix(dims, mn, seed + i)``, bit for bit.
     The trials run in chunks as in ``run_npt_suite``: each chunk's states
     are drawn as one stack (``_ginibre_states``), checked as DensityMatrix
-    checks them and counted with one eigvalsh.  Raises ValueError for
+    checks them (one Cholesky factorization for the PSD floor) and counted
+    with one eigvalsh of their partial transposes.  Raises ValueError for
     trials < 1 or seed < 0, before any trial.
     """
     if trials < 1:
@@ -424,10 +430,10 @@ def run_bound_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     failures = []
     for seeds in _chunks(dims, trials, seed):
         rho = _ginibre_states(dims, dims.total, seeds)
-        _, w, w_pt = _pt_spectra(rho, dims)
-        error = _state_error(rho, w[:, 0])
+        error = _state_error(rho)
         if error is not None:
             raise ValueError(error)
+        _, w_pt = _pt_spectra(rho, dims)
         counts = _negative_counts(w_pt)
         failures += [(s, f"{count} negatives exceeds cap {cap}")
                      for s, count in zip(seeds, counts.tolist()) if count > cap]
@@ -561,8 +567,11 @@ def _cmd_verify(args) -> int:
     say(f"hermitian: {report.is_hermitian} (defect {hermiticity_defect(mat):.3g})")
     say(f"psd: {report.is_psd}")
     say(f"trace: {report.trace:.6g}")
-    say(f"partial transpose negatives: {report.negative_count} "
-        f"(cap (m-1)(n-1) = {dims.npt_dim})")
+    if report.negative_count is None:
+        say("partial transpose negatives: not computed (not Hermitian)")
+    else:
+        say(f"partial transpose negatives: {report.negative_count} "
+            f"(cap (m-1)(n-1) = {dims.npt_dim})")
     if report.negative_eigenvalues:
         say("negative eigenvalues:", " ".join(f"{x:.6g}" for x in report.negative_eigenvalues))
     if report.range_in_subspace is not None:
