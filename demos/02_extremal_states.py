@@ -40,7 +40,7 @@ for m, n in [(2, 2), (3, 3), (3, 4)]:
     # X = X1 + X2^G holds by construction; lambda_min(X1) >= 0 is what
     # makes it a dual-cone split
     margin = np.linalg.eigvalsh(dec.X1)[0]
-    print(f"dual cone : c = {dec.c:.6f}, split margin = {margin:.1e}, "
+    print(f"dual cone : c in [{dec.c_lower:.6f}, {dec.c:.6f}], split margin = {margin:.1e}, "
           f"negatives = {count}")
     print(f"            {np.round(negs, 5)}")
 

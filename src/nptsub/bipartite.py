@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadRank, ShapeMismatch
-from .linalg import eigvalsh, hermitize, is_hermitian
+from .linalg import _hermiticity, eigvalsh, hermitize
 
 #: Seedable generator + Gaussian recipe recorded in file metadata.
 GENERATOR_NAME = "pcg64+box-muller"
@@ -84,12 +84,15 @@ def _state_error(mats: np.ndarray) -> str | None:
     no eigenvalue below the PSD floor, checked in that order.  The floor is
     decided for every matrix that passes the first two checks at once, by
     ``_meets_psd_floor``; eigenvalues are computed only to name the lowest
-    one of a matrix that fails it.
+    one of a matrix that fails it.  A stack whose every Hermiticity defect
+    is exactly 0 is its own Hermitian part and is not copied.
     """
-    hermitian = np.asarray(is_hermitian(mats))
+    mats = np.asarray(mats, dtype=complex)
+    hermitian, defect = _hermiticity(mats)
+    hermitian = np.asarray(hermitian)
     trace = np.trace(mats, axis1=-2, axis2=-1).real
     bad = np.array(~hermitian | (np.abs(trace - 1.0) > DENSITY_TRACE_TOL))
-    H = hermitize(np.asarray(mats, dtype=complex))
+    H = hermitize(mats) if np.any(defect) else mats
     bad[~bad] = ~_meets_psd_floor(H[~bad])
     if not bad.any():
         return None

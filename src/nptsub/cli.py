@@ -525,8 +525,9 @@ def _cmd_construct(args) -> int:
             # lambda_min(X1) >= 0 is what makes X = X1 + X2^G a dual-cone
             # split; its size shows how near the certified pair is to failing
             diagnostics = {"split_margin": float(eigvalsh(dec.X1)[0])}
-            meta.update({"c": dec.c, "converged": True, "iterations": dec.iterations, **diagnostics})
-            summary = f"c = {dec.c:.6g}"
+            meta.update({"c": dec.c, "c_lower": dec.c_lower, "converged": True,
+                         "iterations": dec.iterations, **diagnostics})
+            summary = f"c in [{dec.c_lower:.10g}, {dec.c:.10g}]"
     report = verify_matrix(rho.mat, dims)  # the count `verify` prints for the file
     count, negs = report.negative_count, report.negative_eigenvalues
     meta["negative_count"] = count
@@ -671,8 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["direct", "dual-cone"], default="direct")
     p.add_argument("--tol", type=float, default=None,
                    help="objective tolerance: the certified gap for direct (default "
-                        f"{DEFAULT_TOL_GAP:g}), the bracket on c for dual-cone "
-                        f"(default {DEFAULT_TOL_C:g})")
+                        f"{DEFAULT_TOL_GAP:g}); for dual-cone, the bracket on c at which "
+                        "the route stops if no earlier round certifies c < 1 with the "
+                        f"full count (default {DEFAULT_TOL_C:g})")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                    help=f"splitting-iteration budget per solve (default {DEFAULT_MAX_ITER})")
     p.add_argument("--out", type=Path, required=True, help="output matrix file")

@@ -31,9 +31,16 @@ def is_hermitian(A: np.ndarray):
     for a stack (..., d, d), an array of one check per matrix."""
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         return False
-    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1))) if A.size else 1.0
-    ok = hermiticity_defect(A) <= HERMITICITY_RTOL * scale
+    ok = _hermiticity(A)[0]
     return ok if A.ndim > 2 else bool(ok)
+
+
+def _hermiticity(A: np.ndarray):
+    """(the check of ``is_hermitian``, ``hermiticity_defect``) of a square
+    matrix or stack (..., d, d), from one A - A^dagger.  Unvalidated."""
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1))) if A.size else 1.0
+    defect = hermiticity_defect(A)
+    return defect <= HERMITICITY_RTOL * scale, defect
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:

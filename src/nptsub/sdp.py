@@ -12,7 +12,11 @@ Both run on one splitting core, ``_split``.  The dual-cone route,
 maximization that certifies c: a PSD pair (Y1, Y2) certifying
 lambda_max(W + Y1 + Y2^G) <= t gives t I - W - Y2^G >= Y1 >= 0, so the
 dual pair of the certified maximum of <P, sigma> already splits
-X = I - P / c into X1 + X2^G with X1, X2 >= 0.
+X = I - P / c into X1 + X2^G with X1, X2 >= 0.  The paper's claim needs
+only a certified c < 1, not c to within a gap, so the route stops the PPT
+solve at the first certify round whose pair certifies c < 1 and whose
+state X2 / Tr(X2) passes the route's own count (at 9 x 9: 18,200
+iterations instead of the 40,700 that close the bracket to 1e-6).
 
 ``_split`` is an over-relaxed iteration between an affine set and the
 product of two PSD cones, on one entry vector [z1; z2] for both cones,
@@ -20,9 +24,10 @@ with scaled duals and a penalty beta.  It is written as a fixed point of
 s = z + u, the cone iterate plus its scaled dual, and after 200 plain
 iterations it is Anderson-accelerated (type II, memory 10; Walker & Ni,
 SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim.
-2020).  That cuts the iteration count on every block layout (dual-cone
-route at 7 x 7: 6,500 -> 1,400; at 9 x 9: 93,400 -> 40,700), while every
-solve that certifies within 200 iterations keeps the plain arithmetic.
+2020).  That cuts the iteration count on every block layout (the PPT
+solve on the NPT projector to 1e-6 at 7 x 7: 6,500 -> 1,400; at 9 x 9:
+93,400 -> 40,700), while every solve that certifies within 200
+iterations keeps the plain arithmetic.
 Every 100 iterations beta is rebalanced from the relative residuals
 ||x - z|| / max(||x||, ||z||) and ||z - z_old|| / ||u||: states have
 trace 1, so their entries are O(1/d) while the scaled dual beta u is O(1),
@@ -34,7 +39,8 @@ supplies only two steps:
   construction, pairs (sigma, sigma^G) with Tr sigma = 1 (pulled along
   W / beta) for the PPT maximization;
 * its certify step, which turns the current iterates into certified bounds
-  and decides when to stop.
+  and decides when to stop: once the certified gap closes, or, on the
+  dual-cone route, once the claim is certified.
 
 The iterates live on sector blocks when the input (P, or W) is real and
 zero outside the j+k sectors, as the NPT projector is.  Every iterate is
@@ -71,7 +77,8 @@ which the partial transpose is no longer a gather.
 Solver internals are never trusted: every reported objective is certified
 post hoc from rounded iterates.  Lower bounds come from exactly feasible
 points, upper bounds from exactly verifiable dual certificates (the PSD
-parts of -beta u), and iteration stops once the certified gap closes.
+parts of -beta u), and iteration stops once the certified gap closes
+(or the dual-cone route's claim holds).
 The construction rounds its cone iterate to a state and finds the largest
 feasible shift d; the PPT maximization normalizes its cone iterate, PSD
 already, and contracts it toward I/d until its partial transpose is PSD
@@ -169,12 +176,15 @@ class PptOptimum:
 class ConeDecomposition:
     """Dual-cone route output: c, X = I - (1/c) P, the split, and the state.
 
-    ``iterations`` counts the splitting iterations of the PPT solve that
-    certifies c; the split itself takes none.  X = X1 + X2^G holds by
-    construction; how near the split is to failing shows in lambda_min(X1).
+    [c_lower, c] is the certified bracket on the PPT maximum of <P, sigma>;
+    X is built from its upper end c.  ``iterations`` counts the splitting
+    iterations of the PPT solve that certifies c; the split itself takes
+    none.  X = X1 + X2^G holds by construction; how near the split is to
+    failing shows in lambda_min(X1).
     """
 
     c: float
+    c_lower: float
     X: np.ndarray = field(repr=False)
     X1: np.ndarray = field(repr=False)
     X2: np.ndarray = field(repr=False)
@@ -651,6 +661,18 @@ def optimize_over_ppt(
     not finite and positive.
     """
     _check_tols(tol=tol)
+    return _solve_ppt(dims, W, tol, max_iter)
+
+
+def _solve_ppt(dims: BipartiteDims, W, tol: float, max_iter: int, stop=None) -> PptOptimum:
+    """``optimize_over_ppt`` without the tolerance check, stopping early at
+    the first certify round whose dual bound improves and passes ``stop``.
+
+    ``stop(upper_bound, (Y1, Y2))`` sees the dense pair and its bound,
+    recomputed exactly as the returned ones are, so the optimum returned
+    after a stop is the one ``stop`` accepted; it is then ``converged``
+    whatever its gap.  Without ``stop`` this is ``optimize_over_ppt``.
+    """
     W = _solver_input(W)
     d_tot = dims.total
     trW = _tr(W)
@@ -662,12 +684,18 @@ def optimize_over_ppt(
         sigma = (A + B[pic_2.pt] + w / beta - nu * pic_1.eye) / 2.0
         return sigma, sigma[pic_1.pt]
 
+    def dual(y):
+        """The dense pair of entry vectors y and its bound, recomputed dense."""
+        Y1, Y2 = pic_1.unpack(y[0]), pic_2.unpack(y[1])
+        return float(eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1]), (Y1, Y2)
+
     lb, ub = -np.inf, np.inf
     best_sigma = pic_1.eye / d_tot
     best_y = (np.zeros_like(pic_1.eye), np.zeros_like(pic_2.eye))
+    stopped = False
 
     def certify(it, z, u, beta):
-        nonlocal lb, ub, best_sigma, best_y
+        nonlocal lb, ub, best_sigma, best_y, stopped
         sigma = _round_to_ppt((pic_1, pic_2), cones.split(z)[0])
         lb_cand = frob_inner(w, sigma)
         if lb_cand > lb:
@@ -676,7 +704,8 @@ def optimize_over_ppt(
         ub_cand = float(pic_1.eigvalsh(w + y1 + y2[pic_2.pt])[-1])
         if ub_cand < ub:
             ub, best_y = ub_cand, (y1, y2)
-        return ub - lb <= tol
+            stopped = stop is not None and stop(*dual(best_y))
+        return stopped or ub - lb <= tol
 
     cones = _ConePair(pic_1, pic_2)
     z = np.concatenate((pic_1.eye, pic_2.eye)) / d_tot
@@ -684,14 +713,13 @@ def optimize_over_ppt(
 
     # the returned bracket, recomputed dense from the returned sigma and pair
     sigma = pic_1.unpack(best_sigma)
-    Y1, Y2 = pic_1.unpack(best_y[0]), pic_2.unpack(best_y[1])
     lb = frob_inner(W, sigma)
-    ub = float(eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1])
+    ub, pair = dual(best_y)
     res = PptOptimum(
         value=lb, sigma=DensityMatrix(dims, sigma),
         lower_bound=lb, upper_bound=ub,
-        iterations=it, converged=bool(ub - lb <= tol),
-        dual_basis=(Y1, Y2),
+        iterations=it, converged=bool(stopped or ub - lb <= tol),
+        dual_basis=pair,
     )
     if not res.converged:
         raise NoConvergence("PPT optimization did not converge", partial=res)
@@ -739,34 +767,65 @@ def construct_via_dual_cone(
 ) -> ConeDecomposition:
     """Build the extremal state through the dual cone of the PPT states.
 
-    c is the (certified) maximum of <P, sigma> over PPT states; the
-    operator X = I - (1/c) P then lies in the dual cone, splits as
-    X1 + X2^G, and rho = X2 / Tr(X2) has exactly (m-1)(n-1) negative
-    partial-transpose eigenvalues.  c is the certified upper end of the
-    bracket, c = lambda_max(P + Y1 + Y2^G) for the solve's dual pair, so
-    the split is closed-form: X2 = Y2 / c and X1 = X - X2^G, which is
-    (c I - P - Y1 - Y2^G) / c + Y1 / c >= 0.
+    c is the (certified) maximum of <P, sigma> over PPT states; once c < 1
+    is certified, the operator X = I - (1/c) P lies in the dual cone and
+    splits as X1 + X2^G, and rho = X2 / Tr(X2) has at least rank P negative
+    partial-transpose eigenvalues (rho^G <= X / Tr(X2)).  The route asks
+    for exactly rank P, the number of eigenvalues of P above 1/2: (m-1)(n-1)
+    for the NPT projector.  c is the certified upper
+    end of the PPT solve's bracket, c = lambda_max(P + Y1 + Y2^G) for its
+    dual pair, so the split is closed-form: X2 = Y2 / c and X1 = X - X2^G,
+    which is (c I - P - Y1 - Y2^G) / c + Y1 / c >= 0.  ``c_lower`` is the
+    bracket's certified lower end.
+
+    The PPT solve stops at the first certify round whose dual bound is
+    below 1 and whose state passes the count, so the returned state is the
+    one that round certified; otherwise it runs until the bracket on c is
+    at most ``tol_c`` wide, and the state of that bracket is checked the
+    same way.
 
     Raises DegenerateSubspace, before any iteration, at m = 1 or n = 1 or
     for a P whose trace is not positive; ValueError for a ``tol_c`` that
     is not finite and positive; and NoConvergence, whose ``partial`` is
     the PptOptimum when the PPT solve stops on its budget or certifies a c
     outside (0, 1), the pair (X1, X2) when Tr(X2) <= 1e-8, and rho (a
-    DensityMatrix) when its negative count misses (m-1)(n-1).
+    DensityMatrix) when its negative count misses rank P.
     """
     _check_tols(tol_c=tol_c)
     if dims.npt_dim == 0:
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
     Pmat = _solver_input(P)
     _check_trace(dims, Pmat)
+    target = int((eigvalsh(Pmat) > 0.5).sum())
 
-    opt = optimize_over_ppt(dims, Pmat, tol=tol_c, max_iter=max_iter)
+    def claim(c, pair):
+        """Whether c < 1 is certified and the pair's state has the target count."""
+        if not 0.0 < c < 1.0:
+            return False
+        try:
+            _cone_split(dims, Pmat, c, pair[1], target)
+        except NoConvergence:
+            return False
+        return True
+
+    opt = _solve_ppt(dims, Pmat, tol_c, max_iter, stop=claim)
     c = float(opt.upper_bound)
     if not 0.0 < c < 1.0:
         raise NoConvergence(f"certified c = {c!r} is outside (0, 1)", partial=opt)
+    X, X1, X2, rho = _cone_split(dims, Pmat, c, opt.dual_basis[1], target)
+    return ConeDecomposition(c=c, c_lower=float(opt.lower_bound), X=X, X1=X1, X2=X2,
+                             rho=rho, iterations=opt.iterations)
 
+
+def _cone_split(dims: BipartiteDims, Pmat: np.ndarray, c: float, Y2: np.ndarray, target: int):
+    """(X, X1, X2, rho): the split X = I - P/c = X1 + X2^G with X2 = Y2/c,
+    and the state rho = X2 / Tr(X2), checked for ``target`` negatives.
+
+    Raises NoConvergence with the pair (X1, X2) attached when Tr(X2) <=
+    1e-8, and with rho when its negative count is not ``target``.
+    """
     X = hermitize(np.eye(dims.total) - Pmat / c)
-    X2 = opt.dual_basis[1] / c
+    X2 = Y2 / c
     X1 = X - partial_transpose(X2, dims)
     t = _tr(X2)
     if t <= 1e-8:
@@ -774,9 +833,9 @@ def construct_via_dual_cone(
     rho = DensityMatrix(dims, X2 / t)
 
     count, _ = count_negative_eigenvalues(partial_transpose(rho.mat, dims))
-    if count != dims.npt_dim:
+    if count != target:
         raise NoConvergence(
             f"dual-cone state has {count} negative partial-transpose "
-            f"eigenvalues, expected {dims.npt_dim}", partial=rho,
+            f"eigenvalues, expected {target}", partial=rho,
         )
-    return ConeDecomposition(c=c, X=X, X1=X1, X2=X2, rho=rho, iterations=opt.iterations)
+    return X, X1, X2, rho

@@ -854,9 +854,13 @@ class TestConstructCommand:
         ])
         text = capsys.readouterr().out
         assert code == 0
-        assert "c = 0.5" in text
-        assert "negatives = 1" in text
+        # the route's certified bracket [c_lower, c], which holds c = 1/2,
+        # is printed and stored
+        dec = sdp.construct_via_dual_cone(D22, subspace_projector(build_subspace(D22)))
+        assert dec.c_lower <= 0.5 <= dec.c < 1.0
+        assert f"c in [{dec.c_lower:.10g}, {dec.c:.10g}], negatives = 1 (target 1)\n" in text
         _, _, meta = cli.load_matrix(out)
+        assert (meta["c_lower"], meta["c"]) == (dec.c_lower, dec.c)
         assert meta["solver_budgets"]["tolerance"] == library_default(sdp.construct_via_dual_cone, "tol_c")
 
     @pytest.mark.parametrize("argv,tol_c", [
@@ -942,7 +946,7 @@ class TestConstructCommand:
             value=0.5, sigma=DensityMatrix(D33, np.eye(9) / 9), lower_bound=0.5, upper_bound=0.5,
             iterations=1, converged=True, dual_basis=(np.zeros((9, 9)), np.eye(9)),
         )
-        monkeypatch.setattr(sdp, "optimize_over_ppt", lambda *args, **kwargs: opt)
+        monkeypatch.setattr(sdp, "_solve_ppt", lambda *args, **kwargs: opt)
         out = tmp_path / "rho.json"
         code = cli.main([
             "construct", "--m", "3", "--n", "3", "--method", "dual-cone", "--out", str(out),

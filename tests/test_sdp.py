@@ -211,15 +211,17 @@ class TestConstructionSdp:
 
 class TestPinnedOutputs:
     """Iteration counts and certified values of both routes.  The rows that
-    certify within 200 iterations (direct 3 x 3 and 4 x 4, dual-cone 3 x 4
-    and 4 x 4) were recorded when each route still ran its own copy of the
-    splitting loop, and the shared core keeps their arithmetic: Anderson
-    acceleration starts only after iteration 200, so these counts and
-    values must match exactly.  The longer rows were recorded with the
-    acceleration on, the relative-residual penalty balancing that fires
-    from 5 x 5 on the dual-cone route, and its reset of the Anderson
-    history.  The dual-cone counts are the PPT solve's alone: its
-    closed-form split takes no iteration."""
+    certify within 200 iterations (direct 3 x 3 and 4 x 4, the PPT solve
+    on P at 3 x 4 and 4 x 4) were recorded when each route still ran its
+    own copy of the splitting loop, and the shared core keeps their
+    arithmetic: Anderson acceleration starts only after iteration 200, so
+    these counts and values must match exactly.  The longer rows were
+    recorded with the acceleration on, the relative-residual penalty
+    balancing that fires from 5 x 5 on the PPT solve, and its reset of the
+    Anderson history.  The dual-cone counts are the PPT solve's alone: its
+    closed-form split takes no iteration.  The route stops that solve at
+    its first round that certifies the claim, at most 200 iterations up to
+    6 x 6, so its own rows run the plain arithmetic."""
 
     @pytest.mark.parametrize("m,n,iterations,lb", [
         (3, 3, 100, 1.0369763358423485),
@@ -240,10 +242,31 @@ class TestPinnedOutputs:
         (6, 6, 500, 0.9997663213717155),
     ])
     def test_dual_cone_route(self, m, n, iterations, c):
+        # the rows pin the PPT solve on P run until its bracket closes to
+        # tol_c = 1e-6; the route runs the same iterates, stops no later,
+        # and its certified bracket overlaps that one
+        dims = BipartiteDims(m, n)
+        P = npt_projector(dims)
+        opt = optimize_over_ppt(dims, P.P, tol=1e-6)
+        assert opt.iterations == iterations
+        assert opt.upper_bound == pytest.approx(c, rel=0, abs=1e-9)
+        dec = construct_via_dual_cone(dims, P)
+        assert dec.iterations <= iterations
+        assert dec.c_lower <= c and c - 1e-6 <= dec.c
+
+    @pytest.mark.parametrize("m,n,iterations,c", [
+        (3, 4, 100, 0.9588363664190686),
+        (4, 4, 100, 0.985792044836865),
+        (5, 5, 100, 0.998632276254484),
+        (5, 6, 100, 0.9996256969877988),
+        (6, 6, 200, 0.9998504020927614),
+    ])
+    def test_dual_cone_claim_stop(self, m, n, iterations, c):
         dims = BipartiteDims(m, n)
         dec = construct_via_dual_cone(dims, npt_projector(dims))
         assert dec.iterations == iterations
         assert dec.c == pytest.approx(c, rel=0, abs=1e-9)
+        assert dec.c_lower < dec.c < 1.0
 
 
 class TestSectorLayout:
@@ -648,12 +671,16 @@ class TestDualConeRoute:
     @pytest.mark.parametrize("m,n", [*[(2, n) for n in range(2, 9)], (3, 3)])
     def test_certified_c_brackets_oracle(self, m, n):
         # known PPT optima: c(2,n) = cos^2(pi/2n) and c(3,3) = 10/11; the
-        # route returns the certified upper end c of a bracket of width tol_c
+        # PPT solve brackets them within its tol, and the route, which
+        # stops once the claim is certified, within [c_lower, c]
         oracle = np.cos(np.pi / (2 * n)) ** 2 if m == 2 else 10.0 / 11.0
         dims = BipartiteDims(m, n)
-        tol_c = 1e-6
-        dec = construct_via_dual_cone(dims, npt_projector(dims), tol_c=tol_c)
-        assert dec.c - tol_c <= oracle <= dec.c
+        P = npt_projector(dims)
+        tol = 1e-6
+        opt = optimize_over_ppt(dims, P.P, tol=tol)
+        assert opt.upper_bound - tol <= oracle <= opt.upper_bound
+        dec = construct_via_dual_cone(dims, P)
+        assert dec.c_lower <= oracle <= dec.c
 
     def test_degenerate_dims(self):
         with pytest.raises(errors.DegenerateSubspace):
@@ -678,7 +705,7 @@ class TestDualConeRoute:
             value=0.5, sigma=DensityMatrix(dims, np.eye(d) / d), lower_bound=0.5,
             upper_bound=0.5, iterations=1, converged=True, dual_basis=(np.zeros((d, d)), Y2),
         )
-        monkeypatch.setattr(sdp, "optimize_over_ppt", lambda *args, **kwargs: opt)
+        monkeypatch.setattr(sdp, "_solve_ppt", lambda *args, **kwargs: opt)
 
     def test_vanishing_x2_raises_with_the_pair(self, monkeypatch):
         # Y2 = 0 gives X2 = 0: no state to normalize, so the split is attached
@@ -714,10 +741,39 @@ class TestDualConeRoute:
             assert np.abs(dec.rho.mat - dec.X2 / np.trace(dec.X2).real).max() <= 1e-12
 
     def test_acceleration_is_live(self):
-        # the plain splitting takes 6,500 iterations here; the Anderson
-        # acceleration certifies the full count in well under 2,500
+        # the plain splitting closes the PPT bracket on P to 1e-6 in 6,500
+        # iterations here; the Anderson acceleration in well under 2,500
+        dims = BipartiteDims(7, 7)
+        opt = optimize_over_ppt(dims, npt_projector(dims).P, tol=1e-6)
+        assert opt.converged
+        assert opt.iterations <= 2500
+
+    def test_claim_stop_at_7x7(self):
+        # the gap-closing solve takes 1,400 iterations here; c < 1 with the
+        # full count is certified by 400
         dims = BipartiteDims(7, 7)
         dec = construct_via_dual_cone(dims, npt_projector(dims))
-        assert dec.iterations <= 2500
+        assert dec.iterations <= 400
+        assert dec.c_lower <= dec.c < 1.0
         count, _ = count_negative_eigenvalues(partial_transpose(dec.rho.mat, dims))
         assert count == dims.npt_dim == 36
+
+    @staticmethod
+    def antisymmetric_projector(n):
+        """(I - F) / 2 on C^n (x) C^n, F the swap: rank n(n-1)/2."""
+        d = n * n
+        j, k = np.divmod(np.arange(d), n)
+        F = np.zeros((d, d))
+        F[k * n + j, j * n + k] = 1.0
+        return (np.eye(d) - F) / 2
+
+    @pytest.mark.parametrize("n,rank", [(3, 3), (4, 6)])
+    def test_target_is_the_rank_of_p(self, n, rank):
+        # a PPT state overlaps the antisymmetric subspace by at most 1/2,
+        # and the split's state has rank P negatives, not (n-1)^2
+        dims = BipartiteDims(n, n)
+        P = self.antisymmetric_projector(n)
+        dec = construct_via_dual_cone(dims, P)
+        assert dec.c_lower <= 0.5 <= dec.c < 0.5 + 1e-5
+        count, _ = count_negative_eigenvalues(partial_transpose(dec.rho.mat, dims))
+        assert count == rank < dims.npt_dim
