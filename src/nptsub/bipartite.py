@@ -8,6 +8,7 @@ transpose always acts on the second factor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,8 @@ class BipartiteDims:
     n: int
 
     def __post_init__(self):
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (self.m, self.n)):
+            raise ValueError(f"local dimensions must be integers, got {self}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"local dimensions must be >= 1, got {self}")
 
@@ -81,28 +84,46 @@ def _state_error(mats: np.ndarray) -> str | None:
     the first matrix (in C order) that fails is not a state, or None.
 
     Each matrix must be Hermitian within tolerance, of unit trace, and have
-    no eigenvalue below the PSD floor, checked in that order.  The floor is
-    decided for every matrix that passes the first two checks at once, by
-    ``_meets_psd_floor``; eigenvalues are computed only to name the lowest
-    one of a matrix that fails it.  A stack whose every Hermiticity defect
-    is exactly 0 is its own Hermitian part and is not copied.
+    no eigenvalue below the PSD floor, checked in that order on the
+    verdicts of ``_state_checks``; eigenvalues are computed only to name
+    the lowest one of a matrix that fails the floor.
     """
-    mats = np.asarray(mats, dtype=complex)
-    hermitian, defect = _hermiticity(mats)
-    hermitian = np.asarray(hermitian)
-    trace = np.trace(mats, axis1=-2, axis2=-1).real
-    bad = np.array(~hermitian | (np.abs(trace - 1.0) > DENSITY_TRACE_TOL))
-    H = hermitize(mats) if np.any(defect) else mats
-    bad[~bad] = ~_meets_psd_floor(H[~bad])
+    hermitian, trace, psd, H = _state_checks(mats)
+    bad_trace = np.abs(trace - 1.0) > DENSITY_TRACE_TOL
+    bad = ~hermitian | bad_trace | ~psd
     if not bad.any():
         return None
     first = np.unravel_index(np.argmax(bad), bad.shape)
     if not hermitian[first]:
         return "density matrix is not Hermitian within tolerance"
-    if np.abs(trace[first] - 1.0) > DENSITY_TRACE_TOL:
+    if bad_trace[first]:
         return f"trace {float(trace[first])!r} differs from 1 beyond tolerance"
     lowest = np.linalg.eigvalsh(H[first])[0]
     return f"minimum eigenvalue {float(lowest):.3e} below PSD floor"
+
+
+def _state_checks(mats: np.ndarray):
+    """(hermitian, trace, psd, H): the per-matrix verdicts of the state
+    checks on a square matrix or a stack (..., d, d), taken as complex.
+
+    ``hermitian`` is the Hermiticity check, ``trace`` the real trace and
+    ``psd`` whether a Hermitian matrix has no eigenvalue below the PSD
+    floor (False for one that is not Hermitian); H is the Hermitian part,
+    the input itself when every Hermiticity defect is exactly 0.  The
+    floor is decided by ``_meets_psd_floor`` on the stack itself when
+    every matrix is Hermitian, so a stack of states costs one Cholesky
+    factorization and no copy.  Unvalidated.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    hermitian, defect = _hermiticity(mats)
+    hermitian = np.asarray(hermitian)
+    trace = np.trace(mats, axis1=-2, axis2=-1).real
+    H = hermitize(mats) if np.any(defect) else mats
+    stack = H.reshape(-1, *H.shape[-2:])
+    ok = hermitian.reshape(-1)
+    psd = np.zeros(ok.shape, dtype=bool)
+    psd[ok] = _meets_psd_floor(stack if ok.all() else stack[ok])
+    return hermitian, trace, psd.reshape(hermitian.shape), H
 
 
 def _meets_psd_floor(H: np.ndarray) -> np.ndarray:

@@ -49,14 +49,14 @@ from .bipartite import (
     DensityMatrix,
     _generators,
     _ginibre_states,
-    _meets_psd_floor,
     _mixture,
     _negative_counts,
     _pt_spectra,
+    _state_checks,
     _state_error,
 )
 from .errors import DegenerateSubspace, NoConvergence, NotInSubspace, ShapeMismatch
-from .linalg import HERMITICITY_RTOL, eigvalsh, hermiticity_defect, hermitize, is_hermitian
+from .linalg import HERMITICITY_RTOL, eigvalsh, hermiticity_defect
 from .sdp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL_C,
@@ -302,31 +302,30 @@ class VerificationReport:
 def verify_matrix(mat: np.ndarray, dims: BipartiteDims, check_subspace: bool = False) -> VerificationReport:
     """Aggregate state checks: Hermiticity, positivity, trace, PT negatives.
 
-    The thresholds are those of DensityMatrix (HERMITICITY_RTOL,
-    DENSITY_EIG_FLOOR, DENSITY_TRACE_TOL), so a matrix passes exactly
-    when it constructs a DensityMatrix.  A Hermitian matrix's positivity is
-    decided by ``_meets_psd_floor`` (a Cholesky factorization, no
-    eigenvalues), and its one eigvalsh is that of its partial transpose.
-    A matrix that is not Hermitian has no spectrum: its negatives are not
-    computed (None), nor is its range.
+    The verdicts are those of DensityMatrix, from the same
+    ``_state_checks`` and thresholds (HERMITICITY_RTOL, DENSITY_EIG_FLOOR,
+    DENSITY_TRACE_TOL), so a matrix passes exactly when it constructs a
+    DensityMatrix.  Positivity costs no eigenvalues (one Cholesky
+    factorization), and the one eigvalsh is that of the partial transpose.
+    A matrix that is not Hermitian (a non-square one included) has no
+    spectrum: its negatives are not computed (None), nor is its range.
     """
     thresholds = {"hermiticity": HERMITICITY_RTOL, "psd": -DENSITY_EIG_FLOOR,
                   "trace": DENSITY_TRACE_TOL}
-    hermitian = is_hermitian(mat)
-    trace = float(np.trace(mat).real)
-    psd, count, negatives = False, None, None
+    mat = np.asarray(mat)
+    if mat.ndim == 2 and mat.shape[0] == mat.shape[1]:
+        hermitian, trace, psd, H = _state_checks(mat)
+    else:
+        hermitian, trace, psd = False, np.trace(mat).real, False
+    count = negatives = in_subspace = None
     if hermitian:
-        # H and its partial transpose are exactly Hermitian: no re-hermitizing
-        H = hermitize(mat)
-        psd = bool(_meets_psd_floor(H[None])[0])
         _, w_pt = _pt_spectra(H, dims)
         count = int(_negative_counts(w_pt))
         negatives = w_pt[:count].tolist()
-    in_subspace = None
-    if check_subspace and hermitian:
-        in_subspace = _in_subspace(dims, mat)
+        if check_subspace:
+            in_subspace = _in_subspace(dims, mat)
     return VerificationReport(
-        is_hermitian=hermitian, is_psd=psd, trace=trace,
+        is_hermitian=bool(hermitian), is_psd=bool(psd), trace=float(trace),
         negative_count=count, negative_eigenvalues=negatives,
         range_in_subspace=in_subspace, thresholds=thresholds,
     )

@@ -38,9 +38,11 @@ supplies only two steps:
   pairs (rho, S) with S = I - d P - rho^G and Tr rho = 1 for the
   construction, pairs (sigma, sigma^G) with Tr sigma = 1 (pulled along
   W / beta) for the PPT maximization;
-* its certify step, which turns the current iterates into certified bounds
-  and decides when to stop: once the certified gap closes, or, on the
-  dual-cone route, once the claim is certified.
+* its certify step, a pure map from the current iterates to candidate
+  bounds and the certificates that attain them.  ``_split`` alone keeps
+  the certified bracket and decides the stop (its docstring states the
+  contract): once the certified gap closes, or, on the dual-cone route,
+  once the claim is certified.
 
 The iterates live on sector blocks when the input (P, or W) is real and
 zero outside the j+k sectors, as the NPT projector is.  Every iterate is
@@ -77,8 +79,7 @@ which the partial transpose is no longer a gather.
 Solver internals are never trusted: every reported objective is certified
 post hoc from rounded iterates.  Lower bounds come from exactly feasible
 points, upper bounds from exactly verifiable dual certificates (the PSD
-parts of -beta u), and iteration stops once the certified gap closes
-(or the dual-cone route's claim holds).
+parts of -beta u).
 The construction rounds its cone iterate to a state and finds the largest
 feasible shift d; the PPT maximization normalizes its cone iterate, PSD
 already, and contracts it toward I/d until its partial transpose is PSD
@@ -91,8 +92,9 @@ residuals), so a block layout can cost iterations but can never certify a
 wrong bound.
 
 Every entry point takes its input (P or W) as a Hermitian mn x mn
-matrix and raises ShapeMismatch or NotHermitian (NaN entries included)
-for anything else.
+matrix, or as a Projector of the same dims, and raises ShapeMismatch or
+NotHermitian (NaN entries included) for anything else, before any
+iteration.
 """
 
 from __future__ import annotations
@@ -192,13 +194,18 @@ class ConeDecomposition:
     iterations: int
 
 
-def _solver_input(M) -> np.ndarray:
+def _solver_input(M, dims: BipartiteDims) -> np.ndarray:
     """Hermitian part of a solver input, a Projector or a matrix.
 
-    Raises ShapeMismatch for a non-square M and NotHermitian for one that
-    fails the Hermiticity check, which a NaN entry always does.
+    Raises ShapeMismatch for a Projector of other dims than ``dims`` and
+    for a non-square M, and NotHermitian for an M that fails the
+    Hermiticity check, which a NaN entry always does.
     """
-    return _hermitian_part(M.P if isinstance(M, Projector) else M)
+    if isinstance(M, Projector):
+        if M.dims != dims:
+            raise ShapeMismatch(f"projector of dims {M.dims} given for dims {dims}")
+        M = M.P
+    return _hermitian_part(M)
 
 
 def _check_trace(dims: BipartiteDims, Pmat: np.ndarray) -> float:
@@ -443,9 +450,11 @@ class _Anderson:
         return f - gamma @ self.dF[:k]
 
 
-def _split(cones: _ConePair, z, affine, certify, max_iter: int, cert_every: int) -> int:
+def _split(cones: _ConePair, z, affine, certify, primal, dual, tol: float, max_iter: int,
+           cert_every: int, stop=None):
     """Over-relaxed splitting between an affine set and two PSD cones,
-    Anderson-accelerated.
+    Anderson-accelerated, that keeps the certified bracket and decides the
+    stop.
 
     The iteration is a fixed point on one entry vector s = z + u of
     ``cones``, the cone iterate z = [z1; z2] = Pi(s) (the PSD projection)
@@ -463,11 +472,21 @@ def _split(cones: _ConePair, z, affine, certify, max_iter: int, cert_every: int)
     (residual balancing on relative residuals, Wohlberg 2017): the primal
     entries are O(1/d) and the scaled dual beta u is O(1), so absolute
     residuals would differ by scale alone.  A rescale changes the map, so
-    it clears the Anderson history.  At every ``cert_every``-th and at the
-    last iteration, ``certify(it, z, u, beta)`` updates the caller's
-    certified bounds and returns True to stop.  Returns the number of
-    iterations run.  Raises ValueError for ``max_iter < 1``: without an
-    iteration no certify step runs, so there is no bound.
+    it clears the Anderson history.
+
+    The certify contract.  At every ``cert_every``-th and at the last
+    iteration, ``certify(z, u, beta) -> (lb, primal, ub, dual)`` maps the
+    iterates to candidate bounds and the certificates that attain them: an
+    exactly feasible point attaining lb, an exactly verifiable dual
+    certificate attaining ub (lb = -inf or ub = inf offers none).  It keeps
+    no state.  ``_split`` alone keeps the bracket: the largest lower bound
+    with its primal certificate and the smallest upper bound with its dual
+    one, starting from (-inf, ``primal``) and (inf, ``dual``).  It stops
+    once ub - lb <= ``tol``, or once ``stop(dual)`` accepts an improved
+    dual certificate.  Returns (iterations, lb, primal, ub, dual, stopped),
+    ``stopped`` telling whether ``stop`` ended the run.  Raises ValueError
+    for ``max_iter < 1``: without an iteration no certify step runs, so
+    there is no bound.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -475,6 +494,7 @@ def _split(cones: _ConePair, z, affine, certify, max_iter: int, cert_every: int)
     def norm(v):
         return sum(np.linalg.norm(c) for c in cones.split(v))
 
+    lb, ub, stopped = -np.inf, np.inf, False
     beta = 1.0
     u = np.zeros_like(z)
     s = z
@@ -499,9 +519,16 @@ def _split(cones: _ConePair, z, affine, certify, max_iter: int, cert_every: int)
                 s = z + u
                 anderson.reset()
 
-        if (it % cert_every == 0 or it == max_iter) and certify(it, z, u, beta):
-            break
-    return it
+        if it % cert_every == 0 or it == max_iter:
+            lb_cand, primal_cand, ub_cand, dual_cand = certify(z, u, beta)
+            if lb_cand > lb:
+                lb, primal = lb_cand, primal_cand
+            if ub_cand < ub:
+                ub, dual = ub_cand, dual_cand
+                stopped = stop is not None and stop(dual)
+            if stopped or ub - lb <= tol:
+                break
+    return it, lb, primal, ub, dual, stopped
 
 
 # --------------------------------------------------------------------------
@@ -518,26 +545,30 @@ def solve_construction_sdp(
 
     Splitting iteration: the affine block solves the proximal step over
     {(rho, S, d) : S = I - d P - rho^G, Tr rho = 1} in closed form, the cone
-    block projects (rho, S) onto PSD x PSD.  Certification: the returned d
-    is attained by the returned (exactly feasible) rho, and a rounded dual
-    certificate Y >= 0 with <Y, P> = 1 bounds the optimum from above by
-    Tr Y - lambda_min(Y^G); iteration stops once the certified gap is at
-    most ``tol_gap``; certificates are taken every 50 iterations.  The
-    solution is returned only when the certified gap is closed and the
-    dense residual lambda_max(rho^G + d P - I) is at most 1e-7.  The lower
+    block projects (rho, S) onto PSD x PSD.  Certification (the certify
+    contract of ``_split``, every 50 iterations): a rounded state rho and
+    its largest feasible shift d are the primal certificate, and a rounded
+    dual certificate Y >= 0 with <Y, P> = 1 bounds the optimum from above
+    by Tr Y - lambda_min(Y^G); iteration stops once the certified gap is at
+    most ``tol_gap``.  The solution is returned only when the certified gap
+    is closed, the dense residual lambda_max(rho^G + d P - I) is at most
+    1e-7, and the bracket decides d against 1: it does not hold 1 with its
+    upper end above 1, so d > 1 is certified or d <= 1 is.  The lower
     bound passes a margin check down to -1e-13, so it can exceed the upper
     bound by rounding: up to 1e-12 relative, the upper bound is reported
     as the lower one; a wider crossing raises NoConvergence.
 
     Raises DegenerateSubspace, before any iteration, for a P whose trace
     is not positive (the NPT projector at m = 1 or n = 1, where d is
-    unbounded); NoConvergence (with the best iterate attached as
-    ``partial``) when the budget runs out first; and ValueError for a
-    ``tol_gap`` that is not finite and positive.
+    unbounded); ShapeMismatch, before any iteration, for a Projector of
+    other dims; NoConvergence (with the best iterate attached as
+    ``partial``) when the budget runs out first or the closed bracket
+    still holds 1 (its message names a smaller ``tol_gap``); and
+    ValueError for a ``tol_gap`` that is not finite and positive.
     """
     _check_tols(tol_gap=tol_gap)
     d_tot = dims.total
-    Pmat = _solver_input(P)
+    Pmat = _solver_input(P, dims)
     # S and P live in one picture, rho and P^G in the other
     pic_S, pic_r = _pictures(dims, Pmat)
     k = _check_trace(dims, Pmat)
@@ -558,29 +589,22 @@ def solve_construction_sdp(
         rho_x = (a + G[pic_S.pt] - d_x * pt) / 2.0 - (nu / 2.0) * eye_r
         return rho_x, eye_S - d_x * p - rho_x[pic_r.pt]
 
-    lb, ub = -np.inf, np.inf
-    best_r, best_Y = eye_r / d_tot, None
-
-    def certify(it, z, u, beta):
-        nonlocal lb, ub, best_r, best_Y
+    def certify(z, u, beta):
         z_r, u_S = cones.split(z)[0], cones.split(u)[1]
         r, Y = cones.split(cones.project(np.concatenate((z_r, -beta * u_S))))
         tr = pic_r.trace(r)
         r = r / tr if tr > 1e-300 else eye_r / d_tot
-        d_cand = _max_shift(pic_S, eye_S - r[pic_r.pt], p)
-        if d_cand > lb:
-            lb, best_r = d_cand, r
+        d = _max_shift(pic_S, eye_S - r[pic_r.pt], p)
         overlap = frob_inner(Y, p)
-        if overlap > 1e-9:
-            Y = Y / overlap
-            ub_cand = pic_S.trace(Y) - float(pic_r.eigvalsh(Y[pic_S.pt])[0])
-            if ub_cand < ub:
-                ub, best_Y = ub_cand, Y
-        return ub - lb <= tol_gap
+        if not overlap > 1e-9:  # no dual certificate this round
+            return d, r, np.inf, None
+        Y = Y / overlap
+        return d, r, pic_S.trace(Y) - float(pic_r.eigvalsh(Y[pic_S.pt])[0]), Y
 
     cones = _ConePair(pic_r, pic_S)
     z = np.concatenate((eye_r / d_tot, eye_S))
-    it = _split(cones, z, affine, certify, max_iter, cert_every=50)
+    it, lb, best_r, ub, best_Y, _ = _split(cones, z, affine, certify, eye_r / d_tot, None,
+                                           tol_gap, max_iter, cert_every=50)
 
     # the returned bracket, rechecked dense: the residuals verify lb, and
     # the dual bound is recomputed from the best certificate
@@ -593,15 +617,20 @@ def solve_construction_sdp(
     if not empty:
         ub = max(ub, lb)
     residuals = _construction_residuals(rho, lb, Pmat, dims)
-    converged = bool(not empty and ub - lb <= tol_gap and residuals["pt_constraint_gap"] <= _TOL_FEAS)
+    reason = None
+    if empty:
+        reason = f"bracket is empty: lower bound {lb!r} > upper bound {ub!r}"
+    elif ub - lb > tol_gap or residuals["pt_constraint_gap"] > _TOL_FEAS:
+        reason = f"gap {ub - lb:.3e} above {tol_gap:.1e} after {it} iterations"
+    elif lb <= 1.0 < ub:
+        reason = (f"bracket [{lb!r}, {ub!r}] does not decide d against 1 after {it} "
+                  f"iterations; rerun with a smaller tol_gap, such as {tol_gap / 10:.0e}")
     solution = SdpSolution(
         d=float(lb), rho=DensityMatrix(dims, rho), residuals=residuals,
-        iterations=it, converged=converged,
+        iterations=it, converged=reason is None,
         lower_bound=float(lb), upper_bound=float(ub),
     )
-    if not converged:
-        reason = (f"bracket is empty: lower bound {lb!r} > upper bound {ub!r}" if empty
-                  else f"gap {ub - lb:.3e} above {tol_gap:.1e} after {it} iterations")
+    if reason is not None:
         raise NoConvergence(f"construction SDP {reason}", partial=solution)
     return solution
 
@@ -673,7 +702,7 @@ def _solve_ppt(dims: BipartiteDims, W, tol: float, max_iter: int, stop=None) -> 
     after a stop is the one ``stop`` accepted; it is then ``converged``
     whatever its gap.  Without ``stop`` this is ``optimize_over_ppt``.
     """
-    W = _solver_input(W)
+    W = _solver_input(W, dims)
     d_tot = dims.total
     trW = _tr(W)
     pic_1, pic_2 = _pictures(dims, W)  # sigma lives in W's picture
@@ -689,27 +718,19 @@ def _solve_ppt(dims: BipartiteDims, W, tol: float, max_iter: int, stop=None) -> 
         Y1, Y2 = pic_1.unpack(y[0]), pic_2.unpack(y[1])
         return float(eigvalsh(W + Y1 + partial_transpose(Y2, dims))[-1]), (Y1, Y2)
 
-    lb, ub = -np.inf, np.inf
-    best_sigma = pic_1.eye / d_tot
-    best_y = (np.zeros_like(pic_1.eye), np.zeros_like(pic_2.eye))
-    stopped = False
-
-    def certify(it, z, u, beta):
-        nonlocal lb, ub, best_sigma, best_y, stopped
+    def certify(z, u, beta):
         sigma = _round_to_ppt((pic_1, pic_2), cones.split(z)[0])
-        lb_cand = frob_inner(w, sigma)
-        if lb_cand > lb:
-            lb, best_sigma = lb_cand, sigma
         y1, y2 = cones.split(cones.project(-beta * u))
-        ub_cand = float(pic_1.eigvalsh(w + y1 + y2[pic_2.pt])[-1])
-        if ub_cand < ub:
-            ub, best_y = ub_cand, (y1, y2)
-            stopped = stop is not None and stop(*dual(best_y))
-        return stopped or ub - lb <= tol
+        ub = float(pic_1.eigvalsh(w + y1 + y2[pic_2.pt])[-1])
+        return frob_inner(w, sigma), sigma, ub, (y1, y2)
 
     cones = _ConePair(pic_1, pic_2)
     z = np.concatenate((pic_1.eye, pic_2.eye)) / d_tot
-    it = _split(cones, z, affine, certify, max_iter, cert_every=100)
+    zero_pair = (np.zeros_like(pic_1.eye), np.zeros_like(pic_2.eye))
+    accept = None if stop is None else (lambda y: stop(*dual(y)))
+    it, _, best_sigma, _, best_y, stopped = _split(cones, z, affine, certify, pic_1.eye / d_tot,
+                                                   zero_pair, tol, max_iter, cert_every=100,
+                                                   stop=accept)
 
     # the returned bracket, recomputed dense from the returned sigma and pair
     sigma = pic_1.unpack(best_sigma)
@@ -781,8 +802,9 @@ def construct_via_dual_cone(
     The PPT solve stops at the first certify round whose dual bound is
     below 1 and whose state passes the count, so the returned state is the
     one that round certified; otherwise it runs until the bracket on c is
-    at most ``tol_c`` wide, and the state of that bracket is checked the
-    same way.
+    at most ``tol_c`` wide.  A solve that stops on that bracket always
+    raises: its dual pair is the last improved one, which already failed
+    the claim.
 
     Raises DegenerateSubspace, before any iteration, at m = 1 or n = 1 or
     for a P whose trace is not positive; ValueError for a ``tol_c`` that
@@ -794,7 +816,7 @@ def construct_via_dual_cone(
     _check_tols(tol_c=tol_c)
     if dims.npt_dim == 0:
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
-    Pmat = _solver_input(P)
+    Pmat = _solver_input(P, dims)
     _check_trace(dims, Pmat)
     target = int((eigvalsh(Pmat) > 0.5).sum())
 

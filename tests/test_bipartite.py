@@ -42,6 +42,15 @@ class TestDims:
         with pytest.raises(ValueError):
             BipartiteDims(0, 2)
 
+    @pytest.mark.parametrize("m,n", [(2.0, 3), (3, 2.5), ("3", 3), (True, 3)])
+    def test_non_integer(self, m, n):
+        # rejected at construction, not later by a numpy TypeError
+        with pytest.raises(ValueError, match="local dimensions must be integers"):
+            BipartiteDims(m, n)
+
+    def test_numpy_integers(self):
+        assert BipartiteDims(np.int64(3), np.int32(4)) == D34
+
 
 class TestPartialTranspose:
     def test_matrix_unit(self):

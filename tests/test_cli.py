@@ -141,13 +141,6 @@ class TestSerialization:
             cli.save_matrix(path, np.eye(4, dtype=complex) / 4, D22, meta)
         assert path.read_text() == "old"
 
-    def test_bundled_fixture_matches_repo_copy(self):
-        import pathlib
-
-        bundled = pathlib.Path(cli.paper_fixture_path())
-        repo_copy = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "paper_3x4.json"
-        assert bundled.read_bytes() == repo_copy.read_bytes()
-
 
 #: Values whose canonical text is easy to get wrong: signed zeros, the
 #: integral values around the 1e17 cut of the ".0" rule, subnormals and
@@ -679,6 +672,14 @@ class TestVerifyCommand:
         assert doc["negative_count"] is None and doc["negative_eigenvalues"] is None
 
 
+    def test_non_square_fails(self):
+        # not square, so not Hermitian: FAIL with no spectrum
+        report = cli.verify_matrix(np.ones((4, 3), dtype=complex) / 3, D22)
+        assert not report.is_hermitian and not report.is_psd and not report.passed
+        assert report.trace == 1.0
+        assert report.negative_count is None and report.negative_eigenvalues is None
+
+
 def eigenvalue_floor_verdict(mat) -> bool:
     """The PSD floor by its definition: the lowest eigenvalue of the
     Hermitian part is at least DENSITY_EIG_FLOOR."""
@@ -781,6 +782,25 @@ class TestStateChecksComputeNoSpectrum:
         eig = count_calls(monkeypatch, "eigvalsh")
         report = cli.verify_matrix(rho, D34)
         assert report.passed and eig == [(12, 12)]
+
+    def test_verify_matrix_runs_the_state_checks(self, monkeypatch):
+        # verify decides the state by DensityMatrix's own checks, once:
+        # one call of _state_checks and its one Cholesky factorization
+        rho = random_density_matrix(D34, D34.total, 3).mat
+        chol = count_calls(monkeypatch, "cholesky")
+        checks = []
+        state_checks = bipartite._state_checks
+        monkeypatch.setattr(cli, "_state_checks", lambda mats: checks.append(mats) or state_checks(mats))
+        assert cli.verify_matrix(rho, D34).passed
+        assert len(checks) == 1 and chol == [(1, 12, 12)]
+
+    def test_passing_stack_is_not_copied(self):
+        # an exactly Hermitian stack is its own Hermitian part, and the PSD
+        # floor of a stack of states is decided on it, not on a copy
+        stack = cli._ginibre_states(D34, D34.total, range(4))
+        hermitian, trace, psd, H = bipartite._state_checks(stack)
+        assert H is stack
+        assert hermitian.all() and psd.all() and np.abs(trace - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("suite", [cli.run_npt_suite, cli.run_bound_suite])
     @pytest.mark.parametrize("dims", [D34, BipartiteDims(8, 8)], ids=str)
@@ -962,7 +982,8 @@ class TestConstructCommand:
 
     def test_exit_code_reports_negative_count(self, tmp_path, capsys):
         # exit 0 exactly when the written state has the full (m-1)(n-1) = 36
-        # negatives; a missed count exits 1 with an error line
+        # negatives; at the default tol_gap the bracket closes around 1, so
+        # the solve raises NoConvergence (exit 3) and the miss is reported
         out = tmp_path / "rho.json"
         code = cli.main([
             "construct", "--m", "7", "--n", "7", "--method", "direct",
@@ -974,7 +995,7 @@ class TestConstructCommand:
         assert (code == 0) == (count == 36)
         assert meta["converged"] == (count == 36)
         if code != 0:
-            assert code == 1
+            assert code == 3
             assert f"error: {count} negative partial-transpose eigenvalues" in err
 
     def test_rejects_zero_iteration_budget(self, tmp_path, capsys):

@@ -121,6 +121,12 @@ class TestInputValidation:
             ENTRY_POINTS[entry](D22, npt_projector(D22).P, **{name: bad})
 
 
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_projector_of_other_dims(self, entry, no_iteration):
+        # a 3 x 4 projector has the 12 x 12 shape of 2 x 6, but not its dims
+        with pytest.raises(errors.ShapeMismatch, match="projector of dims"):
+            ENTRY_POINTS[entry](BipartiteDims(2, 6), npt_projector(D34))
+
     @pytest.mark.parametrize("entry", ["construction_sdp", "dual_cone_route"])
     @pytest.mark.parametrize("P", [np.zeros((4, 4)), -np.eye(4)], ids=["zero", "negative"])
     def test_trace_not_positive_is_degenerate(self, entry, P, no_iteration):
@@ -199,6 +205,27 @@ class TestConstructionSdp:
             assert solve_construction_sdp(dims, rotated).d == pytest.approx(
                 base, abs=2e-4
             )
+
+    def test_bracket_around_one_raises(self):
+        # at the default tol_gap the 7 x 7 bracket closes around 1: it does
+        # not decide the claim d > 1, so the solve raises with that bracket
+        # and its state (33 of the 36 negatives) attached
+        dims = BipartiteDims(7, 7)
+        with pytest.raises(errors.NoConvergence, match="does not decide d against 1") as err:
+            solve_construction_sdp(dims, npt_projector(dims))
+        assert "smaller tol_gap, such as 1e-05" in str(err.value)
+        sol = err.value.partial
+        assert not sol.converged
+        assert sol.iterations == 550
+        assert sol.lower_bound == pytest.approx(0.9999535821831267, rel=0, abs=1e-9)
+        assert sol.upper_bound == pytest.approx(1.0000495363453037, rel=0, abs=1e-9)
+        assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == 33
+
+    def test_smaller_gap_certifies_7x7(self):
+        dims = BipartiteDims(7, 7)
+        sol = solve_construction_sdp(dims, npt_projector(dims), tol_gap=1e-5)
+        assert sol.converged and sol.lower_bound > 1.0
+        assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == 36
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(errors.NoConvergence) as err:
