@@ -34,6 +34,16 @@ def freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integer(name: str, value, error=ValueError):
+    """``value`` when it is an integer, numpy integers included and bool
+    not, as ``BipartiteDims`` takes them; otherwise ``error`` naming
+    ``name``.  Counts and seeds pass through it before any work, so the
+    range check that follows compares integers."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return value
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BipartiteDims:
     """Local dimensions (m, n) of C^m (x) C^n."""
@@ -273,14 +283,19 @@ def unrealign(M: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return M.T.reshape(dims.total).copy()
 
 
+def _check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is an integer of at least 0."""
+    if _integer("seed", seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _generators(seeds) -> list[np.random.Generator]:
     """The generator of each seed: PCG64, as GENERATOR_NAME records.
 
-    Raises ValueError for a negative seed, before any draw.
+    Raises ValueError for a seed that is not an integer of at least 0,
+    before any draw.
     """
-    low = min(seeds)
-    if low < 0:
-        raise ValueError(f"seed must be >= 0, got {low}")
+    _check_seed(min(seeds))
     return [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
 
@@ -321,7 +336,8 @@ def random_density_matrix(dims: BipartiteDims, rank: int, seed: int) -> DensityM
     """Sample rho = G G^dagger / Tr(G G^dagger), G an mn x rank Ginibre matrix.
 
     Deterministic: identical seed gives bit-identical output.  Raises
-    BadRank unless 1 <= rank <= mn and ValueError for a negative seed.
+    BadRank unless ``rank`` is an integer in [1, mn] and ValueError unless
+    ``seed`` is an integer of at least 0, before any draw.
     """
     return DensityMatrix(dims, _ginibre_states(dims, rank, [seed])[0])
 
@@ -332,7 +348,7 @@ def _ginibre_states(dims: BipartiteDims, rank: int, seeds) -> np.ndarray:
     draw per seed, then one Box-Muller transform and one stacked G G^dagger
     for all of them.  Each matrix is bit-identical to the one drawn alone."""
     d = dims.total
-    if not 1 <= rank <= d:
+    if not 1 <= _integer("rank", rank, BadRank) <= d:
         raise BadRank(f"rank must be in [1, {d}], got {rank}")
     u = _uniform_rows(_generators(seeds), 2 * d * rank)
     G = _box_muller(u).reshape(-1, d, rank)

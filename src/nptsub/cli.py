@@ -3,11 +3,18 @@
 Subcommands: ``subspace``, ``construct``, ``verify``, ``witness``,
 ``stress``.  Exit codes: 0 success/pass, 1 verification or property
 failure (a ``construct`` state whose negative count is not (m-1)(n-1)
-included), 2 usage or parse error, 3 solver non-convergence.  Every
-command judges a state by the one rule of DensityMatrix, with its fixed
-thresholds: ``verify`` passes a matrix exactly when ``witness`` accepts
-it as a state.  A ``construct`` file records ``converged`` true only when
-the solve converged and its state has (m-1)(n-1) negatives.
+included), 2 usage or parse error, 3 solver non-convergence.  ``main`` is
+the one map from exceptions to exit codes: a ValueError (MatrixFileError
+included) exits 2 with ``error: ...``, an OSError exits 2 with
+``error: cannot write output: ...`` and a NoConvergence exits 3 with
+``error: ...``.  Every command judges a state by the one rule of
+DensityMatrix, with its fixed thresholds: ``verify`` passes a matrix
+exactly when ``witness`` accepts it as a state.  ``construct`` runs both
+routes through one path: a solve that raises with a state (an SdpSolution
+or a ConeDecomposition) still has that state written, with the reason as
+``failure``, and exits 3.  A ``construct`` file records ``converged``
+true only when the solve converged and its state has (m-1)(n-1)
+negatives.
 
 Matrices travel as JSON documents with embedded local dimensions and
 explicit [re, im] entry pairs; floats are printed with 17 significant
@@ -47,8 +54,10 @@ from .bipartite import (
     GENERATOR_NAME,
     BipartiteDims,
     DensityMatrix,
+    _check_seed,
     _generators,
     _ginibre_states,
+    _integer,
     _mixture,
     _negative_counts,
     _pt_spectra,
@@ -61,6 +70,8 @@ from .sdp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL_C,
     DEFAULT_TOL_GAP,
+    ConeDecomposition,
+    SdpSolution,
     construct_via_dual_cone,
     solve_construction_sdp,
 )
@@ -309,11 +320,14 @@ def verify_matrix(mat: np.ndarray, dims: BipartiteDims, check_subspace: bool = F
     factorization), and the one eigvalsh is that of the partial transpose.
     A matrix that is not Hermitian (a non-square one included) has no
     spectrum: its negatives are not computed (None), nor is its range.
+    Raises ShapeMismatch for an input that is not 2-D.
     """
     thresholds = {"hermiticity": HERMITICITY_RTOL, "psd": -DENSITY_EIG_FLOOR,
                   "trace": DENSITY_TRACE_TOL}
     mat = np.asarray(mat)
-    if mat.ndim == 2 and mat.shape[0] == mat.shape[1]:
+    if mat.ndim != 2:
+        raise ShapeMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
+    if mat.shape[0] == mat.shape[1]:
         hermitian, trace, psd, H = _state_checks(mat)
     else:
         hermitian, trace, psd = False, np.trace(mat).real, False
@@ -362,6 +376,13 @@ def _chunks(dims: BipartiteDims, trials: int, seed: int):
         yield range(start, min(start + size, seed + trials))
 
 
+def _check_trials(trials: int, seed: int) -> None:
+    """Raise ValueError unless ``trials`` >= 1 and ``seed`` >= 0 are integers."""
+    if _integer("trials", trials) < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_seed(seed)
+
+
 def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     """Sample mixtures supported on the NPT subspace; all must be NPT and
     carry a valid witness certificate.
@@ -377,11 +398,10 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     floor), one eigvalsh gives their partial-transpose spectra, and one
     stacked ``locate_witness`` search gives every certificate.  A trial is
     NPT by the negativity rule of ``is_ppt``.
-    Raises ValueError for trials < 1 or seed < 0 and DegenerateSubspace
-    at m = 1 or n = 1, before any trial.
+    Raises ValueError unless trials >= 1 and seed >= 0 are integers, and
+    DegenerateSubspace at m = 1 or n = 1, before any trial.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials, seed)
     if dims.npt_dim == 0:
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
     basis = build_subspace(dims)
@@ -420,11 +440,10 @@ def run_bound_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     The trials run in chunks as in ``run_npt_suite``: each chunk's states
     are drawn as one stack (``_ginibre_states``), checked as DensityMatrix
     checks them (one Cholesky factorization for the PSD floor) and counted
-    with one eigvalsh of their partial transposes.  Raises ValueError for
-    trials < 1 or seed < 0, before any trial.
+    with one eigvalsh of their partial transposes.  Raises ValueError
+    unless trials >= 1 and seed >= 0 are integers, before any trial.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials, seed)
     cap = dims.npt_dim
     failures = []
     for seeds in _chunks(dims, trials, seed):
@@ -447,23 +466,19 @@ def _cmd_subspace(args) -> int:
     dims = BipartiteDims(args.m, args.n)
     basis = build_subspace(dims)
     out = args.out
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        meta = {"generators": "|j>|k+1> - |j+1>|k> in lexicographic (j,k) order"}
-        (out / "generators.json").write_text(
-            serialize_vectors(basis.generators, dims, meta), encoding="ascii"
-        )
-        meta = {"orthonormalization": "qr of the generators, R with positive diagonal"}
-        (out / "basis.json").write_text(
-            serialize_vectors(basis.orthonormal, dims, meta), encoding="ascii"
-        )
-        if args.projector:
-            P = subspace_projector(basis)
-            save_matrix(out / "projector.json", P.P, dims,
-                        {"trace": float(np.trace(P.P).real)})
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out.mkdir(parents=True, exist_ok=True)
+    meta = {"generators": "|j>|k+1> - |j+1>|k> in lexicographic (j,k) order"}
+    (out / "generators.json").write_text(
+        serialize_vectors(basis.generators, dims, meta), encoding="ascii"
+    )
+    meta = {"orthonormalization": "qr of the generators, R with positive diagonal"}
+    (out / "basis.json").write_text(
+        serialize_vectors(basis.orthonormal, dims, meta), encoding="ascii"
+    )
+    if args.projector:
+        P = subspace_projector(basis)
+        save_matrix(out / "projector.json", P.P, dims,
+                    {"trace": float(np.trace(P.P).real)})
     print(f"subspace dimension: {basis.dim} (m-1)(n-1) = {dims.npt_dim}")
     if basis.dim == 0:
         print("warning: subspace is zero-dimensional (m = 1 or n = 1)", file=sys.stderr)
@@ -481,85 +496,63 @@ def _cmd_construct(args) -> int:
         return EXIT_USAGE
     direct = args.method == "direct"
     tol = args.tol if args.tol is not None else (DEFAULT_TOL_GAP if direct else DEFAULT_TOL_C)
+    solve = solve_construction_sdp if direct else construct_via_dual_cone
     dims = BipartiteDims(args.m, args.n)
     P = subspace_projector(build_subspace(dims))
+    failure = None
+    try:
+        result = solve(dims, P, tol, args.max_iter)
+    except NoConvergence as exc:
+        # a failed solve that formed a state has it written and flagged;
+        # any other failure has no state to write
+        if not isinstance(exc.partial, (SdpSolution, ConeDecomposition)):
+            raise
+        result, failure = exc.partial, str(exc)
+    if direct:
+        gap = result.upper_bound - result.lower_bound
+        diagnostics = result.residuals
+        route = {"d": result.d, "objective_gap": gap if np.isfinite(gap) else None,
+                 "residuals": diagnostics}
+        summary = f"d = {result.d:.6g}"
+    else:
+        # lambda_min(X1) >= 0 is what makes X = X1 + X2^G a dual-cone
+        # split; its size shows how near the certified pair is to failing
+        diagnostics = {"split_margin": float(eigvalsh(result.X1)[0])}
+        route = {"c": result.c, "c_lower": result.c_lower, **diagnostics}
+        summary = f"c in [{result.c_lower:.10g}, {result.c:.10g}]"
+    report = verify_matrix(result.rho.mat, dims)  # the count `verify` prints for the file
+    count, negs = report.negative_count, report.negative_eigenvalues
     meta = {
         "method": args.method,
         "solver_budgets": {"max_iter": args.max_iter, "tolerance": tol},
+        "iterations": result.iterations,
+        "negative_count": count,
+        # converged: the solve converged and its state has the paper's count
+        "converged": failure is None and count == dims.npt_dim,
+        **route,
     }
-    exit_code = EXIT_OK
-    if direct:
-        try:
-            sol = solve_construction_sdp(
-                dims, P, tol_gap=tol, max_iter=args.max_iter
-            )
-        except NoConvergence as exc:
-            sol = exc.partial
-            exit_code = EXIT_NOCONV
-        rho = sol.rho
-        gap = sol.upper_bound - sol.lower_bound
-        meta.update({
-            "d": sol.d, "objective_gap": gap if np.isfinite(gap) else None,
-            "converged": sol.converged, "residuals": sol.residuals,
-            "iterations": sol.iterations,
-        })
-        summary = f"d = {sol.d:.6g}"
-        diagnostics = sol.residuals
-    else:
-        try:
-            dec = construct_via_dual_cone(
-                dims, P, tol_c=tol, max_iter=args.max_iter
-            )
-        except NoConvergence as exc:
-            if not isinstance(exc.partial, DensityMatrix):
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_NOCONV
-            rho = exc.partial
-            meta.update({"converged": False, "failure": str(exc)})
-            exit_code = EXIT_NOCONV
-            diagnostics = {}
-            summary = "dual-cone route did not converge"
-        else:
-            rho = dec.rho
-            # lambda_min(X1) >= 0 is what makes X = X1 + X2^G a dual-cone
-            # split; its size shows how near the certified pair is to failing
-            diagnostics = {"split_margin": float(eigvalsh(dec.X1)[0])}
-            meta.update({"c": dec.c, "c_lower": dec.c_lower, "converged": True,
-                         "iterations": dec.iterations, **diagnostics})
-            summary = f"c in [{dec.c_lower:.10g}, {dec.c:.10g}]"
-    report = verify_matrix(rho.mat, dims)  # the count `verify` prints for the file
-    count, negs = report.negative_count, report.negative_eigenvalues
-    meta["negative_count"] = count
-    # converged: the solve converged and its state has the paper's count
-    meta["converged"] = meta["converged"] and count == dims.npt_dim
-    try:
-        save_matrix(args.out, rho.mat, dims, meta)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if failure is not None:
+        meta["failure"] = failure
+    save_matrix(args.out, result.rho.mat, dims, meta)
     print(f"{summary}, negatives = {count} (target {dims.npt_dim})")
-    if "iterations" in meta:
-        print(f"iterations = {meta['iterations']}")
+    print(f"iterations = {result.iterations}")
     print("negative eigenvalues:", " ".join(f"{x:.6g}" for x in negs))
     for name, value in diagnostics.items():
         print(f"{name} = {value:.6g}")
-    if exit_code == EXIT_NOCONV:
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
         print("warning: solver did not converge; partial output written", file=sys.stderr)
     print(f"wrote {args.out}")
     if count != dims.npt_dim:
         print(f"error: {count} negative partial-transpose eigenvalues, "
               f"expected (m-1)(n-1) = {dims.npt_dim}", file=sys.stderr)
-        if exit_code == EXIT_OK:
-            exit_code = EXIT_FAIL
-    return exit_code
+    if failure is not None:
+        return EXIT_NOCONV
+    return EXIT_OK if count == dims.npt_dim else EXIT_FAIL
 
 
 def _cmd_verify(args) -> int:
-    try:
-        mat, dims, _ = load_matrix(args.infile)
-    except MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    mat, dims, _ = load_matrix(args.infile)
     report = verify_matrix(mat, dims, check_subspace=args.subspace)
     # with --json-out -, stdout carries only the JSON document
     say = functools.partial(print, file=sys.stderr if args.json_out == "-" else sys.stdout)
@@ -582,22 +575,14 @@ def _cmd_verify(args) -> int:
         if args.json_out == "-":
             sys.stdout.write(text)
         else:
-            try:
-                with open(args.json_out, "w", encoding="ascii") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print(f"error: cannot write output: {exc}", file=sys.stderr)
-                return EXIT_USAGE
+            with open(args.json_out, "w", encoding="ascii") as fh:
+                fh.write(text)
     say("verdict:", "PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_witness(args) -> int:
-    try:
-        mat, dims, _ = load_matrix(args.infile)
-    except MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    mat, dims, _ = load_matrix(args.infile)
     for flag, given, actual in (("--m", args.m, dims.m), ("--n", args.n, dims.n)):
         if given is not None and given != actual:
             print(f"error: flag {flag} {given} disagrees with file dims "
@@ -704,6 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one map from its exceptions to exit codes."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -711,9 +697,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as exc:
+    except ValueError as exc:  # a MatrixFileError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except NoConvergence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOCONV
 
 
 if __name__ == "__main__":

@@ -106,6 +106,7 @@ import numpy as np
 from .bipartite import (
     BipartiteDims,
     DensityMatrix,
+    _integer,
     count_negative_eigenvalues,
     partial_transpose,
 )
@@ -216,12 +217,17 @@ def _check_trace(dims: BipartiteDims, Pmat: np.ndarray) -> float:
     return k
 
 
-def _check_tols(**tols: float) -> None:
-    """Raise ValueError unless every named tolerance is finite and positive.
+def _check_budget(max_iter: int, **tols: float) -> None:
+    """Raise ValueError unless ``max_iter`` is an integer of at least 1 and
+    every named tolerance is finite and positive.
 
-    A NaN, infinite, zero or negative tolerance would otherwise run the
-    whole iteration budget before failing on a meaningless comparison.
+    Without an iteration no certify step runs, so there is no bound; a
+    count that is not an integer, or a NaN, infinite, zero or negative
+    tolerance, would otherwise fail only after the set-up or after the
+    whole iteration budget.
     """
+    if _integer("max_iter", max_iter) < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     for name, tol in tols.items():
         if not (np.isfinite(tol) and tol > 0):
             raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
@@ -484,12 +490,9 @@ def _split(cones: _ConePair, z, affine, certify, primal, dual, tol: float, max_i
     one, starting from (-inf, ``primal``) and (inf, ``dual``).  It stops
     once ub - lb <= ``tol``, or once ``stop(dual)`` accepts an improved
     dual certificate.  Returns (iterations, lb, primal, ub, dual, stopped),
-    ``stopped`` telling whether ``stop`` ended the run.  Raises ValueError
-    for ``max_iter < 1``: without an iteration no certify step runs, so
-    there is no bound.
+    ``stopped`` telling whether ``stop`` ended the run.  ``max_iter`` is at
+    least 1 (``_check_budget``), so a certify step always runs.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
     def norm(v):
         return sum(np.linalg.norm(c) for c in cones.split(v))
@@ -564,9 +567,10 @@ def solve_construction_sdp(
     other dims; NoConvergence (with the best iterate attached as
     ``partial``) when the budget runs out first or the closed bracket
     still holds 1 (its message names a smaller ``tol_gap``); and
-    ValueError for a ``tol_gap`` that is not finite and positive.
+    ValueError for a ``tol_gap`` that is not finite and positive or a
+    ``max_iter`` that is not an integer of at least 1.
     """
-    _check_tols(tol_gap=tol_gap)
+    _check_budget(max_iter, tol_gap=tol_gap)
     d_tot = dims.total
     Pmat = _solver_input(P, dims)
     # S and P live in one picture, rho and P^G in the other
@@ -687,9 +691,10 @@ def optimize_over_ppt(
     Raises NoConvergence, with the PptOptimum attached as ``partial`` (its
     bracket and dual pair are still certified), when the gap is above
     ``tol`` after ``max_iter`` iterations; ValueError for a ``tol`` that is
-    not finite and positive.
+    not finite and positive or a ``max_iter`` that is not an integer of at
+    least 1.
     """
-    _check_tols(tol=tol)
+    _check_budget(max_iter, tol=tol)
     return _solve_ppt(dims, W, tol, max_iter)
 
 
@@ -808,12 +813,15 @@ def construct_via_dual_cone(
 
     Raises DegenerateSubspace, before any iteration, at m = 1 or n = 1 or
     for a P whose trace is not positive; ValueError for a ``tol_c`` that
-    is not finite and positive; and NoConvergence, whose ``partial`` is
-    the PptOptimum when the PPT solve stops on its budget or certifies a c
-    outside (0, 1), the pair (X1, X2) when Tr(X2) <= 1e-8, and rho (a
-    DensityMatrix) when its negative count misses rank P.
+    is not finite and positive or a ``max_iter`` that is not an integer of
+    at least 1; and NoConvergence with one of two ``partial`` types.  It
+    is the ConeDecomposition, bracket and split included, when the route
+    formed a state whose negative count misses rank P.  In every other
+    case it is the PptOptimum that certified c: when the PPT solve stops
+    on its budget, certifies a c outside (0, 1), or gives Tr(X2) <= 1e-8,
+    X2 = Y2 / c from its ``dual_basis`` (Y1, Y2).
     """
-    _check_tols(tol_c=tol_c)
+    _check_budget(max_iter, tol_c=tol_c)
     if dims.npt_dim == 0:
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
     Pmat = _solver_input(P, dims)
@@ -822,42 +830,36 @@ def construct_via_dual_cone(
 
     def claim(c, pair):
         """Whether c < 1 is certified and the pair's state has the target count."""
-        if not 0.0 < c < 1.0:
-            return False
-        try:
-            _cone_split(dims, Pmat, c, pair[1], target)
-        except NoConvergence:
-            return False
-        return True
+        return 0.0 < c < 1.0 and _cone_split(dims, Pmat, c, pair[1])[4] == target
 
     opt = _solve_ppt(dims, Pmat, tol_c, max_iter, stop=claim)
     c = float(opt.upper_bound)
     if not 0.0 < c < 1.0:
         raise NoConvergence(f"certified c = {c!r} is outside (0, 1)", partial=opt)
-    X, X1, X2, rho = _cone_split(dims, Pmat, c, opt.dual_basis[1], target)
-    return ConeDecomposition(c=c, c_lower=float(opt.lower_bound), X=X, X1=X1, X2=X2,
-                             rho=rho, iterations=opt.iterations)
+    X, X1, X2, rho, count = _cone_split(dims, Pmat, c, opt.dual_basis[1])
+    if rho is None:
+        raise NoConvergence(f"dual pair gives Tr(X2) = {_tr(X2):.3e}", partial=opt)
+    dec = ConeDecomposition(c=c, c_lower=float(opt.lower_bound), X=X, X1=X1, X2=X2,
+                            rho=rho, iterations=opt.iterations)
+    if count != target:
+        raise NoConvergence(
+            f"dual-cone state has {count} negative partial-transpose "
+            f"eigenvalues, expected {target}", partial=dec,
+        )
+    return dec
 
 
-def _cone_split(dims: BipartiteDims, Pmat: np.ndarray, c: float, Y2: np.ndarray, target: int):
-    """(X, X1, X2, rho): the split X = I - P/c = X1 + X2^G with X2 = Y2/c,
-    and the state rho = X2 / Tr(X2), checked for ``target`` negatives.
-
-    Raises NoConvergence with the pair (X1, X2) attached when Tr(X2) <=
-    1e-8, and with rho when its negative count is not ``target``.
+def _cone_split(dims: BipartiteDims, Pmat: np.ndarray, c: float, Y2: np.ndarray):
+    """(X, X1, X2, rho, count): the split X = I - P/c = X1 + X2^G with
+    X2 = Y2/c, the state rho = X2 / Tr(X2) and its negative
+    partial-transpose count; rho and count are None when Tr(X2) <= 1e-8.
     """
     X = hermitize(np.eye(dims.total) - Pmat / c)
     X2 = Y2 / c
     X1 = X - partial_transpose(X2, dims)
     t = _tr(X2)
     if t <= 1e-8:
-        raise NoConvergence(f"dual pair gives Tr(X2) = {t:.3e}", partial=(X1, X2))
+        return X, X1, X2, None, None
     rho = DensityMatrix(dims, X2 / t)
-
     count, _ = count_negative_eigenvalues(partial_transpose(rho.mat, dims))
-    if count != target:
-        raise NoConvergence(
-            f"dual-cone state has {count} negative partial-transpose "
-            f"eigenvalues, expected {target}", partial=rho,
-        )
-    return X, X1, X2, rho
+    return X, X1, X2, rho, count

@@ -25,6 +25,7 @@ from .bipartite import (
     Ensemble,
     _box_muller,
     _ensemble_error,
+    _integer,
     _mixture,
     _uniform_rows,
     freeze,
@@ -331,9 +332,9 @@ def sample_mixture_in_subspace(
     standard complex Gaussians over the orthonormal basis; weights are a
     flat Dirichlet draw.  Deterministic given the generator: the stacked
     sampler ``_sample_mixtures`` on a stack of one.  Raises BadRank for a
-    rank below 1.
+    rank that is not an integer of at least 1.
     """
-    if rank < 1:
+    if _integer("rank", rank, BadRank) < 1:
         raise BadRank(f"rank must be at least 1, got {rank}")
     if basis.dim == 0:
         raise NotInSubspace("subspace is zero-dimensional; nothing to sample")

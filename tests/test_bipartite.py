@@ -216,6 +216,10 @@ class TestRandomDensityMatrix:
             random_density_matrix(D34, rank=0, seed=1)
         with pytest.raises(errors.BadRank):
             random_density_matrix(D34, rank=13, seed=1)
+        # a count that is not an integer is refused before any draw
+        for rank in (2.5, True):
+            with pytest.raises(errors.BadRank, match=f"^rank must be an integer, got {rank}$"):
+                random_density_matrix(D34, rank=rank, seed=1)
 
     def test_negative_count_bounded(self):
         for i in range(200):
@@ -227,6 +231,10 @@ class TestRandomDensityMatrix:
     def test_negative_seed_rejected_before_any_draw(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             random_density_matrix(D34, rank=4, seed=-1)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            random_density_matrix(D34, rank=4, seed=1.5)
+        assert np.array_equal(random_density_matrix(D34, rank=np.int64(4), seed=np.uint32(7)).mat,
+                              random_density_matrix(D34, rank=4, seed=7).mat)
 
 
 def sha256(a):

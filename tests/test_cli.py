@@ -679,6 +679,12 @@ class TestVerifyCommand:
         assert report.trace == 1.0
         assert report.negative_count is None and report.negative_eigenvalues is None
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 4)], ids=["vector", "stack"])
+    def test_not_2d_raises(self, shape):
+        # no matrix at all: a shape error, not numpy's own ValueError or TypeError
+        with pytest.raises(ShapeMismatch, match=r"expected a 2-D matrix, got shape"):
+            cli.verify_matrix(np.ones(shape, dtype=complex) / 4, D22)
+
 
 def eigenvalue_floor_verdict(mat) -> bool:
     """The PSD floor by its definition: the lowest eigenvalue of the
@@ -928,7 +934,12 @@ class TestConstructCommand:
         with pytest.raises(NoConvergence) as err:
             sdp.solve_construction_sdp(D34, subspace_projector(build_subspace(D34)), max_iter=3)
         assert meta["iterations"] == err.value.partial.iterations
-        assert f"iterations = {err.value.partial.iterations}" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert f"iterations = {err.value.partial.iterations}" in captured.out
+        # the solver's reason reaches the file and stderr
+        assert meta["failure"] == str(err.value) and "gap" in meta["failure"]
+        assert f"error: {err.value}\nwarning: solver did not converge" in captured.err
+        assert "error: construction SDP " in captured.err
 
     @pytest.mark.parametrize("method,solve", [
         ("direct", sdp.solve_construction_sdp),
@@ -979,6 +990,9 @@ class TestConstructCommand:
         assert meta["converged"] is False
         assert meta["negative_count"] == 0
         assert meta["failure"] == "dual-cone state has 0 negative partial-transpose eigenvalues, expected 4"
+        # the route's bracket and split are kept: X1 = (I - 2 P) - 2 I = -I - 2 P
+        assert (meta["c"], meta["c_lower"], meta["iterations"]) == (0.5, 0.5, 1)
+        assert meta["split_margin"] == pytest.approx(-3.0, abs=1e-12)
 
     def test_exit_code_reports_negative_count(self, tmp_path, capsys):
         # exit 0 exactly when the written state has the full (m-1)(n-1) = 36
@@ -1360,6 +1374,9 @@ class TestSuites:
         (-3, 1, "trials must be >= 1, got -3"),
         (0, 1, "trials must be >= 1, got 0"),
         (5, -1, "seed must be >= 0, got -1"),
+        (2.5, 1, "trials must be an integer, got 2.5"),
+        (True, 1, "trials must be an integer, got True"),
+        (5, 1.5, "seed must be an integer, got 1.5"),
     ])
     def test_rejects_bad_trials_and_seed(self, monkeypatch, suite, trials, seed, message):
         # raised before any generator is made

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,17 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
             ENTRY_POINTS[entry](D22, npt_projector(D22).P, **{name: bad})
 
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad,message", [
+        (0, "max_iter must be at least 1, got 0"),
+        (-5, "max_iter must be at least 1, got -5"),
+        (2.5, "max_iter must be an integer, got 2.5"),
+        (True, "max_iter must be an integer, got True"),
+    ], ids=["zero", "negative", "float", "bool"])
+    def test_bad_iteration_budget(self, entry, bad, message, no_iteration):
+        # rejected before the splitting loop, not by a TypeError inside it
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ENTRY_POINTS[entry](D22, npt_projector(D22).P, max_iter=bad)
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_projector_of_other_dims(self, entry, no_iteration):
@@ -735,13 +748,15 @@ class TestDualConeRoute:
         monkeypatch.setattr(sdp, "_solve_ppt", lambda *args, **kwargs: opt)
 
     def test_vanishing_x2_raises_with_the_pair(self, monkeypatch):
-        # Y2 = 0 gives X2 = 0: no state to normalize, so the split is attached
+        # Y2 = 0 gives X2 = 0: no state to normalize, so the PPT optimum
+        # that certified c is attached, with its pair (0, 0)
         self.crafted_optimum(monkeypatch, D33, np.zeros((9, 9)))
         with pytest.raises(errors.NoConvergence, match=r"dual pair gives Tr\(X2\) = 0\.000e\+00") as info:
             construct_via_dual_cone(D33, npt_projector(D33))
-        X1, X2 = info.value.partial
-        assert np.array_equal(X2, np.zeros((9, 9)))
-        assert np.allclose(X1, np.eye(9) - 2.0 * npt_projector(D33).P, rtol=0, atol=1e-15)
+        opt = info.value.partial
+        assert isinstance(opt, sdp.PptOptimum)
+        assert opt.upper_bound == 0.5
+        assert np.array_equal(opt.dual_basis[1], np.zeros((9, 9)))
 
     def test_count_miss_raises_with_the_state(self, monkeypatch):
         # Y2 = I gives rho = I/9, which is PPT: 0 negatives against 4
@@ -749,9 +764,12 @@ class TestDualConeRoute:
         with pytest.raises(errors.NoConvergence, match="dual-cone state has 0 negative partial-transpose "
                            "eigenvalues, expected 4") as info:
             construct_via_dual_cone(D33, npt_projector(D33))
-        rho = info.value.partial
-        assert isinstance(rho, DensityMatrix)
-        assert np.array_equal(rho.mat, np.eye(9) / 9)
+        # the decomposition is attached whole: its bracket, split and state
+        dec = info.value.partial
+        assert isinstance(dec, sdp.ConeDecomposition)
+        assert (dec.c, dec.c_lower, dec.iterations) == (0.5, 0.5, 1)
+        assert np.array_equal(dec.rho.mat, np.eye(9) / 9)
+        assert np.array_equal(dec.X2, 2.0 * np.eye(9))
 
     def test_decomposition_psd(self):
         # the closed-form split from the certifying dual pair, on the

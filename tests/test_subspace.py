@@ -464,7 +464,7 @@ class TestSampling:
                 w = np.linalg.eigvalsh(partial_transpose(rho.mat, dims))
                 assert w[0] < -1e-12 * w[-1]
 
-    @pytest.mark.parametrize("rank", [0, -2])
+    @pytest.mark.parametrize("rank", [0, -2, 2.5, True])
     def test_sample_rejects_rank_below_one(self, rank):
         rng = np.random.Generator(np.random.PCG64(0))
         with pytest.raises(errors.BadRank):
