@@ -3,7 +3,9 @@ negative eigenvalues, by two independent routes.
 
 Direct route: maximize d subject to rho^G <= I - d P over density
 matrices; any feasible point with d > 1 forces (m-1)(n-1) negative
-partial-transpose eigenvalues.
+partial-transpose eigenvalues.  The solve stops at the first certified
+d > 1 whose state has them all, so it prints the certified bracket on the
+optimum, not the optimum itself.
 
 Dual-cone route: compute c = max Tr(P sigma) over PPT states sigma, form
 X = I - (1/c) P (which lies in the dual cone of the PPT states), split it
@@ -30,8 +32,7 @@ for m, n in [(2, 2), (3, 3), (3, 4)]:
 
     sol = solve_construction_sdp(dims, P)
     count, negs = count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))
-    print(f"direct    : d = {sol.d:.6f} "
-          f"(certified gap {sol.upper_bound - sol.lower_bound:.1e}), "
+    print(f"direct    : d in [{sol.lower_bound:.6f}, {sol.upper_bound:.6f}], "
           f"negatives = {count}")
     print(f"            {np.round(negs, 5)}")
 
@@ -45,9 +46,10 @@ for m, n in [(2, 2), (3, 3), (3, 4)]:
     print(f"            {np.round(negs, 5)}")
 
     # the dual-cone output is itself feasible for the direct program at
-    # d = 1 + (1/c - 1)/Tr(X2), so the direct optimum must dominate it
+    # d = 1 + (1/c - 1)/Tr(X2), so the direct optimum, and with it the
+    # certified upper end of its bracket, must dominate it
     bound = 1.0 + (1.0 / dec.c - 1.0) / np.trace(dec.X2).real
-    print(f"cross-check: optimal d = {sol.d:.6f} >= dual-cone bound {bound:.6f}\n")
+    print(f"cross-check: direct upper bound {sol.upper_bound:.6f} >= dual-cone bound {bound:.6f}\n")
 
 # At (2, 2) everything is known in closed form: the optimum of the direct
 # program is d = 3/2 at the maximally entangled state, and c = 1/2.

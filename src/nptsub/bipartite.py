@@ -326,9 +326,12 @@ def complex_gaussians(shape, rng: np.random.Generator) -> np.ndarray:
     One ``rng.random`` call of two uniforms per value, so the stream is
     fully determined by the generator algorithm (see GENERATOR_NAME).  An
     int shape is a length: ``()`` gives one value (a 0-d array), while 0
-    or (0,) gives an empty array and draws nothing.
+    or (0,) gives an empty array and draws nothing.  Raises ValueError,
+    before any draw, for a shape entry that is not an integer of at least 0.
     """
-    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    shape = tuple(_integer("shape", s) for s in ((shape,) if np.ndim(shape) == 0 else shape))
+    if min(shape, default=0) < 0:
+        raise ValueError(f"shape must not be negative, got {shape}")
     return _box_muller(rng.random(2 * math.prod(shape))).reshape(shape)
 
 

@@ -41,6 +41,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -488,9 +489,6 @@ def _cmd_subspace(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.m < 2 or args.n < 2:
-        print("error: construction requires m, n >= 2", file=sys.stderr)
-        return EXIT_USAGE
     if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
         print(f"error: --tol must be a finite positive number, got {args.tol}", file=sys.stderr)
         return EXIT_USAGE
@@ -611,20 +609,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_stress(args) -> int:
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     dims = BipartiteDims(args.m, args.n)
-    if args.suite == "npt":
-        if dims.npt_dim == 0:
-            print("error: npt suite needs m, n >= 2", file=sys.stderr)
-            return EXIT_USAGE
-        result = run_npt_suite(dims, args.trials, args.seed)
-    else:
-        result = run_bound_suite(dims, args.trials, args.seed)
+    suite = run_npt_suite if args.suite == "npt" else run_bound_suite
+    result = suite(dims, args.trials, args.seed)
     ok = result.trials - len(result.failures)
     print(f"suite {result.suite} at ({dims.m},{dims.n}): "
           f"{ok}/{result.trials} passed (base seed {args.seed}, "
@@ -655,10 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=["direct", "dual-cone"], default="direct")
     p.add_argument("--tol", type=float, default=None,
-                   help="objective tolerance: the certified gap for direct (default "
-                        f"{DEFAULT_TOL_GAP:g}); for dual-cone, the bracket on c at which "
-                        "the route stops if no earlier round certifies c < 1 with the "
-                        f"full count (default {DEFAULT_TOL_C:g})")
+                   help="objective tolerance: for direct, the certified gap on d at which "
+                        "the route stops if no earlier round certifies d > 1 with the full "
+                        f"count (default {DEFAULT_TOL_GAP:g}); for dual-cone, the bracket on c "
+                        "at which the route stops if no earlier round certifies c < 1 with "
+                        f"the full count (default {DEFAULT_TOL_C:g})")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                    help=f"splitting-iteration budget per solve (default {DEFAULT_MAX_ITER})")
     p.add_argument("--out", type=Path, required=True, help="output matrix file")
@@ -696,11 +684,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout fails here, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except ValueError as exc:  # a MatrixFileError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the unwritten output would fail again when the interpreter exits
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NoConvergence as exc:

@@ -13,10 +13,15 @@ maximization that certifies c: a PSD pair (Y1, Y2) certifying
 lambda_max(W + Y1 + Y2^G) <= t gives t I - W - Y2^G >= Y1 >= 0, so the
 dual pair of the certified maximum of <P, sigma> already splits
 X = I - P / c into X1 + X2^G with X1, X2 >= 0.  The paper's claim needs
-only a certified c < 1, not c to within a gap, so the route stops the PPT
-solve at the first certify round whose pair certifies c < 1 and whose
-state X2 / Tr(X2) passes the route's own count (at 9 x 9: 18,200
-iterations instead of the 40,700 that close the bracket to 1e-6).
+only a certified c < 1 (or d > 1), not c (or d) to within a gap, so each
+route stops at the first certify round that certifies its claim with a
+state of the full count, rank P negative partial-transpose eigenvalues.
+The dual-cone route stops the PPT solve at the first round whose pair
+certifies c < 1 and whose state X2 / Tr(X2) has the count (at 9 x 9:
+18,200 iterations instead of the 40,700 that close the bracket to 1e-6);
+the direct route stops at the first round whose feasible state certifies
+d > 1 and has the count (at 5 x 6: 250 iterations instead of the 450
+that close the gap to 1e-4).
 
 ``_split`` is an over-relaxed iteration between an affine set and the
 product of two PSD cones, on one entry vector [z1; z2] for both cones,
@@ -41,8 +46,8 @@ supplies only two steps:
 * its certify step, a pure map from the current iterates to candidate
   bounds and the certificates that attain them.  ``_split`` alone keeps
   the certified bracket and decides the stop (its docstring states the
-  contract): once the certified gap closes, or, on the dual-cone route,
-  once the claim is certified.
+  contract): once the certified gap closes, or once the route's claim is
+  certified.
 
 The iterates live on sector blocks when the input (P, or W) is real and
 zero outside the j+k sectors, as the NPT projector is.  Every iterate is
@@ -118,7 +123,8 @@ from .subspace import Projector
 DEFAULT_MAX_ITER = 200_000
 
 #: Default tolerances: the construction's certified gap ``tol_gap`` and the
-#: dual-cone route's bracket on c, ``tol_c``.
+#: dual-cone route's bracket on c, ``tol_c``, at which each route stops if
+#: no earlier certify round certifies its claim with the full count.
 DEFAULT_TOL_GAP = 1e-4
 DEFAULT_TOL_C = 1e-6
 
@@ -457,7 +463,7 @@ class _Anderson:
 
 
 def _split(cones: _ConePair, z, affine, certify, primal, dual, tol: float, max_iter: int,
-           cert_every: int, stop=None):
+           cert_every: int, stop_lower=None, stop_upper=None):
     """Over-relaxed splitting between an affine set and two PSD cones,
     Anderson-accelerated, that keeps the certified bracket and decides the
     stop.
@@ -488,9 +494,11 @@ def _split(cones: _ConePair, z, affine, certify, primal, dual, tol: float, max_i
     no state.  ``_split`` alone keeps the bracket: the largest lower bound
     with its primal certificate and the smallest upper bound with its dual
     one, starting from (-inf, ``primal``) and (inf, ``dual``).  It stops
-    once ub - lb <= ``tol``, or once ``stop(dual)`` accepts an improved
-    dual certificate.  Returns (iterations, lb, primal, ub, dual, stopped),
-    ``stopped`` telling whether ``stop`` ended the run.  ``max_iter`` is at
+    once ub - lb <= ``tol``, once ``stop_lower(lb, primal)`` accepts an
+    improved lower bound, or once ``stop_upper(ub, dual)`` accepts an
+    improved upper bound, each asked only on the rounds that improve its
+    side.  Returns (iterations, lb, primal, ub, dual, stopped), ``stopped``
+    telling whether a stop predicate ended the run.  ``max_iter`` is at
     least 1 (``_check_budget``), so a certify step always runs.
     """
 
@@ -526,9 +534,10 @@ def _split(cones: _ConePair, z, affine, certify, primal, dual, tol: float, max_i
             lb_cand, primal_cand, ub_cand, dual_cand = certify(z, u, beta)
             if lb_cand > lb:
                 lb, primal = lb_cand, primal_cand
+                stopped = stop_lower is not None and stop_lower(lb, primal)
             if ub_cand < ub:
                 ub, dual = ub_cand, dual_cand
-                stopped = stop is not None and stop(dual)
+                stopped = stopped or (stop_upper is not None and stop_upper(ub, dual))
             if stopped or ub - lb <= tol:
                 break
     return it, lb, primal, ub, dual, stopped
@@ -552,11 +561,21 @@ def solve_construction_sdp(
     contract of ``_split``, every 50 iterations): a rounded state rho and
     its largest feasible shift d are the primal certificate, and a rounded
     dual certificate Y >= 0 with <Y, P> = 1 bounds the optimum from above
-    by Tr Y - lambda_min(Y^G); iteration stops once the certified gap is at
-    most ``tol_gap``.  The solution is returned only when the certified gap
-    is closed, the dense residual lambda_max(rho^G + d P - I) is at most
-    1e-7, and the bracket decides d against 1: it does not hold 1 with its
-    upper end above 1, so d > 1 is certified or d <= 1 is.  The lower
+    by Tr Y - lambda_min(Y^G).
+
+    The paper's claim is d > 1 with a state of rank P negative
+    partial-transpose eigenvalues (rank P is the number of eigenvalues of
+    P above 1/2: (m-1)(n-1) for the NPT projector).  Iteration stops at the
+    first certify round whose lower bound improves to d > 1 and whose
+    state, the one the route would return, has exactly rank P negatives by
+    the package's negativity rule, counted dense; it is then ``converged``
+    whatever its gap.  Otherwise, and always for a P of rank 0, which has
+    no claim, iteration stops once the certified gap is at most
+    ``tol_gap``.  Either stop keeps the iterates; only the round moves.
+    The solution is returned only when the solve stopped on the claim or
+    closed its gap, the dense residual lambda_max(rho^G + d P - I) is at
+    most 1e-7, and the bracket decides d against 1: it does not hold 1 with
+    its upper end above 1, so d > 1 is certified or d <= 1 is.  The lower
     bound passes a margin check down to -1e-13, so it can exceed the upper
     bound by rounding: up to 1e-12 relative, the upper bound is reported
     as the lower one; a wider crossing raises NoConvergence.
@@ -565,8 +584,9 @@ def solve_construction_sdp(
     is not positive (the NPT projector at m = 1 or n = 1, where d is
     unbounded); ShapeMismatch, before any iteration, for a Projector of
     other dims; NoConvergence (with the best iterate attached as
-    ``partial``) when the budget runs out first or the closed bracket
-    still holds 1 (its message names a smaller ``tol_gap``); and
+    ``partial``) when the budget runs out before either stop or the
+    closed bracket still holds 1 (its message names a smaller
+    ``tol_gap``); and
     ValueError for a ``tol_gap`` that is not finite and positive or a
     ``max_iter`` that is not an integer of at least 1.
     """
@@ -605,10 +625,18 @@ def solve_construction_sdp(
         Y = Y / overlap
         return d, r, pic_S.trace(Y) - float(pic_r.eigvalsh(Y[pic_S.pt])[0]), Y
 
+    target = _target_count(Pmat)
+
+    def claim(d, r):
+        """Whether d > 1 is certified and the state r has the target count."""
+        rho = pic_r.unpack(r)
+        return d > 1.0 and count_negative_eigenvalues(partial_transpose(rho, dims))[0] == target
+
     cones = _ConePair(pic_r, pic_S)
     z = np.concatenate((eye_r / d_tot, eye_S))
-    it, lb, best_r, ub, best_Y, _ = _split(cones, z, affine, certify, eye_r / d_tot, None,
-                                           tol_gap, max_iter, cert_every=50)
+    it, lb, best_r, ub, best_Y, stopped = _split(cones, z, affine, certify, eye_r / d_tot, None,
+                                                 tol_gap, max_iter, cert_every=50,
+                                                 stop_lower=claim if target else None)
 
     # the returned bracket, rechecked dense: the residuals verify lb, and
     # the dual bound is recomputed from the best certificate
@@ -624,8 +652,11 @@ def solve_construction_sdp(
     reason = None
     if empty:
         reason = f"bracket is empty: lower bound {lb!r} > upper bound {ub!r}"
-    elif ub - lb > tol_gap or residuals["pt_constraint_gap"] > _TOL_FEAS:
+    elif not (stopped or ub - lb <= tol_gap):
         reason = f"gap {ub - lb:.3e} above {tol_gap:.1e} after {it} iterations"
+    elif residuals["pt_constraint_gap"] > _TOL_FEAS:
+        reason = (f"dense residual {residuals['pt_constraint_gap']:.3e} above {_TOL_FEAS:.0e} "
+                  f"after {it} iterations")
     elif lb <= 1.0 < ub:
         reason = (f"bracket [{lb!r}, {ub!r}] does not decide d against 1 after {it} "
                   f"iterations; rerun with a smaller tol_gap, such as {tol_gap / 10:.0e}")
@@ -637,6 +668,13 @@ def solve_construction_sdp(
     if reason is not None:
         raise NoConvergence(f"construction SDP {reason}", partial=solution)
     return solution
+
+
+def _target_count(Pmat: np.ndarray) -> int:
+    """rank P, the number of eigenvalues of P above 1/2: the negative
+    partial-transpose count both routes claim ((m-1)(n-1) for the NPT
+    projector)."""
+    return int((eigvalsh(Pmat) > 0.5).sum())
 
 
 def _construction_residuals(rho, d, Pmat, dims) -> dict[str, float]:
@@ -732,10 +770,10 @@ def _solve_ppt(dims: BipartiteDims, W, tol: float, max_iter: int, stop=None) -> 
     cones = _ConePair(pic_1, pic_2)
     z = np.concatenate((pic_1.eye, pic_2.eye)) / d_tot
     zero_pair = (np.zeros_like(pic_1.eye), np.zeros_like(pic_2.eye))
-    accept = None if stop is None else (lambda y: stop(*dual(y)))
+    accept = None if stop is None else (lambda _, y: stop(*dual(y)))
     it, _, best_sigma, _, best_y, stopped = _split(cones, z, affine, certify, pic_1.eye / d_tot,
                                                    zero_pair, tol, max_iter, cert_every=100,
-                                                   stop=accept)
+                                                   stop_upper=accept)
 
     # the returned bracket, recomputed dense from the returned sigma and pair
     sigma = pic_1.unpack(best_sigma)
@@ -826,7 +864,7 @@ def construct_via_dual_cone(
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
     Pmat = _solver_input(P, dims)
     _check_trace(dims, Pmat)
-    target = int((eigvalsh(Pmat) > 0.5).sum())
+    target = _target_count(Pmat)
 
     def claim(c, pair):
         """Whether c < 1 is certified and the pair's state has the target count."""

@@ -320,6 +320,20 @@ class TestGaussians:
         ref.random(draws)
         assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("shape,message", [
+        (2.5, "shape must be an integer, got 2.5"),
+        ((2, 1.5), "shape must be an integer, got 1.5"),
+        (True, "shape must be an integer, got True"),
+        (-1, r"shape must not be negative, got \(-1,\)"),
+        ((-1, -2), r"shape must not be negative, got \(-1, -2\)"),
+    ])
+    def test_rejects_bad_shape(self, shape, message):
+        # raised before any draw: the generator has not moved
+        rng = np.random.Generator(np.random.PCG64(2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bipartite.complex_gaussians(shape, rng)
+        assert rng.random() == np.random.Generator(np.random.PCG64(2)).random()
+
 
 class TestValidation:
     def test_density_matrix_rejects_bad_trace(self):

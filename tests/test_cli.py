@@ -917,10 +917,16 @@ class TestConstructCommand:
         assert code == 0
         assert "negatives = 6" in text
 
-    def test_bad_dims(self, tmp_path):
-        code = cli.main(["construct", "--m", "1", "--n", "4",
-                         "--out", str(tmp_path / "x.json")])
-        assert code == 2
+    def test_bad_dims(self, tmp_path, capsys):
+        # m = 1: each route refuses the trivial subspace before any iteration
+        out = tmp_path / "x.json"
+        for method, message in (("direct", "construction needs a P of positive trace"),
+                                ("dual-cone", "NPT subspace is trivial")):
+            code = cli.main(["construct", "--m", "1", "--n", "4", "--method", method,
+                             "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+            assert not out.exists()
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
         out = tmp_path / "rho.json"
@@ -1145,14 +1151,15 @@ class TestStressCommand:
         code = cli.main(["stress", "--suite", "bound", "--m", "2", "--n", "2", "--seed", "-1"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == "error: --seed must be >= 0\n"
+        assert captured.err == "error: seed must be >= 0, got -1\n"
         assert captured.out == ""
 
-    def test_bad_trials(self):
+    def test_bad_trials(self, capsys):
         assert cli.main([
             "stress", "--suite", "bound", "--m", "2", "--n", "2",
             "--trials", "0", "--seed", "1",
         ]) == 2
+        assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
 
     def test_usage_error(self):
         assert cli.main(["stress", "--suite", "bogus", "--m", "2", "--n", "2"]) == 2
@@ -1390,7 +1397,7 @@ class TestSuites:
             cli.run_npt_suite(BipartiteDims(m, n), 2, 0)
         code = cli.main(["stress", "--suite", "npt", "--m", str(m), "--n", str(n)])
         assert code == 2
-        assert "npt suite needs m, n >= 2" in capsys.readouterr().err
+        assert "NPT subspace is trivial at dims" in capsys.readouterr().err
 
 
 class TestBlackBox:
@@ -1415,6 +1422,19 @@ class TestBlackBox:
     def test_missing_subcommand_exit_2(self):
         proc = self.run()
         assert proc.returncode == 2
+
+    def test_closed_stdout_exit_2(self):
+        # the report fits the stdout buffer, so the write fails only when
+        # main flushes it: exit 2 with the error line, not 120 at exit
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nptsub", "verify", "--in", cli.paper_fixture_path()],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 2
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
     def test_witness_singlet_exit_0(self, tmp_path):
         path = write_state(tmp_path / "singlet.json", singlet_matrix(), D22)

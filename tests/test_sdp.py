@@ -207,6 +207,17 @@ class TestConstructionSdp:
         assert err.value.partial.lower_bound == 10.0 > err.value.partial.upper_bound
         assert not err.value.partial.converged
 
+    def test_dense_residual_raises_after_a_claim_stop(self, monkeypatch):
+        # a claim stop waives the gap, not the dense feasibility recheck
+        residuals = sdp._construction_residuals
+        monkeypatch.setattr(sdp, "_construction_residuals",
+                            lambda *args: {**residuals(*args), "pt_constraint_gap": 1e-6})
+        dims = BipartiteDims(5, 6)
+        with pytest.raises(errors.NoConvergence, match="^construction SDP dense residual "
+                           "1.000e-06 above 1e-07 after 250 iterations$") as err:
+            solve_construction_sdp(dims, npt_projector(dims))
+        assert not err.value.partial.converged
+
     def test_local_unitary_invariance(self):
         # conjugating the projector by A (x) B transforms the feasible set
         # covariantly, so the optimum cannot move
@@ -240,6 +251,31 @@ class TestConstructionSdp:
         assert sol.converged and sol.lower_bound > 1.0
         assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == 36
 
+    def test_claim_stop(self):
+        # the gap-closing solve takes 450 iterations here; d > 1 with all
+        # 20 negatives is certified at round 250, and the Haar-rotated
+        # projector (one complex block) retraces the same rounds
+        dims = BipartiteDims(5, 6)
+        sol = solve_construction_sdp(dims, npt_projector(dims))
+        assert sol.converged
+        assert sol.iterations <= 250
+        assert 1.0 < sol.lower_bound <= sol.upper_bound
+        assert sol.upper_bound - sol.lower_bound > 1e-4  # converged on the claim, not the gap
+        count, _ = count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))
+        assert count == dims.npt_dim == 20
+        rot = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(30)))
+        assert rot.iterations == sol.iterations
+        assert rot.lower_bound == pytest.approx(sol.lower_bound, rel=0, abs=1e-9)
+
+    def test_count_miss_does_not_stop(self, monkeypatch):
+        # a state without the target count is no claim: with a target no
+        # state reaches, the solve runs on until the gap closes
+        monkeypatch.setattr(sdp, "_target_count", lambda P: 21)
+        dims = BipartiteDims(5, 6)
+        sol = solve_construction_sdp(dims, npt_projector(dims))
+        assert sol.iterations == 450
+        assert sol.upper_bound - sol.lower_bound <= 1e-4
+
     def test_budget_exhaustion_raises(self):
         with pytest.raises(errors.NoConvergence) as err:
             solve_construction_sdp(D34, npt_projector(D34), max_iter=3)
@@ -250,23 +286,26 @@ class TestConstructionSdp:
 
 
 class TestPinnedOutputs:
-    """Iteration counts and certified values of both routes.  The rows that
-    certify within 200 iterations (direct 3 x 3 and 4 x 4, the PPT solve
-    on P at 3 x 4 and 4 x 4) were recorded when each route still ran its
-    own copy of the splitting loop, and the shared core keeps their
-    arithmetic: Anderson acceleration starts only after iteration 200, so
-    these counts and values must match exactly.  The longer rows were
-    recorded with the acceleration on, the relative-residual penalty
-    balancing that fires from 5 x 5 on the PPT solve, and its reset of the
-    Anderson history.  The dual-cone counts are the PPT solve's alone: its
-    closed-form split takes no iteration.  The route stops that solve at
-    its first round that certifies the claim, at most 200 iterations up to
-    6 x 6, so its own rows run the plain arithmetic."""
+    """Iteration counts and certified values of both routes.  Each route
+    stops its solve at the first certify round that certifies the claim
+    with the full count, so the rows pin that round.  The direct rows are
+    the certify values of the gap-closing solve at its rounds 50 (3 x 3,
+    4 x 4) and 150 (5 x 5), recorded before the direct route stopped on the
+    claim: the stop moves, the iterates do not.  The rows within 200
+    iterations (direct 3 x 3 and 4 x 4, the PPT solve on P at 3 x 4 and
+    4 x 4, the dual-cone claim stops up to 6 x 6) run the plain
+    arithmetic, which the shared core keeps from when each route ran its
+    own copy of the splitting loop: Anderson acceleration starts only
+    after iteration 200, so these counts and values must match exactly.
+    The longer rows were recorded with the acceleration on, the
+    relative-residual penalty balancing that fires from 5 x 5 on the PPT
+    solve, and its reset of the Anderson history.  The dual-cone counts are
+    the PPT solve's alone: its closed-form split takes no iteration."""
 
     @pytest.mark.parametrize("m,n,iterations,lb", [
-        (3, 3, 100, 1.0369763358423485),
-        (4, 4, 100, 1.0043388151950976),
-        (5, 5, 250, 1.0005002987430343),
+        (3, 3, 50, 1.034649909496204),
+        (4, 4, 50, 1.0036586588767948),
+        (5, 5, 150, 1.0003030248201372),
     ])
     def test_direct_route(self, m, n, iterations, lb):
         dims = BipartiteDims(m, n)
