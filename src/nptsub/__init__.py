@@ -45,6 +45,7 @@ from .subspace import (
     WitnessCertificate,
     antidiag_sums,
     build_subspace,
+    closed_form_state,
     contains,
     ensemble_from_density,
     locate_witness,
@@ -82,6 +83,7 @@ __all__ = [
     "complex_gaussians",
     "build_subspace",
     "subspace_projector",
+    "closed_form_state",
     "contains",
     "range_in_subspace",
     "antidiag_sums",

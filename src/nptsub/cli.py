@@ -511,7 +511,7 @@ def _cmd_construct(args) -> int:
         diagnostics = result.residuals
         route = {"d": result.d, "objective_gap": gap if np.isfinite(gap) else None,
                  "residuals": diagnostics}
-        summary = f"d = {result.d:.6g}"
+        summary = f"d in [{result.lower_bound:.10g}, {result.upper_bound:.10g}]"
     else:
         # lambda_min(X1) >= 0 is what makes X = X1 + X2^G a dual-cone
         # split; its size shows how near the certified pair is to failing
@@ -644,7 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="objective tolerance: for direct, the certified gap on d at which "
                         "the route stops if no earlier round certifies d > 1 with the full "
-                        f"count (default {DEFAULT_TOL_GAP:g}); for dual-cone, the bracket on c "
+                        "count (up to 10x10 the closed-form state certifies it, so the route "
+                        f"stops at its first certify round; default {DEFAULT_TOL_GAP:g}); "
+                        "for dual-cone, the bracket on c "
                         "at which the route stops if no earlier round certifies c < 1 with "
                         f"the full count (default {DEFAULT_TOL_C:g})")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,

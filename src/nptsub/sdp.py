@@ -20,8 +20,14 @@ The dual-cone route stops the PPT solve at the first round whose pair
 certifies c < 1 and whose state X2 / Tr(X2) has the count (at 9 x 9:
 18,200 iterations instead of the 40,700 that close the bracket to 1e-6);
 the direct route stops at the first round whose feasible state certifies
-d > 1 and has the count (at 5 x 6: 250 iterations instead of the 450
-that close the gap to 1e-4).
+d > 1 and has the count.  The direct route's bracket starts at the
+closed-form state (``subspace.closed_form_state``) when that state
+already certifies the claim, as it does for the NPT projector from 2 x 2
+to 10 x 10; the solve then stops at its first certify round (iteration
+50), which supplies the dual bound (at 7 x 7: 50 iterations, where the
+unseeded gap closes around 1 after 550 with 33 of 36 negatives).  The
+seed moves only the bracket's starting lower end, never the iterates, and
+an input it does not claim for runs exactly as without it.
 
 ``_split`` is an over-relaxed iteration between an affine set and the
 product of two PSD cones, on one entry vector [z1; z2] for both cones,
@@ -117,7 +123,7 @@ from .bipartite import (
 )
 from .errors import DegenerateSubspace, NoConvergence, ShapeMismatch
 from .linalg import _clamp_psd, _hermitian_part, eigvalsh, frob_inner, hermitize
-from .subspace import Projector
+from .subspace import Projector, _closed_form
 
 #: Default splitting-iteration budget per solve.
 DEFAULT_MAX_ITER = 200_000
@@ -462,7 +468,7 @@ class _Anderson:
         return f - gamma @ self.dF[:k]
 
 
-def _split(cones: _ConePair, z, affine, certify, primal, dual, tol: float, max_iter: int,
+def _split(cones: _ConePair, z, affine, certify, lower, dual, tol: float, max_iter: int,
            cert_every: int, stop_lower=None, stop_upper=None):
     """Over-relaxed splitting between an affine set and two PSD cones,
     Anderson-accelerated, that keeps the certified bracket and decides the
@@ -493,11 +499,17 @@ def _split(cones: _ConePair, z, affine, certify, primal, dual, tol: float, max_i
     certificate attaining ub (lb = -inf or ub = inf offers none).  It keeps
     no state.  ``_split`` alone keeps the bracket: the largest lower bound
     with its primal certificate and the smallest upper bound with its dual
-    one, starting from (-inf, ``primal``) and (inf, ``dual``).  It stops
-    once ub - lb <= ``tol``, once ``stop_lower(lb, primal)`` accepts an
-    improved lower bound, or once ``stop_upper(ub, dual)`` accepts an
-    improved upper bound, each asked only on the rounds that improve its
-    side.  Returns (iterations, lb, primal, ub, dual, stopped), ``stopped``
+    one, starting from ``lower`` = (lb, primal) and (inf, ``dual``).  lb
+    is -inf unless the caller seeds the bracket with a certified lower end
+    that ``stop_lower`` accepts (the caller asks it), so a finite starting
+    lb counts as accepted.  ``stop_lower(lb, primal)`` is asked on every
+    improved lower end, ``stop_upper(ub, dual)`` on every improved upper
+    end.  The run stops at the first certify round at which
+    ub - lb <= ``tol``, the current lower end is accepted, or the improved
+    upper end is.  So a seed ends the run at the first certify round, with
+    that round's upper bound, unless the round improves the lower end to
+    one that ``stop_lower`` rejects.
+    Returns (iterations, lb, primal, ub, dual, stopped), ``stopped``
     telling whether a stop predicate ended the run.  ``max_iter`` is at
     least 1 (``_check_budget``), so a certify step always runs.
     """
@@ -505,7 +517,8 @@ def _split(cones: _ConePair, z, affine, certify, primal, dual, tol: float, max_i
     def norm(v):
         return sum(np.linalg.norm(c) for c in cones.split(v))
 
-    lb, ub, stopped = -np.inf, np.inf, False
+    (lb, primal), ub = lower, np.inf
+    accepted = lb > -np.inf
     beta = 1.0
     u = np.zeros_like(z)
     s = z
@@ -534,7 +547,8 @@ def _split(cones: _ConePair, z, affine, certify, primal, dual, tol: float, max_i
             lb_cand, primal_cand, ub_cand, dual_cand = certify(z, u, beta)
             if lb_cand > lb:
                 lb, primal = lb_cand, primal_cand
-                stopped = stop_lower is not None and stop_lower(lb, primal)
+                accepted = stop_lower is not None and stop_lower(lb, primal)
+            stopped = accepted
             if ub_cand < ub:
                 ub, dual = ub_cand, dual_cand
                 stopped = stopped or (stop_upper is not None and stop_upper(ub, dual))
@@ -565,12 +579,21 @@ def solve_construction_sdp(
 
     The paper's claim is d > 1 with a state of rank P negative
     partial-transpose eigenvalues (rank P is the number of eigenvalues of
-    P above 1/2: (m-1)(n-1) for the NPT projector).  Iteration stops at the
-    first certify round whose lower bound improves to d > 1 and whose
-    state, the one the route would return, has exactly rank P negatives by
-    the package's negativity rule, counted dense; it is then ``converged``
-    whatever its gap.  Otherwise, and always for a P of rank 0, which has
-    no claim, iteration stops once the certified gap is at most
+    P above 1/2: (m-1)(n-1) for the NPT projector).  The bracket starts
+    from the closed-form state when its largest feasible shift, found by
+    the same margin-checked ``_max_shift`` as every round's, certifies the
+    claim: d > 1 and rank P negatives.  For the NPT projector it does so
+    from 2 x 2 to 10 x 10 (at 11 x 11 and up the float count falls short);
+    for a rotated P, another projector, a P of rank 0 or m = 1 or n = 1 it
+    is skipped, and the lower end starts at (-inf, I/d), with outputs bit
+    for bit those of a solve without the seed.  Iteration stops at the first
+    certify round whose current lower end claims, the seed included, by
+    the package's negativity rule, counted dense on the state the route
+    would return; it is then ``converged`` whatever its gap.  So a seeded
+    solve stops at round 50, with that round's dual bound and the larger
+    of that round's d and the seed's, unless round 50 improves d to a
+    state without the count.  Otherwise, and always for a P of rank 0,
+    which has no claim, iteration stops once the certified gap is at most
     ``tol_gap``.  Either stop keeps the iterates; only the round moves.
     The solution is returned only when the solve stopped on the claim or
     closed its gap, the dense residual lambda_max(rho^G + d P - I) is at
@@ -632,9 +655,17 @@ def solve_construction_sdp(
         rho = pic_r.unpack(r)
         return d > 1.0 and count_negative_eigenvalues(partial_transpose(rho, dims))[0] == target
 
+    # the bracket starts at the closed-form state where it already claims;
+    # _split takes a finite starting lower end as accepted
+    lower = (-np.inf, eye_r / d_tot)
+    if target and dims.npt_dim:
+        r_cf = pic_r.pack(_closed_form(dims))
+        d_cf = _max_shift(pic_S, eye_S - r_cf[pic_r.pt], p)
+        if claim(d_cf, r_cf):
+            lower = (d_cf, r_cf)
     cones = _ConePair(pic_r, pic_S)
     z = np.concatenate((eye_r / d_tot, eye_S))
-    it, lb, best_r, ub, best_Y, stopped = _split(cones, z, affine, certify, eye_r / d_tot, None,
+    it, lb, best_r, ub, best_Y, stopped = _split(cones, z, affine, certify, lower, None,
                                                  tol_gap, max_iter, cert_every=50,
                                                  stop_lower=claim if target else None)
 
@@ -771,9 +802,9 @@ def _solve_ppt(dims: BipartiteDims, W, tol: float, max_iter: int, stop=None) -> 
     z = np.concatenate((pic_1.eye, pic_2.eye)) / d_tot
     zero_pair = (np.zeros_like(pic_1.eye), np.zeros_like(pic_2.eye))
     accept = None if stop is None else (lambda _, y: stop(*dual(y)))
-    it, _, best_sigma, _, best_y, stopped = _split(cones, z, affine, certify, pic_1.eye / d_tot,
-                                                   zero_pair, tol, max_iter, cert_every=100,
-                                                   stop_upper=accept)
+    it, _, best_sigma, _, best_y, stopped = _split(cones, z, affine, certify,
+                                                   (-np.inf, pic_1.eye / d_tot), zero_pair, tol,
+                                                   max_iter, cert_every=100, stop_upper=accept)
 
     # the returned bracket, recomputed dense from the returned sigma and pair
     sigma = pic_1.unpack(best_sigma)

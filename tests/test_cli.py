@@ -865,8 +865,10 @@ class TestConstructCommand:
         code = cli.main(["construct", "--m", "2", "--n", "2", "--out", str(out)])
         text = capsys.readouterr().out
         assert code == 0
-        assert "d = 1.5" in text
-        assert "negatives = 1" in text
+        # the certified bracket on d is printed, with the count CI reads
+        sol = sdp.solve_construction_sdp(D22, subspace_projector(build_subspace(D22)))
+        assert sol.lower_bound == pytest.approx(1.5, abs=1e-12)
+        assert f"d in [{sol.lower_bound:.10g}, {sol.upper_bound:.10g}], negatives = 1 (target 1)\n" in text
         mat, dims, meta = cli.load_matrix(out)
         assert meta["negative_count"] == 1
         assert meta["converged"] is True
@@ -929,16 +931,19 @@ class TestConstructCommand:
             assert not out.exists()
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
+        # at 11 x 11 the closed-form seed's float count falls short, so it
+        # does not claim, and three iterations close no gap
         out = tmp_path / "rho.json"
         code = cli.main([
-            "construct", "--m", "3", "--n", "4", "--max-iter", "3",
+            "construct", "--m", "11", "--n", "11", "--max-iter", "3",
             "--out", str(out),
         ])
         assert code == 3
         mat, dims, meta = cli.load_matrix(out)  # partial output still written
         assert meta["converged"] is False
+        D11 = BipartiteDims(11, 11)
         with pytest.raises(NoConvergence) as err:
-            sdp.solve_construction_sdp(D34, subspace_projector(build_subspace(D34)), max_iter=3)
+            sdp.solve_construction_sdp(D11, subspace_projector(build_subspace(D11)), max_iter=3)
         assert meta["iterations"] == err.value.partial.iterations
         captured = capsys.readouterr()
         assert f"iterations = {err.value.partial.iterations}" in captured.out

@@ -7,6 +7,7 @@ from nptsub import (
     BipartiteDims,
     DensityMatrix,
     build_subspace,
+    closed_form_state,
     construct_via_dual_cone,
     count_negative_eigenvalues,
     errors,
@@ -208,15 +209,20 @@ class TestConstructionSdp:
         assert not err.value.partial.converged
 
     def test_dense_residual_raises_after_a_claim_stop(self, monkeypatch):
-        # a claim stop waives the gap, not the dense feasibility recheck
+        # a claim stop waives the gap, not the dense feasibility recheck:
+        # neither on P, whose closed-form seed stops the solve at round 50,
+        # nor on the Haar-rotated P, which the seed does not fit and whose
+        # solve stops at round 250
         residuals = sdp._construction_residuals
         monkeypatch.setattr(sdp, "_construction_residuals",
                             lambda *args: {**residuals(*args), "pt_constraint_gap": 1e-6})
         dims = BipartiteDims(5, 6)
-        with pytest.raises(errors.NoConvergence, match="^construction SDP dense residual "
-                           "1.000e-06 above 1e-07 after 250 iterations$") as err:
-            solve_construction_sdp(dims, npt_projector(dims))
-        assert not err.value.partial.converged
+        for P, iterations in ((npt_projector(dims), 50),
+                              (rotated_projector(dims, np.random.default_rng(30)), 250)):
+            with pytest.raises(errors.NoConvergence, match="^construction SDP dense residual "
+                               f"1.000e-06 above 1e-07 after {iterations} iterations$") as err:
+                solve_construction_sdp(dims, P)
+            assert not err.value.partial.converged
 
     def test_local_unitary_invariance(self):
         # conjugating the projector by A (x) B transforms the feasible set
@@ -231,41 +237,47 @@ class TestConstructionSdp:
             )
 
     def test_bracket_around_one_raises(self):
-        # at the default tol_gap the 7 x 7 bracket closes around 1: it does
-        # not decide the claim d > 1, so the solve raises with that bracket
-        # and its state (33 of the 36 negatives) attached
+        # at the default tol_gap the bracket of the Haar-rotated 7 x 7
+        # projector, which the closed-form seed does not fit, closes around
+        # 1: it does not decide the claim d > 1, so the solve raises with
+        # that bracket and its state (33 of the 36 negatives) attached
         dims = BipartiteDims(7, 7)
         with pytest.raises(errors.NoConvergence, match="does not decide d against 1") as err:
-            solve_construction_sdp(dims, npt_projector(dims))
+            solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(49)))
         assert "smaller tol_gap, such as 1e-05" in str(err.value)
         sol = err.value.partial
         assert not sol.converged
         assert sol.iterations == 550
-        assert sol.lower_bound == pytest.approx(0.9999535821831267, rel=0, abs=1e-9)
-        assert sol.upper_bound == pytest.approx(1.0000495363453037, rel=0, abs=1e-9)
+        assert sol.lower_bound == pytest.approx(0.9999530752011003, rel=0, abs=1e-9)
+        assert sol.upper_bound == pytest.approx(1.0000497044252692, rel=0, abs=1e-9)
         assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == 33
 
     def test_smaller_gap_certifies_7x7(self):
+        # the tol_gap the error above names certifies the rotated 7 x 7
+        # claim (at round 1,550); on P the closed-form seed needs no rerun
         dims = BipartiteDims(7, 7)
-        sol = solve_construction_sdp(dims, npt_projector(dims), tol_gap=1e-5)
+        sol = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(49)),
+                                     tol_gap=1e-5)
         assert sol.converged and sol.lower_bound > 1.0
         assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == 36
 
     def test_claim_stop(self):
-        # the gap-closing solve takes 450 iterations here; d > 1 with all
-        # 20 negatives is certified at round 250, and the Haar-rotated
-        # projector (one complex block) retraces the same rounds
+        # the gap-closing solve takes 450 iterations here.  On P the
+        # closed-form state certifies d > 1 with all 20 negatives before the
+        # first iteration, so the solve stops at round 50, the first round
+        # with a dual bound; the Haar-rotated projector (one complex block),
+        # which the seed does not fit, certifies the claim at round 250
         dims = BipartiteDims(5, 6)
         sol = solve_construction_sdp(dims, npt_projector(dims))
-        assert sol.converged
-        assert sol.iterations <= 250
-        assert 1.0 < sol.lower_bound <= sol.upper_bound
-        assert sol.upper_bound - sol.lower_bound > 1e-4  # converged on the claim, not the gap
-        count, _ = count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))
-        assert count == dims.npt_dim == 20
         rot = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(30)))
-        assert rot.iterations == sol.iterations
-        assert rot.lower_bound == pytest.approx(sol.lower_bound, rel=0, abs=1e-9)
+        for s, iterations in ((sol, 50), (rot, 250)):
+            assert s.converged
+            assert s.iterations == iterations
+            assert 1.0 < s.lower_bound <= s.upper_bound < np.inf
+            assert s.upper_bound - s.lower_bound > 1e-4  # converged on the claim, not the gap
+            count, _ = count_negative_eigenvalues(partial_transpose(s.rho.mat, dims))
+            assert count == dims.npt_dim == 20
+        assert rot.lower_bound == pytest.approx(1.000095808027662, rel=0, abs=1e-9)
 
     def test_count_miss_does_not_stop(self, monkeypatch):
         # a state without the target count is no claim: with a target no
@@ -277,23 +289,88 @@ class TestConstructionSdp:
         assert sol.upper_bound - sol.lower_bound <= 1e-4
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(errors.NoConvergence) as err:
-            solve_construction_sdp(D34, npt_projector(D34), max_iter=3)
+        # on the rotated P, which the closed-form seed does not fit, three
+        # iterations certify neither the claim nor the gap
+        with pytest.raises(errors.NoConvergence, match="gap") as err:
+            solve_construction_sdp(D34, rotated_projector(D34, np.random.default_rng(12)), max_iter=3)
         partial = err.value.partial
         assert partial is not None
         assert not partial.converged
         assert partial.residuals["psd_gap"] <= 1e-9  # rounded output is still a state
 
 
+def antisymmetric_projector():
+    """(I - F) / 2 on C^3 (x) C^3, F the swap: rank 3, real and sector-block."""
+    j, k = np.divmod(np.arange(9), 3)
+    F = np.zeros((9, 9))
+    F[k * 3 + j, j * 3 + k] = 1.0
+    return (np.eye(9) - F) / 2
+
+
+class TestClosedFormSeed:
+    """The direct route starts its bracket at the closed-form state when that
+    state already certifies the claim, d > 1 with rank P negatives."""
+
+    @staticmethod
+    def unseeded(monkeypatch):
+        # the maximally mixed state never claims: its shift is 1 - 1/mn < 1
+        monkeypatch.setattr(sdp, "_closed_form", lambda dims: np.eye(dims.total) / dims.total)
+
+    @pytest.mark.parametrize("m,n", [(7, 7), (8, 8)])
+    def test_claim_at_the_first_certify_round(self, m, n):
+        # unseeded, the 7 x 7 bracket closes around 1 after 550 iterations
+        # with 33 of 36 negatives, and 8 x 8's after 400 with 41 of 49
+        dims = BipartiteDims(m, n)
+        sol = solve_construction_sdp(dims, npt_projector(dims))
+        assert sol.converged
+        assert sol.iterations == 50
+        assert 1.0 < sol.lower_bound <= sol.upper_bound < np.inf
+        assert sol.residuals["pt_constraint_gap"] <= sdp._TOL_FEAS
+        assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == dims.npt_dim
+        assert np.array_equal(sol.rho.mat, closed_form_state(dims).mat)
+
+    @pytest.mark.parametrize("kind", ["rotated-5x5", "antisymmetric-3x3"])
+    def test_unclaimed_seed_changes_nothing(self, kind, monkeypatch):
+        # the closed form does not fit the rotated projector (d < 1 there),
+        # and has 4 negatives where the antisymmetric projector's rank is 3:
+        # each solve is bit for bit the unseeded one
+        if kind == "rotated-5x5":
+            dims = BipartiteDims(5, 5)
+            P, iterations, lb = rotated_projector(dims, np.random.default_rng(25)), 150, 1.0003030248201392
+        else:
+            dims, P, iterations, lb = D33, antisymmetric_projector(), 50, 4 / 3
+            rho_pt = partial_transpose(closed_form_state(dims).mat, dims)
+            assert count_negative_eigenvalues(rho_pt)[0] == 4 != sdp._target_count(P) == 3
+        seeded = solve_construction_sdp(dims, P)
+        self.unseeded(monkeypatch)
+        plain = solve_construction_sdp(dims, P)
+        assert (seeded.iterations, seeded.lower_bound, seeded.upper_bound) == (
+            plain.iterations, plain.lower_bound, plain.upper_bound)
+        assert seeded.rho.mat.tobytes() == plain.rho.mat.tobytes()
+        assert seeded.iterations == iterations
+        assert seeded.lower_bound == pytest.approx(lb, rel=0, abs=1e-9)
+
+    def test_rank_zero_has_no_seed(self, monkeypatch):
+        # a P of rank 0 has no claim, so the closed form is never built
+        def fail(dims):
+            raise AssertionError("the closed form was built")
+
+        monkeypatch.setattr(sdp, "_closed_form", fail)
+        sol = solve_construction_sdp(D22, 0.45 * singlet_projector())
+        assert sol.converged
+
+
 class TestPinnedOutputs:
     """Iteration counts and certified values of both routes.  Each route
     stops its solve at the first certify round that certifies the claim
-    with the full count, so the rows pin that round.  The direct rows are
-    the certify values of the gap-closing solve at its rounds 50 (3 x 3,
-    4 x 4) and 150 (5 x 5), recorded before the direct route stopped on the
-    claim: the stop moves, the iterates do not.  The rows within 200
-    iterations (direct 3 x 3 and 4 x 4, the PPT solve on P at 3 x 4 and
-    4 x 4, the dual-cone claim stops up to 6 x 6) run the plain
+    with the full count, so the rows pin that round.  The direct route's
+    bracket starts at the closed-form state, which claims from 2 x 2 to
+    10 x 10, so its solve on P stops at round 50.  The 3 x 3 and 4 x 4 rows
+    are the round-50 certify values of the gap-closing solve, recorded
+    before the direct route stopped on the claim, and beat the seed; the
+    5 x 5 row is the seed's own d, which round 50 does not beat.  The rows
+    within 200 iterations (direct 3 x 3 and 4 x 4, the PPT solve on P at
+    3 x 4 and 4 x 4, the dual-cone claim stops up to 6 x 6) run the plain
     arithmetic, which the shared core keeps from when each route ran its
     own copy of the splitting loop: Anderson acceleration starts only
     after iteration 200, so these counts and values must match exactly.
@@ -305,7 +382,7 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("m,n,iterations,lb", [
         (3, 3, 50, 1.034649909496204),
         (4, 4, 50, 1.0036586588767948),
-        (5, 5, 150, 1.0003030248201372),
+        (5, 5, 50, 1.0001979150369023),
     ])
     def test_direct_route(self, m, n, iterations, lb):
         dims = BipartiteDims(m, n)
@@ -587,15 +664,26 @@ class TestRotationEquivalence:
     """On a Haar-rotated projector (one complex block) both routes retrace
     the sector-block solve on P: same iterations, same certified values.
     That holds past the start of the Anderson acceleration (5 x 5 and
-    6 x 6), whose inner products are invariant under the local unitary."""
+    6 x 6), whose inner products are invariant under the local unitary.
+    The direct route on P starts its bracket at the closed-form state,
+    which the rotated projector does not fit; the rotated solve retraces
+    the solve on P only where round 50 beats that seed (up to 4 x 4), and
+    larger rotated solves keep the values of the unseeded solve."""
 
-    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4), (6, 6)])
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4)])
     def test_direct_route(self, m, n):
         dims = BipartiteDims(m, n)
         base = solve_construction_sdp(dims, npt_projector(dims))
         rot = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(m * n)))
         assert rot.iterations == base.iterations
         assert rot.lower_bound == pytest.approx(base.lower_bound, rel=0, abs=1e-9)
+
+    def test_direct_route_past_the_acceleration_at_6x6(self):
+        # the values the unseeded solve on P and on this rotation both had
+        dims = BipartiteDims(6, 6)
+        rot = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(36)))
+        assert rot.iterations == 450
+        assert rot.lower_bound == pytest.approx(1.0000442850303408, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4), (5, 5), (6, 6)])
     def test_dual_cone_route(self, m, n):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from nptsub import (
     Ensemble,
     antidiag_sums,
     build_subspace,
+    closed_form_state,
     contains,
+    count_negative_eigenvalues,
     ensemble_from_density,
     errors,
     locate_witness,
@@ -23,6 +26,7 @@ from nptsub import (
 )
 
 from nptsub.bipartite import _ensemble_error, _mixture, complex_gaussians
+from nptsub.cli import verify_matrix
 from nptsub.subspace import _sample_mixtures, _witnesses
 
 D22 = BipartiteDims(2, 2)
@@ -192,6 +196,73 @@ class TestClosedForm:
         assert basis.orthonormal.shape == (dims.total, 0)
         assert np.array_equal(subspace_projector(basis).P, np.zeros((dims.total, dims.total)))
         assert not contains(basis, np.ones(dims.total))
+
+
+class TestClosedFormState:
+    """The extremal state rho proportional to T^Gamma - lambda D, built with
+    no solver."""
+
+    # every m <= n from 3 x 3 to 10 x 10, and 2 x n
+    FULL_COUNT_DIMS = [BipartiteDims(m, n) for m in range(3, 11) for n in range(m, 11)] + [
+        BipartiteDims(2, n) for n in range(2, 13)
+    ]
+
+    @staticmethod
+    def reference(dims):
+        """The definition entry by entry, then normalized to trace 1."""
+        m, n = dims.m, dims.n
+        rho = np.zeros((dims.total, dims.total))
+        for j in range(m):
+            for k in range(n):
+                for jj in range(m):
+                    for kk in range(n):
+                        # T^Gamma at ((j, k), (jj, kk)) is T at ((j, kk), (jj, k))
+                        if j + kk == jj + k:
+                            rho[j * n + k, jj * n + kk] = 1.0 / math.comb(m + n - 2, j + kk)
+                rho[j * n + k, j * n + k] -= 1.0 / (
+                    math.comb(m + n - 2, m - 1) * math.comb(m - 1, j) * math.comb(n - 1, k))
+        return rho / np.trace(rho)
+
+    @pytest.mark.parametrize("dims", FULL_COUNT_DIMS, ids=str)
+    def test_verifies_with_the_full_count(self, dims):
+        report = verify_matrix(closed_form_state(dims).mat, dims)
+        assert report.passed
+        assert report.negative_count == dims.npt_dim
+
+    @pytest.mark.parametrize("dims", [D22, D33, D34, BipartiteDims(4, 6)], ids=str)
+    def test_matches_the_definition(self, dims):
+        rho = closed_form_state(dims)
+        assert rho.dims == dims
+        assert np.abs(rho.mat - self.reference(dims)).max() <= 1e-15
+
+    @pytest.mark.parametrize("dims", [D33, D34, BipartiteDims(5, 5), BipartiteDims(4, 7)], ids=str)
+    def test_structure(self, dims):
+        # real, block-diagonal by j-k sector, reflection-invariant, and its
+        # partial transpose is negative definite on S
+        rho = closed_form_state(dims).mat
+        j, k = np.divmod(np.arange(dims.total), dims.n)
+        assert not rho.imag.any()
+        assert not rho[(j - k)[:, None] != (j - k)[None, :]].any()
+        assert np.abs(rho - rho[::-1, ::-1]).max() <= 1e-17
+        Q = build_subspace(dims).orthonormal
+        assert np.linalg.eigvalsh(Q.conj().T @ partial_transpose(rho, dims) @ Q)[-1] < 0.0
+
+    def test_2x2_is_the_maximally_entangled_state(self):
+        v = np.array([1.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(closed_form_state(D22).mat, np.outer(v, v) / 2)
+
+    def test_11x11_float_count_falls_short(self):
+        # every negative is there, but the smallest lie below the count's
+        # floor: the float count is no certificate from 11 x 11 on
+        dims = BipartiteDims(11, 11)
+        rho_pt = partial_transpose(closed_form_state(dims).mat, dims)
+        assert np.linalg.eigvalsh(rho_pt)[dims.npt_dim - 1] < 0.0
+        assert count_negative_eigenvalues(rho_pt)[0] < dims.npt_dim
+
+    @pytest.mark.parametrize("m, n", [(1, 4), (5, 1)])
+    def test_degenerate_dims(self, m, n):
+        with pytest.raises(errors.DegenerateSubspace, match="trivial"):
+            closed_form_state(BipartiteDims(m, n))
 
 
 class TestContains:
