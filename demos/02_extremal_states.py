@@ -67,7 +67,9 @@ print(f"(2, 2) closed form: d = {sol.d:.6f} (= 3/2), "
 
 # The closed-form state needs no solver.  At (7, 7) it has all 36
 # negatives, and it certifies d > 1 before the direct route's first
-# iteration, so that route stops at its first certify round.
+# iteration.  With the product-state upper bound 1/c the starting bracket
+# is already within the default gap, so that route stops at its first
+# certify round, the starting bracket itself: after 0 iterations.
 dims = BipartiteDims(7, 7)
 count, negs = count_negative_eigenvalues(partial_transpose(closed_form_state(dims).mat, dims))
 print(f"(7, 7) closed form: negatives = {count} of {dims.npt_dim}, "

@@ -30,7 +30,7 @@ from .errors import (
     NoWitness,
     ShapeMismatch,
 )
-from .linalg import Spectrum, eigh, frob_inner, hermitize, is_hermitian, kron, project_psd
+from .linalg import Spectrum, eigh, frob_inner, hermitize, is_hermitian, kron
 from .sdp import (
     ConeDecomposition,
     PptOptimum,
@@ -69,7 +69,6 @@ __all__ = [
     "ConeDecomposition",
     "GENERATOR_NAME",
     "eigh",
-    "project_psd",
     "kron",
     "frob_inner",
     "hermitize",

@@ -119,23 +119,14 @@ def eigvalsh(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian_part(A))
 
 
-def project_psd(A: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix to Hermitian A.
-
-    Clamps negative eigenvalues at zero and reconstructs; a PSD input comes
-    back as its Hermitian part.  Skips the phase convention of ``eigh``,
-    which cannot change the projection.  Raises ShapeMismatch and
-    NotHermitian like ``eigh``.  The 0 x 0 matrix is its own projection.
-    """
-    return _clamp_psd(_hermitian_part(A))
-
-
 def _clamp_psd(H: np.ndarray) -> np.ndarray:
-    """PSD part of each Hermitian matrix in a stack (..., d, d), unvalidated.
+    """PSD part of each Hermitian matrix in a stack (..., d, d), unvalidated:
+    the Frobenius-nearest PSD matrix, the solvers' one PSD projection.
 
-    One batched ``np.linalg.eigh`` call.  A stack with no negative
-    eigenvalue comes back as it is; otherwise every matrix is rebuilt with
-    its negative eigenvalues clamped at zero.
+    One batched ``np.linalg.eigh`` call, which reads only the lower
+    triangle.  A stack with no negative eigenvalue comes back as it is;
+    otherwise every matrix is rebuilt with its negative eigenvalues clamped
+    at zero.  The 0 x 0 matrix is its own projection.
     """
     w, V = np.linalg.eigh(H)
     if (w >= 0.0).all():

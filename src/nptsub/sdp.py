@@ -20,14 +20,19 @@ The dual-cone route stops the PPT solve at the first round whose pair
 certifies c < 1 and whose state X2 / Tr(X2) has the count (at 9 x 9:
 18,200 iterations instead of the 40,700 that close the bracket to 1e-6);
 the direct route stops at the first round whose feasible state certifies
-d > 1 and has the count.  The direct route's bracket starts at the
+d > 1 and has the count.  The direct route's bracket starts at two
+certificates that need no iteration.  Its lower end starts at the
 closed-form state (``subspace.closed_form_state``) when that state
 already certifies the claim, as it does for the NPT projector from 2 x 2
-to 10 x 10; the solve then stops at its first certify round (iteration
-50), which supplies the dual bound (at 7 x 7: 50 iterations, where the
-unseeded gap closes around 1 after 550 with 33 of 36 negatives).  The
-seed moves only the bracket's starting lower end, never the iterates, and
-an input it does not claim for runs exactly as without it.
+to 10 x 10.  Its upper end starts at the product state a (x) b that
+maximizes <ab|P|ab> (Wei & Goldbart, PRA 68, 042307 (2003)): a product
+state is PPT, so |ab><ab| / <ab|P|ab> is a dual certificate, and its
+bound 1 / <ab|P|ab> is about 1/c whatever the local basis.  A starting
+bracket within ``tol_gap`` is returned at iteration 0, as for the NPT
+projector from 7 x 7 to 10 x 10; a seeded solve with a wider one stops at
+its first certify round (iteration 50), and an unseeded one closes its
+gap sooner (the Haar-rotated 7 x 7: around 1 after 200 iterations, not
+550).  The starts move only the bracket, never the iterates.
 
 ``_split`` is an over-relaxed iteration between an affine set and the
 product of two PSD cones, on one entry vector [z1; z2] for both cones,
@@ -233,10 +238,11 @@ def _check_budget(max_iter: int, **tols: float) -> None:
     """Raise ValueError unless ``max_iter`` is an integer of at least 1 and
     every named tolerance is finite and positive.
 
-    Without an iteration no certify step runs, so there is no bound; a
-    count that is not an integer, or a NaN, infinite, zero or negative
-    tolerance, would otherwise fail only after the set-up or after the
-    whole iteration budget.
+    A solve returns at iteration 0 only when its starting bracket is
+    already within tolerance; any other start needs a certify round, which
+    a budget of 0 would never reach.  A count that is not an integer, or a
+    NaN, infinite, zero or negative tolerance, would otherwise fail only
+    after the set-up or after the whole iteration budget.
     """
     if _integer("max_iter", max_iter) < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -468,7 +474,7 @@ class _Anderson:
         return f - gamma @ self.dF[:k]
 
 
-def _split(cones: _ConePair, z, affine, certify, lower, dual, tol: float, max_iter: int,
+def _split(cones: _ConePair, z, affine, certify, lower, upper, tol: float, max_iter: int,
            cert_every: int, stop_lower=None, stop_upper=None):
     """Over-relaxed splitting between an affine set and two PSD cones,
     Anderson-accelerated, that keeps the certified bracket and decides the
@@ -499,25 +505,33 @@ def _split(cones: _ConePair, z, affine, certify, lower, dual, tol: float, max_it
     certificate attaining ub (lb = -inf or ub = inf offers none).  It keeps
     no state.  ``_split`` alone keeps the bracket: the largest lower bound
     with its primal certificate and the smallest upper bound with its dual
-    one, starting from ``lower`` = (lb, primal) and (inf, ``dual``).  lb
-    is -inf unless the caller seeds the bracket with a certified lower end
-    that ``stop_lower`` accepts (the caller asks it), so a finite starting
-    lb counts as accepted.  ``stop_lower(lb, primal)`` is asked on every
-    improved lower end, ``stop_upper(ub, dual)`` on every improved upper
-    end.  The run stops at the first certify round at which
-    ub - lb <= ``tol``, the current lower end is accepted, or the improved
-    upper end is.  So a seed ends the run at the first certify round, with
-    that round's upper bound, unless the round improves the lower end to
-    one that ``stop_lower`` rejects.
+    one, starting from ``lower`` = (lb, primal) and ``upper`` = (ub, dual).
+    Each start is a certified end or a placeholder (lb = -inf, ub = inf).
+    A finite starting lb is a seed that ``stop_lower`` accepts (the caller
+    asks it), so it counts as accepted; a finite starting ub is never
+    offered to ``stop_upper``.  The starting bracket counts as a certify
+    round for the gap rule only: if ub - lb <= ``tol`` already, the run
+    returns at iteration 0 with both starting ends, before any iteration
+    or certify step.  ``stop_lower(lb, primal)`` is asked on every improved
+    lower end, ``stop_upper(ub, dual)`` on every improved upper end.  The
+    run stops at the first certify round at which ub - lb <= ``tol``, the
+    current lower end is accepted, or the improved upper end is.  So a
+    seeded lower end with an open starting gap ends the run at the first
+    certify round, with the smaller of the starting and that round's upper
+    bound, unless the round improves the lower end to one that
+    ``stop_lower`` rejects.  The starts never change the iterates.
     Returns (iterations, lb, primal, ub, dual, stopped), ``stopped``
-    telling whether a stop predicate ended the run.  ``max_iter`` is at
-    least 1 (``_check_budget``), so a certify step always runs.
+    telling whether a stop predicate ended the run (never at iteration 0).
+    ``max_iter`` is at least 1 (``_check_budget``), so a run whose starting
+    gap is open runs at least one certify step.
     """
 
     def norm(v):
         return sum(np.linalg.norm(c) for c in cones.split(v))
 
-    (lb, primal), ub = lower, np.inf
+    (lb, primal), (ub, dual) = lower, upper
+    if ub - lb <= tol:
+        return 0, lb, primal, ub, dual, False
     accepted = lb > -np.inf
     beta = 1.0
     u = np.zeros_like(z)
@@ -585,16 +599,26 @@ def solve_construction_sdp(
     claim: d > 1 and rank P negatives.  For the NPT projector it does so
     from 2 x 2 to 10 x 10 (at 11 x 11 and up the float count falls short);
     for a rotated P, another projector, a P of rank 0 or m = 1 or n = 1 it
-    is skipped, and the lower end starts at (-inf, I/d), with outputs bit
-    for bit those of a solve without the seed.  Iteration stops at the first
-    certify round whose current lower end claims, the seed included, by
-    the package's negativity rule, counted dense on the state the route
-    would return; it is then ``converged`` whatever its gap.  So a seeded
-    solve stops at round 50, with that round's dual bound and the larger
-    of that round's d and the seed's, unless round 50 improves d to a
-    state without the count.  Otherwise, and always for a P of rank 0,
-    which has no claim, iteration stops once the certified gap is at most
-    ``tol_gap``.  Either stop keeps the iterates; only the round moves.
+    is skipped, and the lower end starts at (-inf, I/d).  The upper end
+    starts at a product-state certificate for every P: Y0 is |ab><ab| for
+    the product vector a (x) b of ``_product_state``, taken onto the
+    blocks of the iterates (on the sector layout the j+k pinching, a
+    mixture of product states) and scaled to <Y0, P> = 1, and its bound
+    Tr Y0 - lambda_min(Y0^G) is the one every certify round computes.  It
+    is about 1/c: for the NPT projector 1 - c is 2.7e-5 at 7 x 7 and
+    3.8e-8 at 10 x 10, whatever the local basis.  A starting bracket
+    already within ``tol_gap`` returns at iteration 0, with the seed's
+    state and the product bound: the NPT projector from 7 x 7 to 10 x 10.
+    Otherwise iteration stops at the first certify round whose current
+    lower end claims, the seed included, by the package's negativity rule,
+    counted dense on the state the route would return; it is then
+    ``converged`` whatever its gap.  So a seeded solve with an open
+    starting gap stops at round 50, with the smaller of that round's dual
+    bound and the product bound and the larger of that round's d and the
+    seed's, unless round 50 improves d to a state without the count.
+    Otherwise, and always for a P of rank 0, which has no claim, iteration
+    stops once the certified gap is at most ``tol_gap``.  No stop and no
+    start changes the iterates; only the round moves.
     The solution is returned only when the solve stopped on the claim or
     closed its gap, the dense residual lambda_max(rho^G + d P - I) is at
     most 1e-7, and the bracket decides d against 1: it does not hold 1 with
@@ -636,17 +660,21 @@ def solve_construction_sdp(
         rho_x = (a + G[pic_S.pt] - d_x * pt) / 2.0 - (nu / 2.0) * eye_r
         return rho_x, eye_S - d_x * p - rho_x[pic_r.pt]
 
+    def dual_bound(Y):
+        """(Tr Y - lambda_min(Y^G), Y) for a PSD Y scaled to <Y, P> = 1, or
+        (inf, None) when <Y, P> vanishes: no dual certificate."""
+        overlap = frob_inner(Y, p)
+        if not overlap > 1e-9:
+            return np.inf, None
+        Y = Y / overlap
+        return pic_S.trace(Y) - float(pic_r.eigvalsh(Y[pic_S.pt])[0]), Y
+
     def certify(z, u, beta):
         z_r, u_S = cones.split(z)[0], cones.split(u)[1]
         r, Y = cones.split(cones.project(np.concatenate((z_r, -beta * u_S))))
         tr = pic_r.trace(r)
         r = r / tr if tr > 1e-300 else eye_r / d_tot
-        d = _max_shift(pic_S, eye_S - r[pic_r.pt], p)
-        overlap = frob_inner(Y, p)
-        if not overlap > 1e-9:  # no dual certificate this round
-            return d, r, np.inf, None
-        Y = Y / overlap
-        return d, r, pic_S.trace(Y) - float(pic_r.eigvalsh(Y[pic_S.pt])[0]), Y
+        return (_max_shift(pic_S, eye_S - r[pic_r.pt], p), r, *dual_bound(Y))
 
     target = _target_count(Pmat)
 
@@ -655,17 +683,21 @@ def solve_construction_sdp(
         rho = pic_r.unpack(r)
         return d > 1.0 and count_negative_eigenvalues(partial_transpose(rho, dims))[0] == target
 
-    # the bracket starts at the closed-form state where it already claims;
-    # _split takes a finite starting lower end as accepted
+    # the bracket starts at the closed-form state where it already claims
+    # (_split takes a finite starting lower end as accepted), and at the
+    # product-state certificate, whose pinching onto pic_S's blocks is a
+    # mixture of product states, so still PSD and PPT
     lower = (-np.inf, eye_r / d_tot)
     if target and dims.npt_dim:
         r_cf = pic_r.pack(_closed_form(dims))
         d_cf = _max_shift(pic_S, eye_S - r_cf[pic_r.pt], p)
         if claim(d_cf, r_cf):
             lower = (d_cf, r_cf)
+    ab = _product_state(dims, Pmat)[1]
+    upper = dual_bound(pic_S.pack(np.outer(ab, ab.conj())))
     cones = _ConePair(pic_r, pic_S)
     z = np.concatenate((eye_r / d_tot, eye_S))
-    it, lb, best_r, ub, best_Y, stopped = _split(cones, z, affine, certify, lower, None,
+    it, lb, best_r, ub, best_Y, stopped = _split(cones, z, affine, certify, lower, upper,
                                                  tol_gap, max_iter, cert_every=50,
                                                  stop_lower=claim if target else None)
 
@@ -706,6 +738,39 @@ def _target_count(Pmat: np.ndarray) -> int:
     partial-transpose count both routes claim ((m-1)(n-1) for the NPT
     projector)."""
     return int((eigvalsh(Pmat) > 0.5).sum())
+
+
+def _product_state(dims: BipartiteDims, Pmat: np.ndarray) -> tuple[float, np.ndarray]:
+    """(<ab|P|ab>, a (x) b) for unit a, b that locally maximize the overlap.
+
+    Alternates top eigenvectors of the contractions <b|P|b> (m x m) and
+    <a|P|a> (n x n), each one matrix-vector product with the realigned
+    (m^2, n^2) P and one small eigh, in real arithmetic when P is real.
+    Starts from the uniform b and stops once the overlap stops increasing
+    (at most 100 alternations, each at most two eigh); the overlap is that
+    of the returned vector.  For the NPT projector, on P and on its local
+    rotations alike, the overlap reaches the PPT maximum c at every size
+    checked: cos^2(pi/2n) at 2 x n, 10/11 at 3 x 3, (9 + 2 sqrt 2)/12 at
+    4 x 4.  Any unit a, b give the direct route a dual certificate
+    Y = |ab><ab| / <ab|P|ab>: a product state is PPT, so Y^G >= 0 and
+    d <= Tr Y - lambda_min(Y^G) = 1 / <ab|P|ab>.
+    """
+    m, n = dims.m, dims.n
+    R = Pmat.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    if not R.imag.any():
+        R = R.real.copy()
+    a, b = None, np.full(n, n ** -0.5)
+    overlap = -np.inf
+    for _ in range(100):
+        w, V = np.linalg.eigh((R @ (b.conj()[:, None] * b).ravel()).reshape(m, m))
+        if not w[-1] > overlap:
+            break
+        overlap, a = w[-1], V[:, -1]
+        w, V = np.linalg.eigh(((a.conj()[:, None] * a).ravel() @ R).reshape(n, n))
+        if not w[-1] > overlap:
+            break
+        overlap, b = w[-1], V[:, -1]
+    return float(overlap), (a[:, None] * b).ravel()
 
 
 def _construction_residuals(rho, d, Pmat, dims) -> dict[str, float]:
@@ -803,8 +868,8 @@ def _solve_ppt(dims: BipartiteDims, W, tol: float, max_iter: int, stop=None) -> 
     zero_pair = (np.zeros_like(pic_1.eye), np.zeros_like(pic_2.eye))
     accept = None if stop is None else (lambda _, y: stop(*dual(y)))
     it, _, best_sigma, _, best_y, stopped = _split(cones, z, affine, certify,
-                                                   (-np.inf, pic_1.eye / d_tot), zero_pair, tol,
-                                                   max_iter, cert_every=100, stop_upper=accept)
+                                                   (-np.inf, pic_1.eye / d_tot), (np.inf, zero_pair),
+                                                   tol, max_iter, cert_every=100, stop_upper=accept)
 
     # the returned bracket, recomputed dense from the returned sigma and pair
     sigma = pic_1.unpack(best_sigma)

@@ -99,45 +99,51 @@ class TestHermiticity:
 
 
 class TestProjectPsd:
+    """``_clamp_psd``, the PSD projection every solve uses."""
+
     def test_psd_fixed_point(self):
         rng = np.random.default_rng(11)
         G = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         A = G @ G.conj().T
-        assert np.linalg.norm(linalg.project_psd(A) - A) <= 1e-10
+        assert np.linalg.norm(linalg._clamp_psd(A) - A) <= 1e-10
 
     def test_clamps_negative_eigenvalue(self):
         A = np.diag([-1.0, 2.0]).astype(complex)
-        assert np.allclose(linalg.project_psd(A), np.diag([0.0, 2.0]), atol=1e-14)
+        assert np.allclose(linalg._clamp_psd(A), np.diag([0.0, 2.0]), atol=1e-14)
 
     def test_difference_is_nsd(self):
         # A - proj(A) keeps only the negative spectral part
         rng = np.random.default_rng(2)
         for _ in range(100):
             A = random_hermitian(6, rng)
-            diff = A - linalg.project_psd(A)
+            diff = A - linalg._clamp_psd(A)
             assert np.linalg.eigvalsh(diff)[-1] <= 1e-10
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             A = random_hermitian(5, rng)
-            P1 = linalg.project_psd(A)
-            assert np.linalg.norm(linalg.project_psd(P1) - P1) <= 1e-10
+            P1 = linalg._clamp_psd(A)
+            assert np.linalg.norm(linalg._clamp_psd(P1) - P1) <= 1e-10
 
-    def test_not_hermitian(self):
-        with pytest.raises(errors.NotHermitian):
-            linalg.project_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+    def test_stack_projects_each_matrix(self):
+        # one batched call: each matrix of the stack gets its own projection
+        rng = np.random.default_rng(6)
+        stack = np.stack([random_hermitian(4, rng) for _ in range(3)])
+        out = linalg._clamp_psd(stack)
+        for A, P1 in zip(stack, out):
+            assert np.abs(P1 - linalg._clamp_psd(A)).max() <= 1e-12
 
     def test_psd_input_returns_hermitian_part(self):
-        # a PSD input is returned as its Hermitian part, not rebuilt from
-        # its eigendecomposition; the skew part stays within tolerance
+        # a PSD stack is returned as it is, not rebuilt from its
+        # eigendecomposition
         rng = np.random.default_rng(12)
         G = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        A = G @ G.conj().T + 1e-14j * np.eye(5)
-        assert np.array_equal(linalg.project_psd(A), linalg.hermitize(A))
+        A = linalg.hermitize(G @ G.conj().T) + 1e-3 * np.eye(5)
+        assert linalg._clamp_psd(A) is A
 
     def test_empty_matrix_is_psd(self):
-        assert linalg.project_psd(np.zeros((0, 0))).shape == (0, 0)
+        assert linalg._clamp_psd(np.zeros((0, 0))).shape == (0, 0)
 
 
 class TestKron:

@@ -18,7 +18,7 @@ from nptsub import (
     subspace_projector,
 )
 from nptsub import sdp
-from nptsub.linalg import project_psd
+from nptsub.linalg import _clamp_psd
 from nptsub.sdp import _ConePair, _max_shift, _pictures, _round_to_ppt
 
 D22 = BipartiteDims(2, 2)
@@ -240,25 +240,28 @@ class TestConstructionSdp:
         # at the default tol_gap the bracket of the Haar-rotated 7 x 7
         # projector, which the closed-form seed does not fit, closes around
         # 1: it does not decide the claim d > 1, so the solve raises with
-        # that bracket and its state (33 of the 36 negatives) attached
+        # that bracket and its state (30 of the 36 negatives) attached.  Its
+        # upper end is the product bound 1/c from the start, so the gap
+        # closes at round 200 (550 without that start)
         dims = BipartiteDims(7, 7)
         with pytest.raises(errors.NoConvergence, match="does not decide d against 1") as err:
             solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(49)))
         assert "smaller tol_gap, such as 1e-05" in str(err.value)
         sol = err.value.partial
         assert not sol.converged
-        assert sol.iterations == 550
-        assert sol.lower_bound == pytest.approx(0.9999530752011003, rel=0, abs=1e-9)
-        assert sol.upper_bound == pytest.approx(1.0000497044252692, rel=0, abs=1e-9)
-        assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == 33
+        assert sol.iterations == 200
+        assert sol.lower_bound == pytest.approx(0.9999482177216985, rel=0, abs=1e-9)
+        assert sol.upper_bound == pytest.approx(1.0000274521884203, rel=0, abs=1e-9)
+        assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == 30
 
     def test_smaller_gap_certifies_7x7(self):
         # the tol_gap the error above names certifies the rotated 7 x 7
-        # claim (at round 1,550); on P the closed-form seed needs no rerun
+        # claim (at round 1,550); on P the starting bracket needs no rerun
         dims = BipartiteDims(7, 7)
         sol = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(49)),
                                      tol_gap=1e-5)
         assert sol.converged and sol.lower_bound > 1.0
+        assert sol.iterations == 1550
         assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == 36
 
     def test_claim_stop(self):
@@ -308,26 +311,70 @@ def antisymmetric_projector():
 
 
 class TestClosedFormSeed:
-    """The direct route starts its bracket at the closed-form state when that
-    state already certifies the claim, d > 1 with rank P negatives."""
+    """The direct route starts its bracket's lower end at the closed-form
+    state when that state already certifies the claim, d > 1 with rank P
+    negatives, and its upper end at the product-state bound 1 / c."""
 
     @staticmethod
     def unseeded(monkeypatch):
         # the maximally mixed state never claims: its shift is 1 - 1/mn < 1
         monkeypatch.setattr(sdp, "_closed_form", lambda dims: np.eye(dims.total) / dims.total)
 
-    @pytest.mark.parametrize("m,n", [(7, 7), (8, 8)])
+    @pytest.mark.parametrize("m,n", [(7, 7), (8, 8), (9, 9), (10, 10)])
     def test_claim_at_the_first_certify_round(self, m, n):
-        # unseeded, the 7 x 7 bracket closes around 1 after 550 iterations
-        # with 33 of 36 negatives, and 8 x 8's after 400 with 41 of 49
+        # the starting bracket, [d of the closed form, the product bound],
+        # is within tol_gap here, so it counts as the first certify round
+        # and the solve returns at iteration 0 (unseeded, the 7 x 7 bracket
+        # closes around 1 after 550 iterations with 33 of 36 negatives, and
+        # 8 x 8's after 400 with 41 of 49)
         dims = BipartiteDims(m, n)
-        sol = solve_construction_sdp(dims, npt_projector(dims))
+        P = npt_projector(dims)
+        sol = solve_construction_sdp(dims, P)
         assert sol.converged
-        assert sol.iterations == 50
-        assert 1.0 < sol.lower_bound <= sol.upper_bound < np.inf
+        assert sol.iterations == 0
+        assert 1.0 < sol.lower_bound <= sol.upper_bound <= sol.lower_bound + sdp.DEFAULT_TOL_GAP
+        assert sol.upper_bound == pytest.approx(1.0 / sdp._product_state(dims, P.P)[0], rel=0, abs=1e-12)
         assert sol.residuals["pt_constraint_gap"] <= sdp._TOL_FEAS
         assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == dims.npt_dim
         assert np.array_equal(sol.rho.mat, closed_form_state(dims).mat)
+
+    @pytest.mark.parametrize("m,n,lb", [(5, 6, 1.000059535999984), (6, 6, 1.000015005101734)])
+    def test_open_starting_gap_stops_at_round_50(self, m, n, lb):
+        # the product bound is 1 + 7.2e-4 and 1 + 2.3e-4 here, so the
+        # starting gap is open: the seeded solve still stops at round 50
+        # with that round's d, and its upper end is the product bound,
+        # tighter than round 50's (1 + 1.8e-3 and 1 + 1.5e-3)
+        dims = BipartiteDims(m, n)
+        P = npt_projector(dims)
+        sol = solve_construction_sdp(dims, P)
+        assert sol.converged
+        assert sol.iterations == 50
+        assert sol.lower_bound == pytest.approx(lb, rel=0, abs=1e-9)
+        assert sol.upper_bound - sol.lower_bound > sdp.DEFAULT_TOL_GAP
+        assert sol.upper_bound == pytest.approx(1.0 / sdp._product_state(dims, P.P)[0], rel=0, abs=1e-12)
+        assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == dims.npt_dim
+
+    @pytest.mark.parametrize("kind,iterations,lb,ub", [
+        ("P-7x7", 50, 1.000001354737846, 1.0029533799855306),
+        ("P-5x6", 50, 1.000059535999984, 1.0018042947384072),
+        ("rotated-7x7", 550, 0.9999530752011003, 1.0000497044252692),
+    ])
+    def test_no_product_start_changes_nothing_else(self, kind, iterations, lb, ub, monkeypatch):
+        # a product state of overlap 0 offers no dual certificate, so the
+        # upper end starts at inf: each solve returns the values it had
+        # before the product start (the rotated 7 x 7 raises, as then)
+        m, n = (7, 7) if kind.endswith("7x7") else (5, 6)
+        dims = BipartiteDims(m, n)
+        P = rotated_projector(dims, np.random.default_rng(49)) if kind == "rotated-7x7" else npt_projector(dims)
+        monkeypatch.setattr(sdp, "_product_state", lambda dims, P: (0.0, np.zeros(dims.total)))
+        try:
+            sol = solve_construction_sdp(dims, P)
+        except errors.NoConvergence as err:
+            assert kind == "rotated-7x7"
+            sol = err.partial
+        assert sol.iterations == iterations
+        assert sol.lower_bound == pytest.approx(lb, rel=0, abs=1e-12)
+        assert sol.upper_bound == pytest.approx(ub, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["rotated-5x5", "antisymmetric-3x3"])
     def test_unclaimed_seed_changes_nothing(self, kind, monkeypatch):
@@ -358,6 +405,59 @@ class TestClosedFormSeed:
         monkeypatch.setattr(sdp, "_closed_form", fail)
         sol = solve_construction_sdp(D22, 0.45 * singlet_projector())
         assert sol.converged
+
+
+def product_oracle(m, n):
+    """The PPT maximum c of <P, sigma>: cos^2(pi/2n) at 2 x n, 10/11 at 3 x 3
+    and (9 + 2 sqrt 2)/12 at 4 x 4."""
+    if m == 2:
+        return np.cos(np.pi / (2 * n)) ** 2
+    return 10.0 / 11.0 if n == 3 else (9.0 + 2.0 * np.sqrt(2.0)) / 12.0
+
+
+PRODUCT_ORACLE_DIMS = [*[(2, n) for n in range(2, 9)], (3, 3), (4, 4)]
+
+
+class TestProductState:
+    """The product vector whose overlap with P starts the direct route's
+    upper end: the alternating top-eigenvector iteration reaches the PPT
+    maximum c on the NPT projector."""
+
+    @staticmethod
+    def check(dims, P, value):
+        overlap, ab = sdp._product_state(dims, P)
+        assert np.linalg.norm(ab) == pytest.approx(1.0, rel=0, abs=1e-14)
+        assert np.vdot(ab, P @ ab).real == pytest.approx(overlap, rel=0, abs=1e-12)
+        assert overlap == pytest.approx(value, rel=0, abs=1e-12)
+        # a (x) b is a product vector: its coefficient matrix has rank 1
+        assert np.linalg.svd(ab.reshape(dims.m, dims.n), compute_uv=False)[1:].max() <= 1e-12
+        return ab
+
+    @pytest.mark.parametrize("m,n", PRODUCT_ORACLE_DIMS)
+    def test_oracle(self, m, n):
+        dims = BipartiteDims(m, n)
+        ab = self.check(dims, npt_projector(dims).P, product_oracle(m, n))
+        assert not np.iscomplexobj(ab)  # real P: real arithmetic
+
+    @pytest.mark.parametrize("m,n", PRODUCT_ORACLE_DIMS)
+    def test_oracle_on_rotated_projector(self, m, n):
+        # a local unitary maps product vectors to product vectors
+        dims = BipartiteDims(m, n)
+        self.check(dims, rotated_projector(dims, np.random.default_rng(m * n)), product_oracle(m, n))
+
+    @pytest.mark.parametrize("m,n", [(3, 4), (4, 4), (5, 5)])
+    def test_below_certified_ppt_maximum(self, m, n):
+        # a product state is PPT, so its overlap never exceeds a certified
+        # upper bound on the PPT maximum (here within 1e-6 of it)
+        dims = BipartiteDims(m, n)
+        P = npt_projector(dims).P
+        opt = optimize_over_ppt(dims, P, tol=1e-6)
+        overlap = sdp._product_state(dims, P)[0]
+        assert opt.upper_bound - 1e-6 <= overlap <= opt.upper_bound
+
+    def test_antisymmetric_projector(self):
+        # (I - F)/2 has product overlap at most 1/2, reached by orthogonal a, b
+        assert sdp._product_state(D33, antisymmetric_projector())[0] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestPinnedOutputs:
@@ -485,7 +585,7 @@ class TestSectorLayout:
         cones = _ConePair(*pics)
         z = cones.project(np.concatenate([pic.pack(X) for pic, X in zip(pics, members)]))
         for pic, z_i, X in zip(pics, cones.split(z), members):
-            assert np.abs(pic.unpack(z_i) - project_psd(X)).max() <= 1e-12
+            assert np.abs(pic.unpack(z_i) - _clamp_psd(X)).max() <= 1e-12
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
@@ -518,7 +618,7 @@ class TestSectorLayout:
             z = cones.project(x)
             outputs.append((z, z.copy()))
             for pic, z_i, M in zip(pics, cones.split(z), (a, b)):
-                assert np.abs(pic.unpack(z_i) - project_psd(M)).max() <= 1e-12
+                assert np.abs(pic.unpack(z_i) - _clamp_psd(M)).max() <= 1e-12
             if a is psd1 and b is psd2:
                 assert np.array_equal(z, x)
         assert all(np.array_equal(z, kept) for z, kept in outputs)
@@ -840,7 +940,7 @@ class TestDualConeRoute:
         # known PPT optima: c(2,n) = cos^2(pi/2n) and c(3,3) = 10/11; the
         # PPT solve brackets them within its tol, and the route, which
         # stops once the claim is certified, within [c_lower, c]
-        oracle = np.cos(np.pi / (2 * n)) ** 2 if m == 2 else 10.0 / 11.0
+        oracle = product_oracle(m, n)
         dims = BipartiteDims(m, n)
         P = npt_projector(dims)
         tol = 1e-6
