@@ -29,10 +29,10 @@ maximizes <ab|P|ab> (Wei & Goldbart, PRA 68, 042307 (2003)): a product
 state is PPT, so |ab><ab| / <ab|P|ab> is a dual certificate, and its
 bound 1 / <ab|P|ab> is about 1/c whatever the local basis.  A starting
 bracket within ``tol_gap`` is returned at iteration 0, as for the NPT
-projector from 7 x 7 to 10 x 10; a seeded solve with a wider one stops at
-its first certify round (iteration 50), and an unseeded one closes its
-gap sooner (the Haar-rotated 7 x 7: around 1 after 200 iterations, not
-550).  The starts move only the bracket, never the iterates.
+projector and its local rotations from 7 x 7 to 10 x 10; a seeded solve
+with a wider one stops at its first certify round (iteration 50), and an
+unseeded one closes its gap sooner.  The starts move only the bracket,
+never the iterates.
 
 ``_split`` is an over-relaxed iteration between an affine set and the
 product of two PSD cones, on one entry vector [z1; z2] for both cones,
@@ -66,10 +66,23 @@ then real and block-diagonal, by j+k sector in the input's picture and by
 j-k sector in the partially transposed one: m+n-1 blocks of size at most
 min(m, n).  A PSD projection is one batched real eigh over the padded
 block stack, and the partial transpose is a fixed gather between the two
-pictures.  Any other input runs the same code on one complex block that
-holds all mn x mn entries.  Every PSD projection of entry vectors, in
-the iteration and in the certify steps, goes through ``_ConePair``: both
-cones share one batched eigh over one buffer, allocated once per solve.
+pictures.  The claim does not depend on the local basis: for
+P' = (U (x) V) P (U (x) V)^dag, d, c and the count are those of P, and
+states transfer as rho' = (U (x) conj(V)) rho (U (x) conj(V))^dag.  So an
+input that is not sector-block is first searched for such a local frame
+(``_local_frame``, recovered from the input alone), and if one takes it
+to real sector blocks, the iterates live on P's blocks in that frame:
+every local rotation of the NPT projector retraces the solve on P,
+closed-form seed included (the Haar-rotated 7 x 7 certifies d > 1 at
+iteration 0, as P does).  The only change of basis is at the layout's
+boundary, where matrices are packed into and unpacked out of entry
+vectors, so every dense recheck, count and returned matrix is in the
+caller's basis.  Any other input runs the same code on one complex block
+that holds all mn x mn entries (the Haar-rotated 7 x 7 there: its bracket
+closes around 1 after 200 iterations, so at the default ``tol_gap`` the
+route raises).  Every PSD projection of entry vectors, in the iteration
+and in the certify steps, goes through ``_ConePair``: both cones share
+one batched eigh over one buffer, allocated once per solve.
 
 A sector-block input that is also invariant under the local reflection
 (j, k) -> (m-1-j, n-1-k), flat index i -> d-1-i, as P is exactly,
@@ -102,10 +115,11 @@ already, and contracts it toward I/d until its partial transpose is PSD
 too.  The certify steps run on the same block layout as the iteration:
 they are block projections, gathers and block eigenvalues, with the
 padding of the block stack kept out of every extreme eigenvalue.  On exit
-the returned bounds are recomputed dense from the returned state and dual
-certificate (the construction's lower bound is rechecked by its dense
-residuals), so a block layout can cost iterations but can never certify a
-wrong bound.
+the returned bounds are recomputed dense, in the caller's basis, from the
+returned state and dual certificate and the caller's input (the
+construction's lower bound is rechecked by its dense residuals), so a
+block layout or a local frame can cost iterations but can never certify
+a wrong bound.
 
 Every entry point takes its input (P or W) as a Hermitian mn x mn
 matrix, or as a Projector of the same dims, and raises ShapeMismatch or
@@ -154,7 +168,9 @@ _AA_REG = 1e-5
 
 #: Largest entry of |M - M reflected| (relative to max(1, max |M|)) for
 #: which the solvers treat M as reflection-invariant (the NPT projector: 0;
-#: a numerical Q Q^dagger: about 4e-16); no certify step resolves 1e-14.
+#: a numerical Q Q^dagger: about 4e-16), and largest entry (relative to
+#: max |M|) that a local frame may drop from the rotated M (a Haar-rotated
+#: NPT projector: at most about 4e-15); no certify step resolves 1e-14.
 _MIRROR_TOL = 1e-14
 
 
@@ -276,11 +292,17 @@ class _Picture:
     the slots ``rep`` of the (ceil(K/2), s, s) stack ``orbits``, and
     ``src`` holds, for every entry, the slot it is read back from.  Without ``mirror`` every block
     represents itself and ``src`` is ``stack``.
+
+    With a ``frame``, a unitary F (a local U (x) V, see ``_local_frame``),
+    the blocks are those of F^dag M F: ``pack`` rotates a matrix of the
+    caller's basis into the frame before taking its entries, and
+    ``unpack`` rotates back out.  Everything else works on entries, in the
+    frame.
     """
 
-    def __init__(self, labels: np.ndarray, dtype, mirror: bool = False):
+    def __init__(self, labels: np.ndarray, dtype, mirror: bool = False, frame=None):
         d = labels.size
-        self.d, self.dtype = d, dtype
+        self.d, self.dtype, self.frame = d, dtype, frame
         blocks = [np.flatnonzero(labels == s) for s in sorted(set(labels.tolist()))]
         sizes = np.array([b.size for b in blocks])
         s_max = int(sizes.max())
@@ -308,13 +330,20 @@ class _Picture:
         self.eye[self.diag] = 1.0
 
     def pack(self, M: np.ndarray) -> np.ndarray:
+        """Entry vector of M, a matrix of the caller's basis; the rest of
+        M in the frame (off the blocks, and its imaginary part on a real
+        layout) is dropped."""
         M = np.asarray(M)
+        if self.frame is not None:
+            M = self.frame.conj().T @ M @ self.frame
         return (M.real if self.dtype is float else M).reshape(-1)[self.flat]
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
+        """The matrix of entry vector x, in the caller's basis."""
         M = np.zeros(self.d * self.d, dtype=complex)
         M[self.flat] = x
-        return M.reshape(self.d, self.d)
+        M = M.reshape(self.d, self.d)
+        return M if self.frame is None else self.frame @ M @ self.frame.conj().T
 
     def trace(self, x: np.ndarray) -> float:
         return float(x[self.diag].sum().real)
@@ -391,8 +420,13 @@ def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
     A real M that is zero outside the j+k sectors (as the NPT projector
     is) keeps every iterate real and block-diagonal: by j+k sector in M's
     picture, by j-k sector in the other, with m+n-1 blocks of size at most
-    min(m, n) in each.  Any other M gets one complex block of all mn x mn
-    entries in both pictures.  A sector-block M that is also invariant
+    min(m, n) in each.  Any other M is first offered to ``_local_frame``:
+    if a local unitary U (x) V takes it to such a matrix (as it takes any
+    local rotation of the NPT projector back to P), both pictures get the
+    sector blocks in that frame, U (x) V in M's picture and U (x) conj(V)
+    in the other, so that the partial transpose is still the same gather.
+    Any other M gets one complex block of all mn x mn entries in both
+    pictures.  A sector-block M (in its frame) that is also invariant
     under the local reflection (j, k) -> (m-1-j, n-1-k), flat index
     i -> d-1-i, to within ``_MIRROR_TOL`` (as the NPT projector is,
     exactly) keeps every iterate invariant too: both pictures then project
@@ -404,11 +438,17 @@ def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
     if M.shape != (d, d):
         raise ShapeMismatch(f"expected {(d, d)} matrix for dims {dims}, got {M.shape}")
     j, k = np.divmod(np.arange(d), dims.n)
-    real = not np.iscomplexobj(M) or not M.imag.any()
-    if real and not M[(j + k)[:, None] != (j + k)[None, :]].any():
+    off = (j + k)[:, None] != (j + k)[None, :]
+    sector = not (np.iscomplexobj(M) and M.imag.any()) and not M[off].any()
+    frame = None if sector else _local_frame(dims, M, off)
+    if sector or frame is not None:
+        F_a = F_b = None
+        if frame is not None:
+            U, V, M = frame
+            F_a, F_b = np.kron(U, V), np.kron(U, V.conj())
         defect = np.abs(M - M[::-1, ::-1]).max(initial=0.0)
         mirror = bool(defect <= _MIRROR_TOL * np.abs(M).max(initial=1.0))
-        a, b = _Picture(j + k, float, mirror), _Picture(j - k, float, mirror)
+        a, b = _Picture(j + k, float, mirror, F_a), _Picture(j - k, float, mirror, F_b)
     else:
         one = np.zeros(d, dtype=int)
         a, b = _Picture(one, complex), _Picture(one, complex)
@@ -418,6 +458,89 @@ def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
         position[src.flat] = np.arange(src.flat.size)
         src.pt = position[perm[dst.flat]]
     return a, b
+
+
+def _local_frame(dims: BipartiteDims, M: np.ndarray, off: np.ndarray):
+    """(U, V, M') with M' = (U (x) V)^dag M (U (x) V) real and zero on ``off``
+    (outside the j+k sectors), or None when no such local frame is found.
+
+    Data-driven symmetry reduction (Murota, Kanno, Kojima & Kojima, Japan
+    J. Indust. Appl. Math. 27, 2010).  The NPT projector commutes with the
+    local generator diag(j) (x) I + I (x) diag(k), so a local rotation
+    (U (x) V) P (U (x) V)^dag commutes with that generator's rotation.  The
+    generators X = A (x) I + I (x) B that commute with M are the null space
+    of the Gram matrix G_ij = <[X_i, M], [X_j, M]> of the commutator over
+    the m^2 + n^2 matrix units X_i (E_pq (x) I, then I (x) E_pq), formed
+    from M's (m, n, m, n) reshape without the (mn)^2-row commutator map.
+    The two identities always lie in it; a frame is sought only when
+    exactly one more direction does (an eigenvalue of G counts as null
+    when it is at most 1e-10 of the largest).  That direction, made Hermitian, is
+    sharpened by one Gauss-Newton step on the residual [X, M] (G squares
+    the commutator's conditioning, so its null vector alone leaves M'
+    about 5e-14 off its sectors at 2 x 12; after the step, 4e-15).  The
+    eigenvectors of A and B, eigenvalues ascending, are the columns of U
+    and V, their phases fixed so that each (j, k), (j+1, k-1) entry of M'
+    is real and negative, as in P.  The frame is returned only if the
+    imaginary part and the off-sector entries that M' drops are at most
+    ``_MIRROR_TOL`` max|M|.
+    """
+    m, n = dims.m, dims.n
+    T = M.reshape(m, n, m, n)
+    M2 = (M @ M).reshape(m, n, m, n)
+
+    def units_block(T, M2):
+        # <[E_pq (x) I, M], [E_rs (x) I, M]> at [(p, q), (r, s)]
+        t, eye = np.einsum("ibjb->ij", M2), np.eye(T.shape[0])
+        G = (np.einsum("pr,sq->pqrs", eye, t) + np.einsum("qs,pr->pqrs", eye, t)
+             - 2.0 * np.einsum("sbqd,pdrb->pqrs", T, T, optimize=True))
+        return G.reshape(t.size, t.size)
+
+    swap = (1, 0, 3, 2)
+    G_ab = 2.0 * (M2.transpose(0, 2, 3, 1) - np.einsum("asqd,pdar->pqrs", T, T, optimize=True))
+    G_ab = G_ab.reshape(m * m, n * n)
+    G = np.block([[units_block(T, M2), G_ab],
+                  [G_ab.conj().T, units_block(T.transpose(swap), M2.transpose(swap))]])
+    w, Z = np.linalg.eigh(G)
+    null = w <= 1e-10 * w[-1]
+    if null.sum() != 3:
+        return None
+    # the null direction orthogonal to both identities is e^{i theta} H,
+    # H Hermitian, and tr(A^2) + tr(B^2) = e^{2 i theta} tr(H^2); a real M
+    # can have an imaginary H, so theta = pi/2 on real arithmetic
+    ones = np.zeros((m * m + n * n, 2))
+    ones[:m * m, 0] = np.eye(m).ravel() / np.sqrt(m)
+    ones[m * m:, 1] = np.eye(n).ravel() / np.sqrt(n)
+    Q = Z[:, null] - ones @ (ones.T @ Z[:, null])
+    v = Q[:, np.argmax(np.linalg.norm(Q, axis=0))]
+    A, B = v[:m * m].reshape(m, m), v[m * m:].reshape(n, n)
+    z = complex(np.sum(A * A.T) + np.sum(B * B.T))
+    A, B = (hermitize(C * np.sqrt(z.conjugate() / abs(z))) for C in (A, B))
+    # Gauss-Newton on ||[X, M]||: G (dA, dB) = -(the map's adjoint applied
+    # to [X, M]), whose A and B parts are partial traces of [[X, M], M]
+    X = np.kron(A, np.eye(n)) + np.kron(np.eye(m), B)
+    R = X @ M - M @ X
+    C = (R @ M - M @ R).reshape(m, n, m, n)
+    grad = np.concatenate((np.einsum("ibjb->ij", C).ravel(), np.einsum("aiaj->ij", C).ravel()))
+    live = Z[:, ~null]
+    step = live @ ((live.conj().T @ grad) / w[~null])
+    U = np.linalg.eigh(hermitize(A - step[:m * m].reshape(m, m)))[1]
+    V = np.linalg.eigh(hermitize(B - step[m * m:].reshape(n, n)))[1]
+    K = np.kron(U, V)
+    Mf = K.conj().T @ M @ K
+    if m > 1 and n > 1:
+        # phases: the (j, k), (j+1, k-1) entry gains
+        # phi_{j+1} - phi_j - (psi_k - psi_{k-1}); fixed on row k = 1 and column j = 0
+        theta = np.angle(np.einsum("jkjk->jk", Mf.reshape(m, n, m, n)[:-1, 1:, 1:, :-1]))
+        phi = np.concatenate(([0.0], np.cumsum(np.pi - theta[:, 0])))
+        psi = np.concatenate(([0.0], np.cumsum(theta[0] - np.pi + phi[1])))
+        U, V = U * np.exp(1j * phi), V * np.exp(1j * psi)
+        D = np.exp(1j * (phi[:, None] + psi).ravel())
+        Mf = D.conj()[:, None] * Mf * D
+    if max(np.abs(Mf.imag).max(), np.abs(Mf[off]).max()) > _MIRROR_TOL * np.abs(M).max():
+        return None
+    Mf = Mf.real
+    Mf[off] = 0.0
+    return U, V, Mf
 
 
 # --------------------------------------------------------------------------
@@ -597,9 +720,11 @@ def solve_construction_sdp(
     from the closed-form state when its largest feasible shift, found by
     the same margin-checked ``_max_shift`` as every round's, certifies the
     claim: d > 1 and rank P negatives.  For the NPT projector it does so
-    from 2 x 2 to 10 x 10 (at 11 x 11 and up the float count falls short);
-    for a rotated P, another projector, a P of rank 0 or m = 1 or n = 1 it
-    is skipped, and the lower end starts at (-inf, I/d).  The upper end
+    from 2 x 2 to 10 x 10 (at 11 x 11 and up the float count falls short),
+    and so it does for every local rotation of it that ``_pictures``
+    solves in a local frame (the seed is taken in the frame).  For another
+    projector, a P of rank 0, m = 1 or n = 1, or a P on one complex block,
+    it is skipped, and the lower end starts at (-inf, I/d).  The upper end
     starts at a product-state certificate for every P: Y0 is |ab><ab| for
     the product vector a (x) b of ``_product_state``, taken onto the
     blocks of the iterates (on the sector layout the j+k pinching, a
@@ -608,8 +733,8 @@ def solve_construction_sdp(
     is about 1/c: for the NPT projector 1 - c is 2.7e-5 at 7 x 7 and
     3.8e-8 at 10 x 10, whatever the local basis.  A starting bracket
     already within ``tol_gap`` returns at iteration 0, with the seed's
-    state and the product bound: the NPT projector from 7 x 7 to 10 x 10.
-    Otherwise iteration stops at the first certify round whose current
+    state and the product bound: the NPT projector and its local rotations
+    from 7 x 7 to 10 x 10.  Otherwise iteration stops at the first certify round whose current
     lower end claims, the seed included, by the package's negativity rule,
     counted dense on the state the route would return; it is then
     ``converged`` whatever its gap.  So a seeded solve with an open
@@ -625,7 +750,10 @@ def solve_construction_sdp(
     its upper end above 1, so d > 1 is certified or d <= 1 is.  The lower
     bound passes a margin check down to -1e-13, so it can exceed the upper
     bound by rounding: up to 1e-12 relative, the upper bound is reported
-    as the lower one; a wider crossing raises NoConvergence.
+    as the lower one; a wider crossing raises NoConvergence.  The returned
+    upper bound is recomputed dense, (Tr Y - lambda_min(Y^G)) / <Y, P>
+    with the caller's P, so the layout's copy of P (rotated into a local
+    frame, or summed in another order) never scales it.
 
     Raises DegenerateSubspace, before any iteration, for a P whose trace
     is not positive (the NPT projector at m = 1 or n = 1, where d is
@@ -685,11 +813,14 @@ def solve_construction_sdp(
 
     # the bracket starts at the closed-form state where it already claims
     # (_split takes a finite starting lower end as accepted), and at the
-    # product-state certificate, whose pinching onto pic_S's blocks is a
-    # mixture of product states, so still PSD and PPT
+    # product-state certificate, whose pinching onto pic_S's blocks (in
+    # the frame, if any) is a mixture of product states, so still PSD and
+    # PPT: a real layout also keeps only its real part, the even mixture
+    # with its complex conjugate, another product state
     lower = (-np.inf, eye_r / d_tot)
     if target and dims.npt_dim:
-        r_cf = pic_r.pack(_closed_form(dims))
+        # the closed form is a matrix of P's own basis, the frame's
+        r_cf = _closed_form(dims).reshape(-1)[pic_r.flat]
         d_cf = _max_shift(pic_S, eye_S - r_cf[pic_r.pt], p)
         if claim(d_cf, r_cf):
             lower = (d_cf, r_cf)
@@ -702,11 +833,12 @@ def solve_construction_sdp(
                                                  stop_lower=claim if target else None)
 
     # the returned bracket, rechecked dense: the residuals verify lb, and
-    # the dual bound is recomputed from the best certificate
+    # the dual bound is recomputed from the best certificate and the
+    # caller's P
     rho = pic_r.unpack(best_r)
     if best_Y is not None:
         Y = pic_S.unpack(best_Y)
-        ub = _tr(Y) - float(eigvalsh(partial_transpose(Y, dims))[0])
+        ub = (_tr(Y) - float(eigvalsh(partial_transpose(Y, dims))[0])) / frob_inner(Y, Pmat)
     # a crossing at rounding level closes the bracket (see the docstring)
     empty = lb - ub > 1e-12 * abs(lb)
     if not empty:

@@ -35,6 +35,14 @@ def no_iteration(monkeypatch):
     monkeypatch.setattr(sdp, "_split", fail)
 
 
+@pytest.fixture
+def no_frame(monkeypatch):
+    """Find no local frame, so that a locally rotated projector runs on one
+    complex block of all mn x mn entries: the path of every input that no
+    local unitary takes to real sector blocks."""
+    monkeypatch.setattr(sdp, "_local_frame", lambda *args: None)
+
+
 def npt_projector(dims):
     return subspace_projector(build_subspace(dims))
 
@@ -208,11 +216,11 @@ class TestConstructionSdp:
         assert err.value.partial.lower_bound == 10.0 > err.value.partial.upper_bound
         assert not err.value.partial.converged
 
-    def test_dense_residual_raises_after_a_claim_stop(self, monkeypatch):
+    def test_dense_residual_raises_after_a_claim_stop(self, monkeypatch, no_frame):
         # a claim stop waives the gap, not the dense feasibility recheck:
         # neither on P, whose closed-form seed stops the solve at round 50,
-        # nor on the Haar-rotated P, which the seed does not fit and whose
-        # solve stops at round 250
+        # nor on the Haar-rotated P on one complex block, which the seed
+        # does not fit and whose solve stops at round 250
         residuals = sdp._construction_residuals
         monkeypatch.setattr(sdp, "_construction_residuals",
                             lambda *args: {**residuals(*args), "pt_constraint_gap": 1e-6})
@@ -236,13 +244,13 @@ class TestConstructionSdp:
                 base, abs=2e-4
             )
 
-    def test_bracket_around_one_raises(self):
+    def test_bracket_around_one_raises(self, no_frame):
         # at the default tol_gap the bracket of the Haar-rotated 7 x 7
-        # projector, which the closed-form seed does not fit, closes around
-        # 1: it does not decide the claim d > 1, so the solve raises with
-        # that bracket and its state (30 of the 36 negatives) attached.  Its
-        # upper end is the product bound 1/c from the start, so the gap
-        # closes at round 200 (550 without that start)
+        # projector on one complex block, which the closed-form seed does
+        # not fit, closes around 1: it does not decide the claim d > 1, so
+        # the solve raises with that bracket and its state (30 of the 36
+        # negatives) attached.  Its upper end is the product bound 1/c from
+        # the start, so the gap closes at round 200 (550 without that start)
         dims = BipartiteDims(7, 7)
         with pytest.raises(errors.NoConvergence, match="does not decide d against 1") as err:
             solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(49)))
@@ -254,9 +262,10 @@ class TestConstructionSdp:
         assert sol.upper_bound == pytest.approx(1.0000274521884203, rel=0, abs=1e-9)
         assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == 30
 
-    def test_smaller_gap_certifies_7x7(self):
+    def test_smaller_gap_certifies_7x7(self, no_frame):
         # the tol_gap the error above names certifies the rotated 7 x 7
-        # claim (at round 1,550); on P the starting bracket needs no rerun
+        # claim on one complex block (at round 1,550); on P, and on the
+        # rotation in its local frame, the starting bracket needs no rerun
         dims = BipartiteDims(7, 7)
         sol = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(49)),
                                      tol_gap=1e-5)
@@ -264,7 +273,7 @@ class TestConstructionSdp:
         assert sol.iterations == 1550
         assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == 36
 
-    def test_claim_stop(self):
+    def test_claim_stop(self, no_frame):
         # the gap-closing solve takes 450 iterations here.  On P the
         # closed-form state certifies d > 1 with all 20 negatives before the
         # first iteration, so the solve stops at round 50, the first round
@@ -291,9 +300,10 @@ class TestConstructionSdp:
         assert sol.iterations == 450
         assert sol.upper_bound - sol.lower_bound <= 1e-4
 
-    def test_budget_exhaustion_raises(self):
-        # on the rotated P, which the closed-form seed does not fit, three
-        # iterations certify neither the claim nor the gap
+    def test_budget_exhaustion_raises(self, no_frame):
+        # on the rotated P on one complex block, which the closed-form seed
+        # does not fit, three iterations certify neither the claim nor the
+        # gap
         with pytest.raises(errors.NoConvergence, match="gap") as err:
             solve_construction_sdp(D34, rotated_projector(D34, np.random.default_rng(12)), max_iter=3)
         partial = err.value.partial
@@ -359,7 +369,7 @@ class TestClosedFormSeed:
         ("P-5x6", 50, 1.000059535999984, 1.0018042947384072),
         ("rotated-7x7", 550, 0.9999530752011003, 1.0000497044252692),
     ])
-    def test_no_product_start_changes_nothing_else(self, kind, iterations, lb, ub, monkeypatch):
+    def test_no_product_start_changes_nothing_else(self, kind, iterations, lb, ub, monkeypatch, no_frame):
         # a product state of overlap 0 offers no dual certificate, so the
         # upper end starts at inf: each solve returns the values it had
         # before the product start (the rotated 7 x 7 raises, as then)
@@ -377,10 +387,10 @@ class TestClosedFormSeed:
         assert sol.upper_bound == pytest.approx(ub, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["rotated-5x5", "antisymmetric-3x3"])
-    def test_unclaimed_seed_changes_nothing(self, kind, monkeypatch):
-        # the closed form does not fit the rotated projector (d < 1 there),
-        # and has 4 negatives where the antisymmetric projector's rank is 3:
-        # each solve is bit for bit the unseeded one
+    def test_unclaimed_seed_changes_nothing(self, kind, monkeypatch, no_frame):
+        # the closed form does not fit the rotated projector on one complex
+        # block (d < 1 there), and has 4 negatives where the antisymmetric
+        # projector's rank is 3: each solve is bit for bit the unseeded one
         if kind == "rotated-5x5":
             dims = BipartiteDims(5, 5)
             P, iterations, lb = rotated_projector(dims, np.random.default_rng(25)), 150, 1.0003030248201392
@@ -556,25 +566,54 @@ class TestSectorLayout:
             assert pic.shape == (m + n - 1, min(m, n), min(m, n))
             assert pic.orbits == ((m + n) // 2, min(m, n), min(m, n))
 
-    @pytest.mark.parametrize("perturb", ["rotate", "imaginary", "off_sector"])
+    @pytest.mark.parametrize("perturb", ["imaginary", "off_sector", "random", "antisymmetric_rotated"])
     def test_other_inputs_get_one_block(self, perturb):
+        # inputs that no local unitary takes to real sector blocks: P with
+        # one entry perturbed, a random Hermitian W (the only local
+        # generators commuting with it are the two identities) and the
+        # antisymmetric projector rotated by U (x) V with U != V (U A U^dag
+        # (x) I + I (x) V A V^dag commutes with it for every A: 10
+        # directions with the identities, not 3)
         dims = BipartiteDims(3, 4)
         P = npt_projector(dims).P.copy()
-        if perturb == "rotate":
-            P = rotated_projector(dims, np.random.default_rng(5))
-        elif perturb == "imaginary":
+        if perturb == "imaginary":
             P[1, 3] += 1e-3j  # entry inside a j+k block
             P[3, 1] -= 1e-3j
-        else:
+        elif perturb == "off_sector":
             P[0, 1] = P[1, 0] = 1e-3
+        elif perturb == "random":
+            P = TestBoundRecheck.objective("random", dims)
+        else:
+            dims, rng = D33, np.random.default_rng(9)
+            K = np.kron(haar_unitary(3, rng), haar_unitary(3, rng))
+            P = K @ antisymmetric_projector() @ K.conj().T
         for pic in _pictures(dims, P):
+            assert pic.frame is None
             assert pic.dtype is complex
-            assert pic.shape == (1, 12, 12)
+            assert pic.shape == (1, dims.total, dims.total)
             assert np.array_equal(pic.src, pic.stack)
+
+    def test_rotated_projector_gets_sector_blocks_in_a_frame(self):
+        # a local rotation of P gets P's layout in the recovered frame,
+        # U (x) V in P's picture and U (x) conj(V) in the other: pack and
+        # unpack invert each other, and the partial transpose is the gather
+        dims = BipartiteDims(3, 4)
+        R = rotated_projector(dims, np.random.default_rng(5))
+        pics = _pictures(dims, R)
+        plain = _pictures(dims, npt_projector(dims).P)
+        rng = np.random.default_rng(6)
+        for (src, dst), ref in zip((pics, pics[::-1]), plain):
+            assert src.frame is not None and src.dtype is float
+            assert (src.shape, src.orbits) == (ref.shape, ref.orbits) == ((6, 3, 3), (3, 3, 3))
+            x = ref.pack(self.random_member(ref, rng))
+            X = src.unpack(x)  # a member of the frame's blocks, in R's basis
+            assert np.abs(src.pack(X) - x).max() <= 1e-14
+            assert np.abs(dst.unpack(x[src.pt]) - partial_transpose(X, dims)).max() <= 1e-14
+        assert np.abs(pics[0].unpack(pics[0].pack(R)) - R).max() <= 1e-14
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
-    def test_pack_gather_and_project(self, m, n, rotated):
+    def test_pack_gather_and_project(self, m, n, rotated, no_frame):
         dims, _, pics, rng = self.layout(m, n, rotated)
         members = [self.random_member(pic, rng) for pic in pics]
         for (src, dst), X in zip((pics, pics[::-1]), members):
@@ -589,7 +628,7 @@ class TestSectorLayout:
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
-    def test_block_eigenvalues_match_dense(self, m, n, rotated):
+    def test_block_eigenvalues_match_dense(self, m, n, rotated, no_frame):
         # definite members catch a padding leak: a zero-padded block would
         # report a spurious 0 as the lowest (or highest) eigenvalue
         _, _, pics, rng = self.layout(m, n, rotated)
@@ -603,7 +642,7 @@ class TestSectorLayout:
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
-    def test_merged_projection_is_two_projections(self, m, n, rotated):
+    def test_merged_projection_is_two_projections(self, m, n, rotated, no_frame):
         # each cone of the merged projection is the dense projection of its
         # own input; a pair whose cones are both PSD comes back unchanged
         _, _, pics, rng = self.layout(m, n, rotated)
@@ -682,7 +721,7 @@ class TestSectorLayout:
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
-    def test_ppt_rounding_is_a_ppt_state(self, m, n, rotated):
+    def test_ppt_rounding_is_a_ppt_state(self, m, n, rotated, no_frame):
         # PSD inputs, as the certify step passes: P (NPT, like every state
         # supported on the NPT subspace) and a random positive definite one
         dims, P, pics, rng = self.layout(m, n, rotated)
@@ -695,7 +734,7 @@ class TestSectorLayout:
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
-    def test_ppt_rounding_keeps_a_ppt_input(self, m, n, rotated):
+    def test_ppt_rounding_keeps_a_ppt_input(self, m, n, rotated, no_frame):
         # I + t H with ||t H||_F = 1/2 stays PPT (the partial transpose
         # keeps the Frobenius norm): it is only normalized, and a zero
         # input falls back to I/d
@@ -707,7 +746,7 @@ class TestSectorLayout:
 
     @pytest.mark.parametrize("m,n", DIMS)
     @pytest.mark.parametrize("rotated", [False, True])
-    def test_feasible_shift_passes_dense_check(self, m, n, rotated):
+    def test_feasible_shift_passes_dense_check(self, m, n, rotated, no_frame):
         # rho is a random state in rho's picture; the shift d must satisfy
         # d P <= I - rho^G densely and sit at the generalized eigenvalue
         dims, P, (pic_S, pic_r), rng = self.layout(m, n, rotated)
@@ -761,14 +800,19 @@ class TestAnderson:
 
 
 class TestRotationEquivalence:
-    """On a Haar-rotated projector (one complex block) both routes retrace
-    the sector-block solve on P: same iterations, same certified values.
+    """On a Haar-rotated projector run on one complex block (no local frame)
+    both routes retrace the sector-block solve on P: same iterations, same
+    certified values.
     That holds past the start of the Anderson acceleration (5 x 5 and
     6 x 6), whose inner products are invariant under the local unitary.
     The direct route on P starts its bracket at the closed-form state,
     which the rotated projector does not fit; the rotated solve retraces
     the solve on P only where round 50 beats that seed (up to 4 x 4), and
     larger rotated solves keep the values of the unseeded solve."""
+
+    @pytest.fixture(autouse=True)
+    def one_block(self, no_frame):
+        pass
 
     @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4)])
     def test_direct_route(self, m, n):
@@ -794,6 +838,100 @@ class TestRotationEquivalence:
         assert rot.c == pytest.approx(base.c, rel=0, abs=1e-9)
 
 
+def sector_mask(dims):
+    j, k = np.divmod(np.arange(dims.total), dims.n)
+    return (j + k)[:, None] != (j + k)[None, :]
+
+
+class TestLocalFrame:
+    """A locally rotated projector is solved in the local frame recovered
+    from it: both routes then retrace the solve on P, closed-form seed
+    included."""
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (2, 12), (3, 3), (3, 4), (4, 5), (5, 5), (5, 6),
+                                     (6, 7), (7, 7), (8, 8), (9, 9), (10, 10), (11, 11), (12, 12)])
+    def test_recovers_the_projector(self, m, n):
+        dims = BipartiteDims(m, n)
+        P = npt_projector(dims).P
+        R = rotated_projector(dims, np.random.default_rng(m * n))
+        U, V, M = sdp._local_frame(dims, R, sector_mask(dims))
+        assert not np.iscomplexobj(M)
+        assert np.abs(M - P).max() <= 1e-14
+        K = np.kron(U, V)
+        assert np.abs(K.conj().T @ K - np.eye(dims.total)).max() <= 1e-14
+        assert np.abs(K @ P @ K.conj().T - R).max() <= 1e-14
+        for pic, ref in zip(_pictures(dims, R), _pictures(dims, P)):
+            assert pic.frame is not None
+            assert (pic.dtype, pic.shape, pic.orbits) == (ref.dtype, ref.shape, ref.orbits)
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 4)])
+    def test_real_input_with_an_imaginary_generator(self, m, n):
+        # the spin rotation exp(-i pi/2 J_x) takes J_z to J_y, which is
+        # imaginary, and takes P to a real matrix that is not sector-block:
+        # the commuting generator found in real arithmetic is i times a
+        # real one, and the frame still takes the input back to P
+        def half_turn(s):
+            J = (s - 1) / 2
+            mz = J - np.arange(1, s)
+            off = np.sqrt(J * (J + 1) - mz * (mz + 1)) / 2
+            w, V = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+            return (V * np.exp(-0.5j * np.pi * w)) @ V.conj().T
+
+        dims = BipartiteDims(m, n)
+        P = npt_projector(dims).P
+        K = np.kron(half_turn(m), half_turn(n))
+        R = K @ P @ K.conj().T
+        assert np.abs(R.imag).max() <= 1e-15
+        R = R.real
+        assert np.abs(R[sector_mask(dims)]).max() > 0.1
+        U, V, M = sdp._local_frame(dims, R, sector_mask(dims))
+        assert np.abs(M - P).max() <= 1e-14
+
+    def test_no_frame_for_a_nonlocal_perturbation(self):
+        # 1e-12 of random Hermitian noise leaves a commuting local generator
+        # to within the null-space test, but its frame fails the snap test:
+        # the rotated matrix is 1e-12 off real sector blocks, above 1e-14
+        dims = BipartiteDims(4, 4)
+        R = rotated_projector(dims, np.random.default_rng(16))
+        R = R + 1e-12 * TestBoundRecheck.objective("random", dims)
+        assert sdp._local_frame(dims, R, sector_mask(dims)) is None
+        assert _pictures(dims, R)[0].shape == (1, 16, 16)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_rotated_claim_at_iteration_0(self, n):
+        # the closed-form seed fits the rotation in its frame: the starting
+        # bracket is within tol_gap, with the full count, and the returned
+        # state passes the dense residual check against the caller's P
+        dims = BipartiteDims(n, n)
+        R = rotated_projector(dims, np.random.default_rng(49))
+        sol = solve_construction_sdp(dims, R)
+        assert sol.converged
+        assert sol.iterations == 0
+        assert 1.0 < sol.lower_bound <= sol.upper_bound <= sol.lower_bound + sdp.DEFAULT_TOL_GAP
+        assert sol.residuals["pt_constraint_gap"] <= sdp._TOL_FEAS
+        M = partial_transpose(sol.rho.mat, dims) + sol.lower_bound * R - np.eye(dims.total)
+        assert np.linalg.eigvalsh(M)[-1] <= sdp._TOL_FEAS
+        assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == (n - 1) ** 2
+
+    @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (3, 4), (4, 5), (5, 6), (6, 6), (7, 7)])
+    def test_direct_route_agrees(self, m, n):
+        dims = BipartiteDims(m, n)
+        base = solve_construction_sdp(dims, npt_projector(dims))
+        rot = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(m * n)))
+        assert rot.iterations == base.iterations
+        assert rot.lower_bound == pytest.approx(base.lower_bound, rel=0, abs=1e-12)
+        assert rot.upper_bound == pytest.approx(base.upper_bound, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (3, 4), (4, 5), (5, 6), (6, 6)])
+    def test_dual_cone_route_agrees(self, m, n):
+        dims = BipartiteDims(m, n)
+        base = construct_via_dual_cone(dims, npt_projector(dims))
+        rot = construct_via_dual_cone(dims, rotated_projector(dims, np.random.default_rng(m * n)))
+        assert rot.iterations == base.iterations
+        assert rot.c == pytest.approx(base.c, rel=0, abs=1e-12)
+        assert rot.c_lower == pytest.approx(base.c_lower, rel=0, abs=1e-12)
+
+
 class TestBoundRecheck:
     """The returned brackets, recomputed from scratch in dense numpy."""
 
@@ -810,8 +948,11 @@ class TestBoundRecheck:
     @pytest.mark.parametrize("kind", ["P", "rotated", "random"])
     @pytest.mark.parametrize("m,n", [(3, 3), (3, 4)])
     def test_ppt_bounds(self, kind, m, n):
+        # the rotated W is solved in its local frame, the random one on one
+        # complex block; both pairs are rechecked in the caller's basis
         dims = BipartiteDims(m, n)
         W = self.objective(kind, dims)
+        assert (_pictures(dims, W)[0].frame is not None) == (kind == "rotated")
         opt = optimize_over_ppt(dims, W)
         sigma = opt.sigma.mat
         Y1, Y2 = opt.dual_basis
@@ -998,7 +1139,7 @@ class TestDualConeRoute:
         assert np.array_equal(dec.rho.mat, np.eye(9) / 9)
         assert np.array_equal(dec.X2, 2.0 * np.eye(9))
 
-    def test_decomposition_psd(self):
+    def test_decomposition_psd(self, no_frame):
         # the closed-form split from the certifying dual pair, on the
         # sector-block path (P) and the one-block path (rotated P)
         inputs = [(BipartiteDims(m, n), npt_projector(BipartiteDims(m, n)).P)
