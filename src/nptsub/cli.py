@@ -48,11 +48,13 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bipartite
 from .bipartite import (
     DENSITY_EIG_FLOOR,
     DENSITY_TRACE_TOL,
     GENERATOR_NAME,
+    NEGATIVE_ABS_FLOOR,
+    NEGATIVE_REL,
     BipartiteDims,
     DensityMatrix,
     _check_seed,
@@ -384,6 +386,19 @@ def _check_trials(trials: int, seed: int) -> None:
     _check_seed(seed)
 
 
+def _witness_bounds(B: np.ndarray, rho_pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_min(B), tau_bar) for each Hermitian 2 x 2 block B (k, 2, 2) of
+    the partial transposes rho_pt (k, mn, mn): the block's lowest eigenvalue
+    in closed form, an upper bound on lambda_min(rho^Gamma) by interlacing,
+    and tau_bar = max(NEGATIVE_ABS_FLOOR, NEGATIVE_REL * ||rho^Gamma||_F),
+    at least the negativity rule's tau since ||rho^Gamma||_F >= |lambda_max|.
+    A block below -tau_bar makes the rule count a negative.  Unvalidated."""
+    a, b = B[:, 0, 0].real, B[:, 1, 1].real
+    block_min = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(B[:, 0, 1]))
+    tau = np.maximum(NEGATIVE_ABS_FLOOR, NEGATIVE_REL * np.linalg.norm(rho_pt, axis=(-2, -1)))
+    return block_min, tau
+
+
 def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     """Sample mixtures supported on the NPT subspace; all must be NPT and
     carry a valid witness certificate.
@@ -396,9 +411,14 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     Box-Muller transform and one basis map for the chunk, with the checks
     of Ensemble on every mixture).  The states get the checks of
     DensityMatrix as one stack (one Cholesky factorization for the PSD
-    floor), one eigvalsh gives their partial-transpose spectra, and one
-    stacked ``locate_witness`` search gives every certificate.  A trial is
-    NPT by the negativity rule of ``is_ppt``.
+    floor), and one stacked ``locate_witness`` search on their partial
+    transposes gives every certificate.  A trial is NPT by the negativity
+    rule of ``is_ppt``.  Its witness block B, a 2 x 2 principal block of
+    rho^Gamma, settles that without a spectrum when lambda_min(B) is below
+    -tau_bar (``_witness_bounds``): the rule then counts a negative.  Only
+    the other trials (no witness, or a block above -tau_bar) get one
+    eigvalsh over their stacked partial transposes, which decides them and
+    names the lowest eigenvalue of one that is not NPT.
     Raises ValueError unless trials >= 1 and seed >= 0 are integers, and
     DegenerateSubspace at m = 1 or n = 1, before any trial.
     """
@@ -414,12 +434,19 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
         error = _state_error(rho)
         if error is not None:
             raise ValueError(error)
-        rho_pt, w_pt = _pt_spectra(rho, dims)
+        rho_pt = bipartite.partial_transpose(rho, dims)
         found = _witnesses(vectors, probs, rho_pt, dims)
-        npt = _negative_counts(w_pt) > 0
+        block_min, tau = _witness_bounds(found.submatrix, rho_pt)
+        npt = np.array([e is None for e in found.errors]) & (block_min < -tau)
+        lowest = np.zeros(len(seeds))
+        rest = np.flatnonzero(~npt)
+        if rest.size:
+            w_pt = np.linalg.eigvalsh(rho_pt[rest])
+            npt[rest] = _negative_counts(w_pt) > 0
+            lowest[rest] = w_pt[:, 0]
         for i, s in enumerate(seeds):
             if not npt[i]:
-                failures.append((s, f"not NPT: min PT eigenvalue {w_pt[i, 0]:.3e}"))
+                failures.append((s, f"not NPT: min PT eigenvalue {lowest[i]:.3e}"))
                 continue
             if found.errors[i] is not None:
                 failures.append((s, f"witness failed: {found.errors[i]}"))

@@ -460,6 +460,25 @@ def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
     return a, b
 
 
+def _hermitian_generators(m: int, n: int):
+    """(flip, g, h): the change of coordinates from the m^2 + n^2 matrix
+    units (E_pq (x) I, then I (x) E_pq) to a real basis of Hermitian local
+    generators, at the same positions: E_pp, (E_pq + E_qp)/sqrt2 at p < q
+    and i(E_qp - E_pq)/sqrt2 at p > q, in each of the two blocks.  The
+    unitary T whose rows give the generators in unit coordinates has its
+    nonzeros at (a, a) and (a, flip[a]), flip the transposition pq -> qp,
+    so each product with it is a gather: conj(T) V = g V + h V[flip] along
+    axis 0.
+    """
+    flip, g, h = [], [], []
+    for k, offset in ((m, 0), (n, m * m)):
+        p, q = np.divmod(np.arange(k * k), k)
+        flip.append(offset + q * k + p)
+        g.append(np.where(p == q, 0.5, np.where(p < q, 1.0, 1j) / np.sqrt(2)))
+        h.append(np.where(p == q, 0.5, np.where(p < q, 1.0, -1j) / np.sqrt(2)))
+    return np.concatenate(flip), np.concatenate(g), np.concatenate(h)
+
+
 def _local_frame(dims: BipartiteDims, M: np.ndarray, off: np.ndarray):
     """(U, V, M') with M' = (U (x) V)^dag M (U (x) V) real and zero on ``off``
     (outside the j+k sectors), or None when no such local frame is found.
@@ -468,21 +487,24 @@ def _local_frame(dims: BipartiteDims, M: np.ndarray, off: np.ndarray):
     J. Indust. Appl. Math. 27, 2010).  The NPT projector commutes with the
     local generator diag(j) (x) I + I (x) diag(k), so a local rotation
     (U (x) V) P (U (x) V)^dag commutes with that generator's rotation.  The
-    generators X = A (x) I + I (x) B that commute with M are the null space
-    of the Gram matrix G_ij = <[X_i, M], [X_j, M]> of the commutator over
-    the m^2 + n^2 matrix units X_i (E_pq (x) I, then I (x) E_pq), formed
-    from M's (m, n, m, n) reshape without the (mn)^2-row commutator map.
-    The two identities always lie in it; a frame is sought only when
-    exactly one more direction does (an eigenvalue of G counts as null
-    when it is at most 1e-10 of the largest).  That direction, made Hermitian, is
-    sharpened by one Gauss-Newton step on the residual [X, M] (G squares
-    the commutator's conditioning, so its null vector alone leaves M'
-    about 5e-14 off its sectors at 2 x 12; after the step, 4e-15).  The
-    eigenvectors of A and B, eigenvalues ascending, are the columns of U
-    and V, their phases fixed so that each (j, k), (j+1, k-1) entry of M'
-    is real and negative, as in P.  The frame is returned only if the
-    imaginary part and the off-sector entries that M' drops are at most
-    ``_MIRROR_TOL`` max|M|.
+    Hermitian generators X = A (x) I + I (x) B that commute with M are the
+    null space of the Gram matrix G_ij = <[X_i, M], [X_j, M]> of the
+    commutator over a real basis of m^2 + n^2 Hermitian local generators
+    X_i (``_hermitian_generators``).  Each [X_i, M] is anti-Hermitian, so G
+    is real symmetric; it is formed from M's (m, n, m, n) reshape over the
+    matrix units, without the (mn)^2-row commutator map, and taken to that
+    basis by two gathers.  The two identities always lie in the null
+    space; a frame is sought only when exactly one more direction does (an
+    eigenvalue of G counts as null when it is at most 1e-10 of the
+    largest).  That direction has real coordinates, so it is a Hermitian
+    generator as it stands.  It is sharpened by one Gauss-Newton step on
+    the residual [X, M] (G squares the commutator's conditioning, so its
+    null vector alone leaves M' about 5e-14 off its sectors at 2 x 12;
+    after the step, 4e-15).  The eigenvectors of A and B, eigenvalues
+    ascending, are the columns of U and V, their phases fixed so that each
+    (j, k), (j+1, k-1) entry of M' is real and negative, as in P.  The
+    frame is returned only if the imaginary part and the off-sector
+    entries that M' drops are at most ``_MIRROR_TOL`` max|M|.
     """
     m, n = dims.m, dims.n
     T = M.reshape(m, n, m, n)
@@ -500,31 +522,36 @@ def _local_frame(dims: BipartiteDims, M: np.ndarray, off: np.ndarray):
     G_ab = G_ab.reshape(m * m, n * n)
     G = np.block([[units_block(T, M2), G_ab],
                   [G_ab.conj().T, units_block(T.transpose(swap), M2.transpose(swap))]])
+    # conj(T) G T^T, T the generators' rows in unit coordinates
+    flip, g, h = _hermitian_generators(m, n)
+    G = g[:, None] * G + h[:, None] * G[flip]
+    G = (G * g.conj() + G[:, flip] * h.conj()).real
     w, Z = np.linalg.eigh(G)
     null = w <= 1e-10 * w[-1]
     if null.sum() != 3:
         return None
-    # the null direction orthogonal to both identities is e^{i theta} H,
-    # H Hermitian, and tr(A^2) + tr(B^2) = e^{2 i theta} tr(H^2); a real M
-    # can have an imaginary H, so theta = pi/2 on real arithmetic
+
+    def generator(x):
+        # the Hermitian A and B of real coordinates x: T^T x in unit coordinates
+        v = g.conj() * x + h.conj()[flip] * x[flip]
+        return v[:m * m].reshape(m, m), v[m * m:].reshape(n, n)
+
     ones = np.zeros((m * m + n * n, 2))
     ones[:m * m, 0] = np.eye(m).ravel() / np.sqrt(m)
     ones[m * m:, 1] = np.eye(n).ravel() / np.sqrt(n)
     Q = Z[:, null] - ones @ (ones.T @ Z[:, null])
-    v = Q[:, np.argmax(np.linalg.norm(Q, axis=0))]
-    A, B = v[:m * m].reshape(m, m), v[m * m:].reshape(n, n)
-    z = complex(np.sum(A * A.T) + np.sum(B * B.T))
-    A, B = (hermitize(C * np.sqrt(z.conjugate() / abs(z))) for C in (A, B))
-    # Gauss-Newton on ||[X, M]||: G (dA, dB) = -(the map's adjoint applied
-    # to [X, M]), whose A and B parts are partial traces of [[X, M], M]
+    x = Q[:, np.argmax(np.linalg.norm(Q, axis=0))]
+    A, B = generator(x)
+    # Gauss-Newton on ||[X, M]||: G dx = the map's adjoint applied to
+    # [X, M], whose A and B parts are partial traces of [[X, M], M]
     X = np.kron(A, np.eye(n)) + np.kron(np.eye(m), B)
     R = X @ M - M @ X
     C = (R @ M - M @ R).reshape(m, n, m, n)
     grad = np.concatenate((np.einsum("ibjb->ij", C).ravel(), np.einsum("aiaj->ij", C).ravel()))
+    grad = (g * grad + h * grad[flip]).real
     live = Z[:, ~null]
-    step = live @ ((live.conj().T @ grad) / w[~null])
-    U = np.linalg.eigh(hermitize(A - step[:m * m].reshape(m, m)))[1]
-    V = np.linalg.eigh(hermitize(B - step[m * m:].reshape(n, n)))[1]
+    A, B = generator(x - live @ ((live.T @ grad) / w[~null]))
+    U, V = np.linalg.eigh(A)[1], np.linalg.eigh(B)[1]
     K = np.kron(U, V)
     Mf = K.conj().T @ M @ K
     if m > 1 and n > 1:
@@ -969,9 +996,10 @@ def _solve_ppt(dims: BipartiteDims, W, tol: float, max_iter: int, stop=None) -> 
     the first certify round whose dual bound improves and passes ``stop``.
 
     ``stop(upper_bound, (Y1, Y2))`` sees the dense pair and its bound,
-    recomputed exactly as the returned ones are, so the optimum returned
-    after a stop is the one ``stop`` accepted; it is then ``converged``
-    whatever its gap.  Without ``stop`` this is ``optimize_over_ppt``.
+    computed exactly as the returned ones are, so the optimum returned
+    after a stop is the one ``stop`` accepted, the very pair object
+    included (it is not computed twice); it is then ``converged`` whatever
+    its gap.  Without ``stop`` this is ``optimize_over_ppt``.
     """
     W = _solver_input(W, dims)
     d_tot = dims.total
@@ -998,15 +1026,22 @@ def _solve_ppt(dims: BipartiteDims, W, tol: float, max_iter: int, stop=None) -> 
     cones = _ConePair(pic_1, pic_2)
     z = np.concatenate((pic_1.eye, pic_2.eye)) / d_tot
     zero_pair = (np.zeros_like(pic_1.eye), np.zeros_like(pic_2.eye))
-    accept = None if stop is None else (lambda _, y: stop(*dual(y)))
+    offered = []  # the dense pair of the last upper end offered to stop
+
+    def accept(_, y):
+        offered[:] = [dual(y)]
+        return stop(*offered[0])
+
     it, _, best_sigma, _, best_y, stopped = _split(cones, z, affine, certify,
                                                    (-np.inf, pic_1.eye / d_tot), (np.inf, zero_pair),
-                                                   tol, max_iter, cert_every=100, stop_upper=accept)
+                                                   tol, max_iter, cert_every=100,
+                                                   stop_upper=None if stop is None else accept)
 
-    # the returned bracket, recomputed dense from the returned sigma and pair
+    # the returned bracket, recomputed dense from the returned sigma and
+    # pair; a stop returns the pair it accepted
     sigma = pic_1.unpack(best_sigma)
     lb = frob_inner(W, sigma)
-    ub, pair = dual(best_y)
+    ub, pair = offered[0] if stopped else dual(best_y)
     res = PptOptimum(
         value=lb, sigma=DensityMatrix(dims, sigma),
         lower_bound=lb, upper_bound=ub,
@@ -1094,15 +1129,22 @@ def construct_via_dual_cone(
     _check_trace(dims, Pmat)
     target = _target_count(Pmat)
 
+    last = []  # (Y2, its split) of the last pair that claim split
+
     def claim(c, pair):
         """Whether c < 1 is certified and the pair's state has the target count."""
-        return 0.0 < c < 1.0 and _cone_split(dims, Pmat, c, pair[1])[4] == target
+        if not 0.0 < c < 1.0:
+            return False
+        last[:] = [(pair[1], _cone_split(dims, Pmat, c, pair[1]))]
+        return last[0][1][4] == target
 
     opt = _solve_ppt(dims, Pmat, tol_c, max_iter, stop=claim)
     c = float(opt.upper_bound)
     if not 0.0 < c < 1.0:
         raise NoConvergence(f"certified c = {c!r} is outside (0, 1)", partial=opt)
-    X, X1, X2, rho, count = _cone_split(dims, Pmat, c, opt.dual_basis[1])
+    # a claim stop returns the very pair that claim split last
+    Y2 = opt.dual_basis[1]
+    X, X1, X2, rho, count = last[0][1] if last and last[0][0] is Y2 else _cone_split(dims, Pmat, c, Y2)
     if rho is None:
         raise NoConvergence(f"dual pair gives Tr(X2) = {_tr(X2):.3e}", partial=opt)
     dec = ConeDecomposition(c=c, c_lower=float(opt.lower_bound), X=X, X1=X1, X2=X2,

@@ -4,7 +4,7 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -811,12 +811,15 @@ class TestStateChecksComputeNoSpectrum:
     @pytest.mark.parametrize("suite", [cli.run_npt_suite, cli.run_bound_suite])
     @pytest.mark.parametrize("dims", [D34, BipartiteDims(8, 8)], ids=str)
     def test_one_suite_chunk(self, monkeypatch, suite, dims):
-        # one eigvalsh (the partial transposes) and one Cholesky per chunk
+        # one Cholesky per chunk; the bound suite's one eigvalsh gives the
+        # negative counts, and the npt suite's witness blocks settle every
+        # trial, so it computes no spectrum at all
         size = chunk_size(dims)
         eig = count_calls(monkeypatch, "eigvalsh")
         chol = count_calls(monkeypatch, "cholesky")
         assert suite(dims, size, 5).passed
-        assert eig == chol == [(size, dims.total, dims.total)]
+        assert chol == [(size, dims.total, dims.total)]
+        assert eig == ([] if suite is cli.run_npt_suite else [(size, dims.total, dims.total)])
 
 
 @pytest.mark.parametrize("argv", [
@@ -1241,6 +1244,19 @@ def no_entry_is_nonzero(monkeypatch):
     monkeypatch.setattr(subspace, "ENTRY_NONZERO_TOL", 10.0)
 
 
+def blocks_too_shallow(monkeypatch):
+    # every witness block gets lambda_min = -NEGATIVE_ABS_FLOOR / 2, inside
+    # (-tau_bar, 0): too shallow to settle NPT, so the spectra decide
+    witnesses = subspace._witnesses
+
+    def shallow(vectors, probs, rho_pt, dims):
+        found = witnesses(vectors, probs, rho_pt, dims)
+        block = np.diag([-bipartite.NEGATIVE_ABS_FLOOR / 2, 1.0]).astype(complex)
+        return replace(found, submatrix=np.broadcast_to(block, found.submatrix.shape))
+
+    monkeypatch.setattr(cli, "_witnesses", shallow)
+
+
 def determinants_flipped(monkeypatch):
     @dataclass(frozen=True)
     class Flipped(subspace.WitnessCertificate):
@@ -1360,6 +1376,47 @@ class TestSuites:
         assert bipartite.is_ppt(rho)
         result = cli.run_npt_suite(D34, 2, 0)
         assert result.failures == [(s, "not NPT: min PT eigenvalue -5.000e-11") for s in (0, 1)]
+
+    @pytest.mark.parametrize("round_off", [False, True], ids=["npt", "round-off"])
+    def test_unsettled_trials_fall_back_to_the_spectrum(self, monkeypatch, round_off):
+        # a block in (-tau_bar, 0) leaves the verdict to one eigvalsh per
+        # chunk, over exactly its trials: NPT for the true partial
+        # transposes, "not NPT" with the lowest eigenvalue for a spectrum
+        # that is round-off, as in the reference
+        if round_off:
+            fake = np.diag([-5e-11, 0.5, 0.5] + [0.0] * (D34.total - 3)).astype(complex)
+            monkeypatch.setattr(bipartite, "partial_transpose",
+                                lambda A, dims: np.broadcast_to(fake, np.shape(A)).copy())
+        trials = chunk_size(D34) + 3
+        expected = reference_npt_suite(D34, trials, 5)
+        blocks_too_shallow(monkeypatch)
+        eig = count_calls(monkeypatch, "eigvalsh")
+        result = cli.run_npt_suite(D34, trials, 5)
+        assert result == expected
+        assert eig == [(chunk_size(D34), 12, 12), (3, 12, 12)]
+        assert result.failures == (
+            [(s, "not NPT: min PT eigenvalue -5.000e-11") for s in range(5, 5 + trials)]
+            if round_off else [])
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 8), (3, 4), (5, 5), (8, 8)])
+    def test_witness_block_bounds_the_spectrum(self, m, n):
+        # interlacing: lambda_min(B) >= lambda_min(rho^Gamma); tau_bar is at
+        # least the rule's tau, so a block below -tau_bar means NPT
+        dims = BipartiteDims(m, n)
+        basis = build_subspace(dims)
+        for seed in range(20):
+            rank = (1, min(3, basis.dim), basis.dim)[seed % 3]
+            rng = np.random.Generator(np.random.PCG64([m, n, seed]))
+            ens = subspace.sample_mixture_in_subspace(basis, rank, rng)
+            pt = bipartite.partial_transpose(ens.to_density_matrix().mat, dims)
+            cert = subspace.locate_witness(ens, basis)
+            block_min, tau_bar = cli._witness_bounds(cert.submatrix[None], pt[None])
+            w = np.linalg.eigvalsh(pt)
+            tau = max(bipartite.NEGATIVE_ABS_FLOOR, bipartite.NEGATIVE_REL * abs(w[-1]))
+            assert block_min[0] >= w[0] - 1e-12
+            assert np.isclose(block_min[0], np.linalg.eigvalsh(cert.submatrix)[0], rtol=0, atol=1e-15)
+            assert tau_bar[0] >= tau
+            assert block_min[0] < -tau_bar[0] and count_negative_eigenvalues(pt)[0] >= 1
 
     def test_invalid_state_raises(self, monkeypatch):
         # a drawn matrix that is not a state stops the suite, as the

@@ -1090,6 +1090,27 @@ class TestDualConeRoute:
         dec = construct_via_dual_cone(dims, P)
         assert dec.c_lower <= oracle <= dec.c
 
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4)])
+    def test_stopping_pair_is_used_as_the_claim_left_it(self, monkeypatch, m, n):
+        # the claim that stops the PPT solve has already computed the
+        # stopping pair's dense bound and its split: after the splitting
+        # loop returns, neither the dense bound (an eigvalsh in sdp) nor
+        # _cone_split runs again
+        events = []
+        for name in ("_split", "_cone_split", "eigvalsh"):
+            original = getattr(sdp, name)
+
+            def logged(*args, _name=name, _original=original, **kwargs):
+                out = _original(*args, **kwargs)
+                events.append(_name)
+                return out
+
+            monkeypatch.setattr(sdp, name, logged)
+        dims = BipartiteDims(m, n)
+        dec = construct_via_dual_cone(dims, npt_projector(dims))
+        assert dec.c < 1.0 and events.count("_split") == 1
+        assert events[-1] == "_split" and "_cone_split" in events
+
     def test_degenerate_dims(self):
         with pytest.raises(errors.DegenerateSubspace):
             construct_via_dual_cone(BipartiteDims(1, 5), np.zeros((5, 5)))
