@@ -18,7 +18,7 @@ route stops at the first certify round that certifies its claim with a
 state of the full count, rank P negative partial-transpose eigenvalues.
 The dual-cone route stops the PPT solve at the first round whose pair
 certifies c < 1 and whose state X2 / Tr(X2) has the count (at 9 x 9:
-18,200 iterations instead of the 40,700 that close the bracket to 1e-6);
+18,700 iterations instead of the 40,700 that close the bracket to 1e-6);
 the direct route stops at the first round whose feasible state certifies
 d > 1 and has the count.  The direct route's bracket starts at two
 certificates that need no iteration.  Its lower end starts at the
@@ -37,13 +37,21 @@ never the iterates.
 ``_split`` is an over-relaxed iteration between an affine set and the
 product of two PSD cones, on one entry vector [z1; z2] for both cones,
 with scaled duals and a penalty beta.  It is written as a fixed point of
-s = z + u, the cone iterate plus its scaled dual, and after 200 plain
-iterations it is Anderson-accelerated (type II, memory 10; Walker & Ni,
-SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim.
-2020).  That cuts the iteration count on every block layout (the PPT
-solve on the NPT projector to 1e-6 at 7 x 7: 6,500 -> 1,400; at 9 x 9:
-93,400 -> 40,700), while every solve that certifies within 200
-iterations keeps the plain arithmetic.
+s = z + u, the cone iterate plus its scaled dual, and Anderson-accelerated
+(type II, memory 10; Walker & Ni, SIAM J. Numer. Anal. 2011; Zhang,
+O'Donoghue & Boyd, SIAM J. Optim. 2020) from an iteration its caller
+picks.  The claim-stopping PPT solve of the dual-cone route accelerates
+from its first iteration and certifies every 50: on the NPT projector it
+certifies c < 1 with the full count at round 50 from 2 x 2 to 5 x 6 and
+at round 100 at 6 x 6, with c within 5e-13 of cos^2(pi/8) at 2 x 4 (a
+plain round 100 left it 3.2e-7 above).  The gap-closing PPT solve and
+the construction accelerate only after 200 plain iterations, which cuts
+the gap-closing count on every block layout (the PPT solve on the NPT
+projector to 1e-6 at 7 x 7: 6,500 -> 1,400; at 9 x 9: 93,400 -> 40,700)
+while every such solve that certifies within 200 iterations keeps the
+plain arithmetic.  Accelerating those from the start too took the 7 x 7
+solve to 2,100 iterations and slowed the direct ladder on P (4 x 4 to
+7 x 7, which runs at most 50 iterations) by about 30%.
 Every 100 iterations beta is rebalanced from the relative residuals
 ||x - z|| / max(||x||, ||z||) and ||z - z_old|| / ||u||: states have
 trace 1, so their entries are O(1/d) while the scaled dual beta u is O(1),
@@ -111,10 +119,11 @@ points, upper bounds from exactly verifiable dual certificates (the PSD
 parts of -beta u).
 The construction rounds its cone iterate to a state and finds the largest
 feasible shift d; the PPT maximization normalizes its cone iterate, PSD
-already, and contracts it toward I/d until its partial transpose is PSD
-too.  The certify steps run on the same block layout as the iteration:
-they are block projections, gathers and block eigenvalues, with the
-padding of the block stack kept out of every extreme eigenvalue.  On exit
+already, and contracts it toward I/d until it and its partial transpose
+have lambda_min of at least d eps, a margin that covers rounding.  The
+certify steps run on the same block layout as the iteration: they are
+block projections, gathers and block eigenvalues, with the padding of the
+block stack kept out of every extreme eigenvalue.  On exit
 the returned bounds are recomputed dense, in the caller's basis, from the
 returned state and dual certificate and the caller's input (the
 construction's lower bound is rechecked by its dense residuals), so a
@@ -129,6 +138,7 @@ iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,7 +170,8 @@ _TOL_FEAS = 1e-7
 _OVER_RELAX = 1.7
 
 #: Anderson acceleration of ``_split``: history length, first accelerated
-#: iteration, and Tikhonov weight of the normal equations (relative to
+#: iteration of the gap-closing solves (the claim-stopping PPT solve
+#: starts at 1), and Tikhonov weight of the normal equations (relative to
 #: their trace).
 _AA_MEMORY = 10
 _AA_START = 200
@@ -592,6 +603,8 @@ class _Anderson:
         self.dF = np.zeros((_AA_MEMORY, s.size), s.dtype)
         self.dG = np.zeros_like(self.dF)
         self.gram = np.zeros((_AA_MEMORY, _AA_MEMORY))
+        self.eye = np.eye(_AA_MEMORY)
+        self.complex = np.iscomplexobj(s)
         self.reset()
 
     def reset(self) -> None:
@@ -600,7 +613,8 @@ class _Anderson:
     def step(self, s: np.ndarray, f: np.ndarray) -> np.ndarray:
         """The next iterate after s, whose plain step is f."""
         g = f - s
-        g_norm = float(np.linalg.norm(g))
+        # ||g|| summed as np.linalg.norm sums it, without its wrapper
+        g_norm = math.sqrt(g.real @ g.real + g.imag @ g.imag if self.complex else g @ g)
         last_f, last_g = self.f, self.g
         restart = last_f is None or g_norm > 2.0 * self.g_norm
         self.f, self.g, self.g_norm = f, g, g_norm
@@ -617,15 +631,15 @@ class _Anderson:
         self.gram[slot, :k] = row
         self.gram[:k, slot] = row
         A = self.gram[:k, :k]
-        reg = _AA_REG * np.trace(A)
+        reg = _AA_REG * A.trace()
         if not reg > 0.0:  # g did not move: nothing to fit
             return f
-        gamma = np.linalg.solve(A + reg * np.eye(k), dG @ g.view(float))
+        gamma = np.linalg.solve(A + reg * self.eye[:k, :k], dG @ g.view(float))
         return f - gamma @ self.dF[:k]
 
 
 def _split(cones: _ConePair, z, affine, certify, lower, upper, tol: float, max_iter: int,
-           cert_every: int, stop_lower=None, stop_upper=None):
+           cert_every: int, aa_start: int, stop_lower=None, stop_upper=None):
     """Over-relaxed splitting between an affine set and two PSD cones,
     Anderson-accelerated, that keeps the certified bracket and decides the
     stop.
@@ -636,11 +650,13 @@ def _split(cones: _ConePair, z, affine, certify, lower, upper, tol: float, max_i
     u = 0 and penalty beta = 1.  Each iteration takes the affine step
     ``affine(z1 - u1, z2 - u2, beta) -> (x1, x2)``, forms the over-relaxed
     plain step f = s + 1.7 (x - z), and projects both cones of the next s
-    at once.  After iteration ``_AA_START`` the next s is the type-II
+    at once.  From iteration ``aa_start`` on, the next s is the type-II
     Anderson extrapolation of the last plain steps (``_Anderson``) instead
-    of f itself; z = Pi(s) and u = s - z stay a PSD point and its dual, so
-    the certify steps are unchanged.  Every 100 iterations beta is doubled
-    or halved (rescaling u) when the relative residuals
+    of f itself (the first step after a clearing of the history is still
+    f, so ``aa_start`` = 1 extrapolates from iteration 2); z = Pi(s) and
+    u = s - z stay a PSD point and its dual, so the certify steps are
+    unchanged.  Every 100 iterations beta is doubled or halved (rescaling
+    u) when the relative residuals
     ||x - z|| / max(||x||, ||z||) and ||z - z_old|| / ||u|| are more than
     10x apart, each norm the sum of the two cones' Frobenius norms
     (residual balancing on relative residuals, Wohlberg 2017): the primal
@@ -692,7 +708,7 @@ def _split(cones: _ConePair, z, affine, certify, lower, upper, tol: float, max_i
         # f = s + 1.7 (x - z), summed as (over-relaxed x) + u, so that the
         # iterations before the acceleration are the plain splitting's
         f = _OVER_RELAX * x + (1.0 - _OVER_RELAX) * z + u
-        s = anderson.step(s, f) if it >= _AA_START else f
+        s = anderson.step(s, f) if it >= aa_start else f
         z_old, z = z, cones.project(s)
         u = s - z
 
@@ -856,7 +872,7 @@ def solve_construction_sdp(
     cones = _ConePair(pic_r, pic_S)
     z = np.concatenate((eye_r / d_tot, eye_S))
     it, lb, best_r, ub, best_Y, stopped = _split(cones, z, affine, certify, lower, upper,
-                                                 tol_gap, max_iter, cert_every=50,
+                                                 tol_gap, max_iter, cert_every=50, aa_start=_AA_START,
                                                  stop_lower=claim if target else None)
 
     # the returned bracket, rechecked dense: the residuals verify lb, and
@@ -995,6 +1011,11 @@ def _solve_ppt(dims: BipartiteDims, W, tol: float, max_iter: int, stop=None) -> 
     """``optimize_over_ppt`` without the tolerance check, stopping early at
     the first certify round whose dual bound improves and passes ``stop``.
 
+    With ``stop`` the splitting is accelerated from its first iteration
+    and certifies every 50 iterations, since only the first claiming round
+    matters; without it, it keeps the gap-closing schedule (plain up to
+    iteration ``_AA_START``, a certify round every 100).
+
     ``stop(upper_bound, (Y1, Y2))`` sees the dense pair and its bound,
     computed exactly as the returned ones are, so the optimum returned
     after a stop is the one ``stop`` accepted, the very pair object
@@ -1032,9 +1053,10 @@ def _solve_ppt(dims: BipartiteDims, W, tol: float, max_iter: int, stop=None) -> 
         offered[:] = [dual(y)]
         return stop(*offered[0])
 
+    cert_every, aa_start = (100, _AA_START) if stop is None else (50, 1)
     it, _, best_sigma, _, best_y, stopped = _split(cones, z, affine, certify,
                                                    (-np.inf, pic_1.eye / d_tot), (np.inf, zero_pair),
-                                                   tol, max_iter, cert_every=100,
+                                                   tol, max_iter, cert_every, aa_start,
                                                    stop_upper=None if stop is None else accept)
 
     # the returned bracket, recomputed dense from the returned sigma and
@@ -1058,26 +1080,29 @@ def _round_to_ppt(pics, x: np.ndarray) -> np.ndarray:
 
     The certify step passes the cone iterate z1, PSD by construction.  It
     is normalized to trace 1 (I/d when its trace vanishes), then contracted
-    toward the maximally mixed state just far enough to swallow any
-    negativity of its partial transpose (and of itself, to rounding); each
-    contraction rechecks lambda_min in both pictures.  The state only
-    supplies the PPT solve's lower bound, so a contraction that gives up
-    some overlap costs iterations, never correctness.  Returns the entry
-    vector of the state.
+    toward the maximally mixed state until lambda_min is at least d eps
+    (eps the float epsilon) in both pictures, each contraction rechecking
+    both: that swallows any negativity of its partial transpose, and a
+    margin above 0 covers the rounding of the eigenvalues, so that the
+    state is PPT in exact arithmetic and <W, sigma> never overshoots the
+    maximum (a state at lambda_min = -1e-15 put the antisymmetric 3 x 3
+    projector's lower bound at 1/2 + 6.7e-16, above its maximum 1/2).  The
+    state only supplies the PPT solve's lower bound, so a contraction that
+    gives up some overlap costs iterations, never correctness.  Returns
+    the entry vector of the state.
     """
     pic_1, pic_2 = pics
-    eye_over_d = pic_1.eye / pic_1.d
+    d = pic_1.d
+    margin = d * np.finfo(float).eps
+    eye_over_d = pic_1.eye / d
     tr = pic_1.trace(x)
     sig = x / tr if tr > 1e-300 else eye_over_d
     for _ in range(5):
-        eps = max(
-            0.0,
-            -float(pic_1.eigvalsh(sig)[0]),
-            -float(pic_2.eigvalsh(sig[pic_1.pt])[0]),
-        )
-        if eps <= 1e-15:
+        low = min(float(pic_1.eigvalsh(sig)[0]), float(pic_2.eigvalsh(sig[pic_1.pt])[0]))
+        if low >= margin:
             break
-        theta = min(1.0, 1.1 * eps * pic_1.d / (1.0 + eps * pic_1.d) + 1e-16)
+        # (1 - theta) low + theta / d = margin, with 10% to spare
+        theta = min(1.0, 1.1 * d * (margin - low) / (1.0 - d * low))
         sig = (1.0 - theta) * sig + theta * eye_over_d
     return sig
 
@@ -1105,12 +1130,14 @@ def construct_via_dual_cone(
     which is (c I - P - Y1 - Y2^G) / c + Y1 / c >= 0.  ``c_lower`` is the
     bracket's certified lower end.
 
-    The PPT solve stops at the first certify round whose dual bound is
-    below 1 and whose state passes the count, so the returned state is the
-    one that round certified; otherwise it runs until the bracket on c is
-    at most ``tol_c`` wide.  A solve that stops on that bracket always
-    raises: its dual pair is the last improved one, which already failed
-    the claim.
+    The PPT solve is accelerated from its first iteration and certifies
+    every 50 iterations.  It stops at the first certify round whose dual
+    bound is below 1 and whose state passes the count, so the returned
+    state is the one that round certified (for the NPT projector, round 50
+    from 2 x 2 to 5 x 6, round 100 at 6 x 6, 350 at 7 x 7 and 18,700 at
+    9 x 9); otherwise it runs until the bracket on c is at most ``tol_c``
+    wide.  A solve that stops on that bracket always raises: its dual pair
+    is the last improved one, which already failed the claim.
 
     Raises DegenerateSubspace, before any iteration, at m = 1 or n = 1 or
     for a P whose trace is not positive; ValueError for a ``tol_c`` that

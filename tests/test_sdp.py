@@ -478,16 +478,18 @@ class TestPinnedOutputs:
     10 x 10, so its solve on P stops at round 50.  The 3 x 3 and 4 x 4 rows
     are the round-50 certify values of the gap-closing solve, recorded
     before the direct route stopped on the claim, and beat the seed; the
-    5 x 5 row is the seed's own d, which round 50 does not beat.  The rows
-    within 200 iterations (direct 3 x 3 and 4 x 4, the PPT solve on P at
-    3 x 4 and 4 x 4, the dual-cone claim stops up to 6 x 6) run the plain
-    arithmetic, which the shared core keeps from when each route ran its
-    own copy of the splitting loop: Anderson acceleration starts only
-    after iteration 200, so these counts and values must match exactly.
-    The longer rows were recorded with the acceleration on, the
-    relative-residual penalty balancing that fires from 5 x 5 on the PPT
-    solve, and its reset of the Anderson history.  The dual-cone counts are
-    the PPT solve's alone: its closed-form split takes no iteration."""
+    5 x 5 row is the seed's own d, which round 50 does not beat.  The
+    direct rows and the gap-closing PPT solve on P at 3 x 4 and 4 x 4 run
+    within 200 iterations and keep the plain arithmetic, which the shared
+    core keeps from when each route ran its own copy of the splitting
+    loop: their Anderson acceleration starts only after iteration 200, so
+    these counts and values must match exactly.  The longer gap-closing
+    rows were recorded with the acceleration on, the relative-residual
+    penalty balancing that fires from 5 x 5 on the PPT solve, and its
+    reset of the Anderson history.  The dual-cone claim stops were
+    recorded with the claim-stopping solve's own schedule: accelerated
+    from its first iteration and certified every 50.  The dual-cone counts
+    are the PPT solve's alone: its closed-form split takes no iteration."""
 
     @pytest.mark.parametrize("m,n,iterations,lb", [
         (3, 3, 50, 1.034649909496204),
@@ -509,8 +511,9 @@ class TestPinnedOutputs:
     ])
     def test_dual_cone_route(self, m, n, iterations, c):
         # the rows pin the PPT solve on P run until its bracket closes to
-        # tol_c = 1e-6; the route runs the same iterates, stops no later,
-        # and its certified bracket overlaps that one
+        # tol_c = 1e-6; the route's claim-stopping solve accelerates from
+        # its first iteration instead, stops no later, and its certified
+        # bracket overlaps that one
         dims = BipartiteDims(m, n)
         P = npt_projector(dims)
         opt = optimize_over_ppt(dims, P.P, tol=1e-6)
@@ -521,11 +524,11 @@ class TestPinnedOutputs:
         assert dec.c_lower <= c and c - 1e-6 <= dec.c
 
     @pytest.mark.parametrize("m,n,iterations,c", [
-        (3, 4, 100, 0.9588363664190686),
-        (4, 4, 100, 0.985792044836865),
-        (5, 5, 100, 0.998632276254484),
-        (5, 6, 100, 0.9996256969877988),
-        (6, 6, 200, 0.9998504020927614),
+        (3, 4, 50, 0.9588325307514791),
+        (4, 4, 50, 0.9857711681634939),
+        (5, 5, 50, 0.9987624598826412),
+        (5, 6, 50, 0.9996568162802922),
+        (6, 6, 100, 0.9998657567455405),
     ])
     def test_dual_cone_claim_stop(self, m, n, iterations, c):
         dims = BipartiteDims(m, n)
@@ -1191,6 +1194,48 @@ class TestDualConeRoute:
         assert dec.c_lower <= dec.c < 1.0
         count, _ = count_negative_eigenvalues(partial_transpose(dec.rho.mat, dims))
         assert count == dims.npt_dim == 36
+
+    @pytest.mark.parametrize("m,n", [*[(2, n) for n in range(2, 6)], (3, 3)])
+    def test_claim_stop_meets_the_oracle(self, m, n):
+        # the claim-stopping solve, accelerated from its first iteration,
+        # certifies at round 50 with c on the PPT maximum to 1e-9
+        oracle = product_oracle(m, n)
+        dims = BipartiteDims(m, n)
+        dec = construct_via_dual_cone(dims, npt_projector(dims))
+        assert dec.iterations == 50
+        assert dec.c_lower <= oracle <= dec.c <= oracle + 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_lower_end_stays_below_the_maximum(self, n):
+        # the rounded PPT state keeps a margin above 0 in both pictures, so
+        # <P, sigma> stays below the maximum 1/2 even when the solve has
+        # converged to rounding level, as at 3 x 3
+        dec = construct_via_dual_cone(BipartiteDims(n, n), self.antisymmetric_projector(n))
+        assert dec.c_lower < 0.5 <= dec.c
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("m,n,rank", [(2, 3, 2), (3, 3, 4), (3, 3, 2), (3, 4, 6), (3, 4, 4),
+                                          (4, 4, 9), (4, 4, 7)])
+    def test_random_projectors(self, m, n, rank, seed):
+        # random complex projectors of rank (m-1)(n-1) and (m-1)(n-1) - 2,
+        # solved on one complex block (no local frame takes them to
+        # sectors): the route certifies c < 1 with rank P negatives, except
+        # for the rank-9 projectors at 4 x 4, whose PPT maximum lies within
+        # tol_c of 1, so the certified c is not below 1 and the route raises
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((dims.total, rank)) + 1j * rng.standard_normal((dims.total, rank))
+        Q = np.linalg.qr(G)[0]
+        P = Q @ Q.conj().T
+        P = (P + P.conj().T) / 2
+        if (m, n, rank) == (4, 4, 9):
+            with pytest.raises(errors.NoConvergence, match=r"outside \(0, 1\)"):
+                construct_via_dual_cone(dims, P)
+            return
+        dec = construct_via_dual_cone(dims, P)
+        assert dec.c_lower <= dec.c < 1.0
+        count, _ = count_negative_eigenvalues(partial_transpose(dec.rho.mat, dims))
+        assert count == rank
 
     @staticmethod
     def antisymmetric_projector(n):
