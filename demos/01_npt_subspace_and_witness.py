@@ -53,7 +53,8 @@ print(f"witness rows/columns: |{cert.alpha[0]},{cert.alpha[1]}> (index {ai}) "
 print("2x2 submatrix of the partial transpose:")
 print(np.round(cert.submatrix, 6))
 print(f"determinant  = {cert.determinant:.8f}")
-print(f"-|mixture|^2 = {-abs(cert.mixture_sum) ** 2:.8f}  (identical)")
+print(f"-|mixture|^2 = {-abs(cert.mixture_sum) ** 2:.8f}  (identical; the mixture sum "
+      "sum_i p_i conj(a_i) b_i is rho's (b, a) entry)")
 
 # The smaller eigenvalue of the submatrix interlaces the full spectrum,
 # so the determinant certificate really does prove NPT.

@@ -19,7 +19,6 @@ from .bipartite import (
     partial_transpose,
     random_density_matrix,
     realign,
-    unrealign,
 )
 from .errors import (
     BadRank,
@@ -30,7 +29,7 @@ from .errors import (
     NoWitness,
     ShapeMismatch,
 )
-from .linalg import Spectrum, eigh, frob_inner, hermitize, is_hermitian, kron
+from .linalg import Spectrum, eigh, frob_inner, hermitize, is_hermitian
 from .sdp import (
     ConeDecomposition,
     PptOptimum,
@@ -69,7 +68,6 @@ __all__ = [
     "ConeDecomposition",
     "GENERATOR_NAME",
     "eigh",
-    "kron",
     "frob_inner",
     "hermitize",
     "is_hermitian",
@@ -77,7 +75,6 @@ __all__ = [
     "count_negative_eigenvalues",
     "is_ppt",
     "realign",
-    "unrealign",
     "random_density_matrix",
     "complex_gaussians",
     "build_subspace",

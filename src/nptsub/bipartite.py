@@ -267,20 +267,12 @@ def realign(v: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """Reshape a bipartite vector into its n x m coefficient matrix.
 
     Sends |i>|j> to the matrix unit |j><i|, i.e. result[j, i] = v[i*n + j].
-    A linear isometry; ``unrealign`` is its exact inverse.
+    A linear isometry.
     """
     v = np.asarray(v)
     if v.shape != (dims.total,):
         raise ShapeMismatch(f"expected vector of length {dims.total}, got {v.shape}")
     return v.reshape(dims.m, dims.n).T.copy()
-
-
-def unrealign(M: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    """Inverse of ``realign``: n x m coefficient matrix back to a vector."""
-    M = np.asarray(M)
-    if M.shape != (dims.n, dims.m):
-        raise ShapeMismatch(f"expected {(dims.n, dims.m)} matrix, got {M.shape}")
-    return M.T.reshape(dims.total).copy()
 
 
 def _check_seed(seed) -> None:

@@ -7,7 +7,9 @@ included), 2 usage or parse error, 3 solver non-convergence.  ``main`` is
 the one map from exceptions to exit codes: a ValueError (MatrixFileError
 included) exits 2 with ``error: ...``, an OSError exits 2 with
 ``error: cannot write output: ...`` and a NoConvergence exits 3 with
-``error: ...``.  Every command judges a state by the one rule of
+``error: ...``; ``witness`` reports a state outside S (``not in
+subspace: ...``) or a failed search (``no witness: ...``) itself, with
+exit 1.  Every command judges a state by the one rule of
 DensityMatrix, with its fixed thresholds: ``verify`` passes a matrix
 exactly when ``witness`` accepts it as a state.  ``construct`` runs both
 routes through one path: a solve that raises with a state (an SdpSolution
@@ -67,7 +69,7 @@ from .bipartite import (
     _state_checks,
     _state_error,
 )
-from .errors import DegenerateSubspace, NoConvergence, NotInSubspace, ShapeMismatch
+from .errors import DegenerateSubspace, NoConvergence, NotInSubspace, NoWitness, ShapeMismatch
 from .linalg import HERMITICITY_RTOL, eigvalsh, hermiticity_defect
 from .sdp import (
     DEFAULT_MAX_ITER,
@@ -411,8 +413,9 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     Box-Muller transform and one basis map for the chunk, with the checks
     of Ensemble on every mixture).  The states get the checks of
     DensityMatrix as one stack (one Cholesky factorization for the PSD
-    floor), and one stacked ``locate_witness`` search on their partial
-    transposes gives every certificate.  A trial is NPT by the negativity
+    floor), and one stacked ``locate_witness`` search on the states and
+    their partial transposes gives every certificate, containment judged
+    by the rule of ``range_in_subspace``.  A trial is NPT by the negativity
     rule of ``is_ppt``.  Its witness block B, a 2 x 2 principal block of
     rho^Gamma, settles that without a spectrum when lambda_min(B) is below
     -tau_bar (``_witness_bounds``): the rule then counts a negative.  Only
@@ -429,13 +432,12 @@ def run_npt_suite(dims: BipartiteDims, trials: int, seed: int) -> SuiteResult:
     rank = min(3, basis.dim)
     failures = []
     for seeds in _chunks(dims, trials, seed):
-        vectors, probs = _sample_mixtures(basis, rank, _generators(seeds))
-        rho = _mixture(vectors, probs)
+        rho = _mixture(*_sample_mixtures(basis, rank, _generators(seeds)))
         error = _state_error(rho)
         if error is not None:
             raise ValueError(error)
         rho_pt = bipartite.partial_transpose(rho, dims)
-        found = _witnesses(vectors, probs, rho_pt, dims)
+        found = _witnesses(rho, rho_pt, dims)
         block_min, tau = _witness_bounds(found.submatrix, rho_pt)
         npt = np.array([e is None for e in found.errors]) & (block_min < -tau)
         lowest = np.zeros(len(seeds))
@@ -619,6 +621,9 @@ def _cmd_witness(args) -> int:
         cert = locate_witness(rho, basis)
     except NotInSubspace as exc:
         print(f"not in subspace: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except NoWitness as exc:
+        print(f"no witness: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
         print(f"not a valid state: {exc}", file=sys.stderr)

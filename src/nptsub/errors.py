@@ -30,7 +30,10 @@ class NotInSubspace(ValueError):
 
 
 class NoWitness(RuntimeError):
-    """Witness search failed; only reachable on numerically void input."""
+    """Witness search failed on a state in the subspace: no entry of the
+    first nonzero anti-diagonal pairs with its position a, or the 2x2 block
+    found has a determinant that is not negative.  Reachable only where
+    the state's weight on an anti-diagonal is near the zero scale."""
 
 
 class DegenerateSubspace(ValueError):

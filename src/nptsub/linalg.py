@@ -134,15 +134,6 @@ def _clamp_psd(H: np.ndarray) -> np.ndarray:
     return hermitize((V * np.maximum(w, 0.0)[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor major.
-
-    (A (x) B)[i*rB + k, j*cB + l] = A[i, j] * B[k, l], so the product basis
-    |j>|k> is ordered lexicographically with index j*n + k.
-    """
-    return np.kron(np.asarray(A), np.asarray(B))
-
-
 def frob_inner(A: np.ndarray, B: np.ndarray) -> float:
     """Frobenius inner product Re Tr(A^dagger B)."""
     A = np.asarray(A)

@@ -11,11 +11,9 @@ from nptsub import (
     count_negative_eigenvalues,
     errors,
     is_ppt,
-    kron,
     partial_transpose,
     random_density_matrix,
     realign,
-    unrealign,
 )
 
 D22 = BipartiteDims(2, 2)
@@ -57,8 +55,8 @@ class TestPartialTranspose:
         # |0><1| (x) |0><1|  ->  |0><1| (x) |1><0|
         e01 = np.zeros((2, 2), dtype=complex)
         e01[0, 1] = 1.0
-        out = partial_transpose(kron(e01, e01), D22)
-        assert np.array_equal(out, kron(e01, e01.T))
+        out = partial_transpose(np.kron(e01, e01), D22)
+        assert np.array_equal(out, np.kron(e01, e01.T))
 
     def test_diagonal_fixed(self):
         diag = np.diag(np.arange(1.0, 13.0)).astype(complex)
@@ -186,7 +184,7 @@ class TestRealign:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(7)
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        assert np.array_equal(unrealign(realign(v, D34), D34), v)
+        assert np.array_equal(realign(v, D34).T.reshape(-1), v)
 
     def test_isometry(self):
         rng = np.random.default_rng(8)

@@ -40,6 +40,23 @@ def singlet_matrix():
     return np.outer(v, v.conj())
 
 
+def product_weight_matrix(eps):
+    """(1 - eps) rho_S + eps |00><00| at 3 x 4, rho_S the rank-3 mixture
+    that sample_mixture_in_subspace draws from PCG64(1)."""
+    rng = np.random.Generator(np.random.PCG64(1))
+    mat = (1.0 - eps) * subspace.sample_mixture_in_subspace(build_subspace(D34), 3, rng).to_density_matrix().mat
+    mat[0, 0] += eps
+    return mat, D34
+
+
+def tiny_generator_matrix():
+    """The pure 3 x 3 state of v ~ 1e-9 g(0,0) + g(1,1), g the generators."""
+    g = build_subspace(D33).generators
+    v = 1e-9 * g[:, 0] + g[:, 3]
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj()), D33
+
+
 def write_state(path, mat, dims):
     cli.save_matrix(path, mat, dims, {"seed": 0})
     return path
@@ -1107,6 +1124,42 @@ class TestWitnessCommand:
         assert code == 1
         assert "not in subspace" in err
 
+    @pytest.mark.parametrize("name", ["product-weight-3e-10", "pure-3x3"])
+    def test_state_accepted_by_the_rule_is_certified(self, tmp_path, capsys, name):
+        # verify --subspace and witness read one containment rule, so a
+        # state verify places in S gets a certificate
+        mat, dims = product_weight_matrix(3e-10) if name.startswith("product") else tiny_generator_matrix()
+        path = write_state(tmp_path / f"{name}.json", mat, dims)
+        assert cli.main(["verify", "--in", str(path), "--subspace"]) == 0
+        assert "range in NPT subspace: True" in capsys.readouterr().out
+        assert cli.main(["witness", "--in", str(path)]) == 0
+        det_line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("determinant"))
+        assert float(det_line.split(":")[1]) < 0
+
+    def test_state_outside_the_rule_is_not_in_subspace(self, tmp_path, capsys):
+        mat, dims = product_weight_matrix(1e-8)
+        path = write_state(tmp_path / "outside.json", mat, dims)
+        assert cli.main(["verify", "--in", str(path), "--subspace"]) == 0
+        assert "range in NPT subspace: False" in capsys.readouterr().out
+        assert cli.main(["witness", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "not in subspace: ||(I - P) rho||_F > 1e-09 ||rho||_F: the range is not in S\n")
+
+    def test_no_witness_exits_1(self, tmp_path, capsys):
+        # a NoWitness (a RuntimeError) is reported, not raised out of main
+        g = build_subspace(D33).generators
+        v = np.sqrt(3e-9) * g[:, 0] + g[:, 3]
+        v /= np.linalg.norm(v)
+        u = g[:, 1] / np.sqrt(2)
+        mat = (np.outer(v, v.conj()) + np.outer(u, u.conj())) / 2
+        mat[0, 0] += 3e-10
+        path = write_state(tmp_path / "boundary.json", mat / np.trace(mat).real, D33)
+        assert cli.main(["witness", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("no witness: anti-diagonal 1, a = |1,0> ")
+        assert captured.err.endswith("not negative\n")
+
     def test_dims_flag_mismatch(self, tmp_path):
         path = write_state(tmp_path / "singlet.json", singlet_matrix(), D22)
         assert cli.main(["witness", "--in", str(path), "--m", "3", "--n", "4"]) == 2
@@ -1240,7 +1293,7 @@ def pt_is_negated(monkeypatch):
 
 
 def no_entry_is_nonzero(monkeypatch):
-    # every coefficient counts as zero, so the witness search finds none
+    # every entry rho[b, a] counts as zero, so no position b pairs with a
     monkeypatch.setattr(subspace, "ENTRY_NONZERO_TOL", 10.0)
 
 
@@ -1249,8 +1302,8 @@ def blocks_too_shallow(monkeypatch):
     # (-tau_bar, 0): too shallow to settle NPT, so the spectra decide
     witnesses = subspace._witnesses
 
-    def shallow(vectors, probs, rho_pt, dims):
-        found = witnesses(vectors, probs, rho_pt, dims)
+    def shallow(rho, rho_pt, dims):
+        found = witnesses(rho, rho_pt, dims)
         block = np.diag([-bipartite.NEGATIVE_ABS_FLOOR / 2, 1.0]).astype(complex)
         return replace(found, submatrix=np.broadcast_to(block, found.submatrix.shape))
 
@@ -1333,9 +1386,10 @@ class TestSuites:
     def test_witness_failed_message(self, monkeypatch):
         no_entry_is_nonzero(monkeypatch)
         result = cli.run_npt_suite(D34, 3, 0)
-        assert result.failures == [
-            (s, "witness failed: all ensemble vectors are numerically zero") for s in range(3)
-        ]
+        assert [seed for seed, _ in result.failures] == [0, 1, 2]
+        for _, msg in result.failures:
+            assert re.fullmatch(r"witness failed: anti-diagonal 1, a = \|1,0> \(rho\[a, a\] = "
+                                r"\d\.\d{3}e-\d+\): no later \|rho\[b, a\]\| exceeds 10", msg)
 
     def test_witness_determinant_message(self, monkeypatch):
         determinants_flipped(monkeypatch)

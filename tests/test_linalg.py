@@ -147,15 +147,18 @@ class TestProjectPsd:
 
 
 class TestKron:
+    """numpy's Kronecker product, first factor major, is the product-basis
+    convention: |j>|k> has index j*n + k."""
+
     def test_identity(self):
         assert np.array_equal(
-            linalg.kron(np.eye(2), np.eye(2)), np.eye(4)
+            np.kron(np.eye(2), np.eye(2)), np.eye(4)
         )
 
     def test_block_structure(self):
         flip = np.array([[0, 1], [1, 0]], dtype=complex)
         proj0 = np.diag([1.0, 0.0]).astype(complex)
-        out = linalg.kron(proj0, flip)
+        out = np.kron(proj0, flip)
         expected = np.zeros((4, 4), dtype=complex)
         expected[:2, :2] = flip
         assert np.array_equal(out, expected)
@@ -164,7 +167,7 @@ class TestKron:
     def test_unit_placement(self, j, k, m, n):
         ej = np.zeros((m, m)); ej[j, j] = 1.0
         ek = np.zeros((n, n)); ek[k, k] = 1.0
-        out = linalg.kron(ej, ek)
+        out = np.kron(ej, ek)
         idx = j * n + k
         expected = np.zeros((m * n, m * n))
         expected[idx, idx] = 1.0
@@ -176,11 +179,11 @@ class TestKron:
         rng = np.random.default_rng(9)
         A, B, C = (rng.integers(-9, 10, (2, 2)).astype(float) for _ in range(3))
         assert np.array_equal(
-            linalg.kron(linalg.kron(A, B), C), linalg.kron(A, linalg.kron(B, C))
+            np.kron(np.kron(A, B), C), np.kron(A, np.kron(B, C))
         )
         A, B, C = (rng.standard_normal((2, 2)) for _ in range(3))
-        lhs = linalg.kron(linalg.kron(A, B), C)
-        rhs = linalg.kron(A, linalg.kron(B, C))
+        lhs = np.kron(np.kron(A, B), C)
+        rhs = np.kron(A, np.kron(B, C))
         assert np.allclose(lhs, rhs, rtol=4e-16, atol=0)
 
 

@@ -22,7 +22,6 @@ from nptsub import (
     sample_mixture_in_subspace,
     subspace,
     subspace_projector,
-    unrealign,
 )
 
 from nptsub.bipartite import _ensemble_error, _mixture, complex_gaussians
@@ -41,6 +40,53 @@ def unit(v):
 def singlet_ensemble():
     v = unit(np.array([0, 1, -1, 0], dtype=complex))
     return Ensemble(D22, np.array([1.0]), v[:, None])
+
+
+def with_product_weight(mat, eps):
+    """(1 - eps) mat + eps |00><00|: weight eps on the product state |00>,
+    which is alone on anti-diagonal 0 and so wholly outside S."""
+    out = (1.0 - eps) * mat
+    out[0, 0] += eps
+    return out
+
+
+def tiny_generator_state():
+    """The pure 3 x 3 state of v ~ 1e-9 g(0,0) + g(1,1), g the generators."""
+    g = build_subspace(D33).generators
+    v = unit(1e-9 * g[:, 0] + g[:, 3])
+    return DensityMatrix(D33, np.outer(v, v.conj()))
+
+
+def boundary_state():
+    """A 3 x 3 state that the containment rule accepts: halves of
+    v ~ 5.5e-5 g(0,0) + g(1,1) and g(0,1) / sqrt 2, plus 3e-10 |00><00|,
+    renormalized."""
+    g = build_subspace(D33).generators
+    v, u = unit(np.sqrt(3e-9) * g[:, 0] + g[:, 3]), unit(g[:, 1])
+    rho = with_product_weight((np.outer(v, v.conj()) + np.outer(u, u.conj())) / 2, 3e-10)
+    return DensityMatrix(D33, rho / np.trace(rho).real)
+
+
+def ensemble_witness(ens):
+    """The witness search as it ran on an ensemble's vectors before it read
+    the state: (alpha, beta, t*, determinant, sum_i p_i conj(a_i) b_i), the
+    reference for ``locate_witness``.  a is at the first position in the
+    search order where some vector's coefficient exceeds 1e-10, b at the
+    next one on t* whose mixture sum does."""
+    dims, V, p = ens.dims, ens.vectors, ens.probs
+    order, t_of, j_of = subspace._search_order(dims)
+    C = V[order]
+    first = int((np.abs(C).max(axis=1) > 1e-10).argmax())
+    t = int(t_of[first])
+    mix = np.sum((p * np.conj(C[first]))[None, :] * C, axis=-1)
+    paired = (np.arange(dims.total) > first) & (t_of == t) & (np.abs(mix) > 1e-10)
+    second = int(paired.argmax())
+    assert paired[second]
+    row_a, row_b = int(j_of[first]), int(j_of[second])
+    corners = [row_b * dims.n + t - row_a, row_a * dims.n + t - row_b]
+    sub = partial_transpose(_mixture(V, p), dims)[np.ix_(corners, corners)]
+    det = float((sub[0, 0] * sub[1, 1]).real - np.abs(sub[0, 1]) ** 2)
+    return (row_b, t - row_a), (row_a, t - row_b), t, det, complex(mix[second])
 
 
 class TestBuildSubspace:
@@ -454,22 +500,18 @@ class TestWitness:
             locate_witness(Ensemble(dims, np.array([1.0]), v), basis)
 
     def test_stacked_search_matches_each_ensemble(self):
-        # one search over a stack gives each ensemble's own certificate or
-        # error: inside S, outside S, and numerically zero
+        # one search over a stack of the ensembles' states gives each its
+        # own certificate or error: inside S, and outside S by far more
+        # than CONTAINS_RTOL
         basis = build_subspace(D34)
         draws = [sample_mixture_in_subspace(basis, 3, np.random.Generator(np.random.PCG64(s)))
                  for s in range(4)]
-        vectors = np.stack([ens.vectors for ens in draws])
-        probs = np.stack([ens.probs for ens in draws])
-        vectors[1, :, 2] = 0.0
-        vectors[1, 0, 2] = 1.0  # |00> is not in S
-        vectors[2] *= 1e-12  # every coefficient below the search tolerance
-        found = _witnesses(vectors, probs, partial_transpose(_mixture(vectors, probs), D34), D34)
-        assert str(found.errors[1]) == "ensemble vector 2 is not in the subspace"
+        rho = np.stack([ens.to_density_matrix().mat for ens in draws])
+        rho[1] = with_product_weight(rho[1], 1e-8)
+        found = _witnesses(rho, partial_transpose(rho, D34), D34)
+        assert str(found.errors[1]) == "||(I - P) rho||_F > 1e-09 ||rho||_F: the range is not in S"
         assert isinstance(found.errors[1], errors.NotInSubspace)
-        assert str(found.errors[2]) == "all ensemble vectors are numerically zero"
-        assert isinstance(found.errors[2], errors.NoWitness)
-        for i in (0, 3):
+        for i in (0, 2, 3):
             assert found.errors[i] is None
             alone = locate_witness(draws[i], basis)
             cert = found.certificate(i)
@@ -477,6 +519,62 @@ class TestWitness:
             assert cert.determinant == alone.determinant
             assert cert.mixture_sum == alone.mixture_sum
             assert np.array_equal(cert.submatrix, alone.submatrix)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 8), (3, 4), (5, 5), (8, 8), (12, 12)])
+    def test_state_search_matches_the_ensemble_search(self, m, n, seed):
+        # the search on rho picks the positions, block and determinant the
+        # search over an ensemble's vectors picked, bit for bit; the mixture
+        # sum rho[b, a] is sum_i p_i conj(a_i) b_i to rounding
+        dims = BipartiteDims(m, n)
+        basis = build_subspace(dims)
+        for rank in sorted({1, min(3, basis.dim), basis.dim}):
+            ens = sample_mixture_in_subspace(basis, rank, np.random.Generator(np.random.PCG64(seed)))
+            alpha, beta, t, det, mix = ensemble_witness(ens)
+            for state in (ens, ens.to_density_matrix()):
+                cert = locate_witness(state, basis)
+                assert (cert.alpha, cert.beta, cert.antidiag_index) == (alpha, beta, t)
+                assert cert.determinant == det < 0
+                assert abs(cert.mixture_sum - mix) <= 1e-15
+
+    @pytest.mark.parametrize("eps,inside", [(1e-11, True), (3e-10, True), (1e-9, False)])
+    def test_product_weight_ladder(self, eps, inside):
+        # (1 - eps) rho_S + eps |00><00|: the witness certifies exactly the
+        # states the containment rule accepts.  The ensemble search read
+        # the eps eigenvector at 3e-10 and raised NotInSubspace
+        basis = build_subspace(D34)
+        rho_s = sample_mixture_in_subspace(basis, 3, np.random.Generator(np.random.PCG64(1)))
+        rho = DensityMatrix(D34, with_product_weight(rho_s.to_density_matrix().mat, eps))
+        assert range_in_subspace(basis, rho) is inside
+        if not inside:
+            with pytest.raises(errors.NotInSubspace):
+                locate_witness(rho, basis)
+            return
+        cert = locate_witness(rho, basis)
+        assert (cert.alpha, cert.beta, cert.antidiag_index) == ((0, 0), (1, 1), 1)
+        assert cert.determinant == pytest.approx(-1.156e-2, abs=1e-5)
+
+    def test_pure_state_with_round_off_weight_on_an_antidiagonal(self):
+        # v ~ 1e-9 g(0,0) + g(1,1): the 7.1e-10 coefficients on t = 1 count
+        # as zero, so the search certifies on t = 3 (the ensemble search
+        # paired them and raised NoWitness)
+        rho = tiny_generator_state()
+        assert range_in_subspace(build_subspace(D33), rho)
+        cert = locate_witness(rho)
+        assert (cert.alpha, cert.beta, cert.antidiag_index) == ((1, 1), (2, 2), 3)
+        assert cert.determinant == pytest.approx(-0.25, abs=1e-12)
+        assert cert.mixture_sum == pytest.approx(-0.5, abs=1e-12)
+
+    def test_non_negative_block_is_no_witness(self):
+        # 7.5e-10 on t = 1, just above the zero scale, pairs a with b, but
+        # the 3e-10 on |00> (inside the containment tolerance) makes the
+        # block's determinant positive: NoWitness, not a false certificate
+        rho = boundary_state()
+        assert range_in_subspace(build_subspace(D33), rho)
+        assert count_negative_eigenvalues(partial_transpose(rho.mat, D33))[0] == 2
+        with pytest.raises(errors.NoWitness, match=r"^anti-diagonal 1, a = \|1,0> \(rho\[a, a\] = "
+                           r"7\.500e-10\): its block with b = \|0,1> has determinant 7\.500e-11, not negative$"):
+            locate_witness(rho)
 
     def test_deterministic(self):
         basis = build_subspace(D34)
@@ -495,8 +593,6 @@ def wrong_dims_state():
 @pytest.mark.parametrize("call,error,message", [
     (lambda: realign(np.zeros(11), D34), errors.ShapeMismatch, "expected vector of length 12"),
     (lambda: realign(np.zeros((3, 4)), D34), errors.ShapeMismatch, "expected vector of length 12"),
-    (lambda: unrealign(np.zeros((3, 4)), D34), errors.ShapeMismatch, r"expected \(4, 3\) matrix"),
-    (lambda: unrealign(np.zeros(12), D34), errors.ShapeMismatch, r"expected \(4, 3\) matrix"),
     (lambda: contains(build_subspace(D34), np.zeros(11)), errors.ShapeMismatch, "expected vector of length 12"),
     (lambda: range_in_subspace(build_subspace(D34), np.zeros((12, 11))), errors.ShapeMismatch,
      r"expected \(12, 12\) matrix for dims"),
@@ -505,7 +601,7 @@ def wrong_dims_state():
     (lambda: locate_witness(np.eye(4) / 4), TypeError, "expected Ensemble or DensityMatrix"),
     (lambda: sample_mixture_in_subspace(build_subspace(BipartiteDims(1, 4)), 1, np.random.default_rng(0)),
      errors.NotInSubspace, "subspace is zero-dimensional"),
-], ids=["realign-length", "realign-2d", "unrealign-shape", "unrealign-1d", "contains", "range-shape",
+], ids=["realign-length", "realign-2d", "contains", "range-shape",
         "range-dims", "witness-dims", "witness-type", "sample-zero-dim"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):
