@@ -21,18 +21,11 @@ negatives.
 Matrices travel as JSON documents with embedded local dimensions and
 explicit [re, im] entry pairs; floats are printed with 17 significant
 digits so that parse(serialize(M)) reproduces M bit-exactly.  Both
-directions work on whole arrays: one formatting pass serves the payload
-and the checksum, and a load converts the entry texts with one numpy
-call.  The formatting pass formats each distinct magnitude once, and a
-negative value's text is "-" followed by its magnitude's text, so the
-bytes are those of per-value "%.17g".  A save raises ShapeMismatch for a
-matrix that is not (mn) x (mn) (vectors: not mn rows) before it formats
-anything, so an existing file stays as it was.  A load accepts only a
-"matrix" kind (or none), integer m, n, an object as metadata and
-(mn) x (mn) entries of exactly two finite JSON numbers whose checksum
-(when stored) matches, either over the entry texts as read (in a file
-written here they are the canonical texts) or over the entries formatted
-again (other spellings, integers).  The product basis |j>|k> is ordered
+directions work on whole arrays: one formatting pass (``_float_texts``)
+serves the payload and the checksum, and a load (``load_matrix``, which
+states what it accepts) converts the entry texts with one numpy call.  A
+save checks the shape before it formats anything, so a failed save
+leaves an existing file as it was.  The product basis |j>|k> is ordered
 with the first factor major (index j*n + k), stated in every file's
 metadata.
 """
@@ -181,7 +174,7 @@ def _document(kind: str, dims: BipartiteDims, payload_key: str, payload: str, me
     meta = {"tool_version": __version__, "format": "nptsub-v1",
             "basis_ordering": "product basis |j,k> at index j*n+k (first factor major)"}
     meta.update(metadata or {})
-    body = (
+    return (
         "{\n"
         f'  "kind": {json.dumps(kind)},\n'
         f'  "m": {dims.m},\n'
@@ -190,7 +183,6 @@ def _document(kind: str, dims: BipartiteDims, payload_key: str, payload: str, me
         f'  "metadata": {_fmt(meta)}\n'
         "}\n"
     )
-    return body
 
 
 def serialize_matrix(mat: np.ndarray, dims: BipartiteDims, metadata: dict | None = None) -> str:

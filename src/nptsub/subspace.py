@@ -83,9 +83,10 @@ class WitnessCertificate:
     rho[b, a] (b = (j0, k1), a = (j1, k0)), which equals
     sum_i p_i conj(a_i) b_i for every ensemble {(p_i, v_i)} of rho.  The
     determinant, negative, is rho[alpha, alpha] rho[beta, beta] -
-    |mixture_sum|^2, and alpha lies on an anti-diagonal whose diagonal the
-    search read as zero (at most CONTAINS_RTOL ||rho||_F), so it equals
-    -|mixture_sum|^2 to within that scale.
+    |mixture_sum|^2.  On t*, the first anti-diagonal with a nonzero
+    diagonal entry, the search read alpha's diagonal as zero (at most
+    CONTAINS_RTOL ||rho||_F), so it equals -|mixture_sum|^2 to within that
+    scale; a certificate found past t* reads it as the state's own value.
     """
 
     alpha: tuple[int, int]
@@ -269,16 +270,19 @@ def locate_witness(state, basis: SubspaceBasis | None = None) -> WitnessCertific
     alpha = (row of b, col of a) and beta = (row of a, col of b); its
     determinant, rho[alpha, alpha] rho[beta, beta] - |rho[b, a]|^2 with
     alpha on an anti-diagonal before t*, is negative, certifying a
-    negative eigenvalue of rho^Gamma by eigenvalue interlacing.
+    negative eigenvalue of rho^Gamma by eigenvalue interlacing.  A state
+    with weight near the zero scale on its first anti-diagonals can lack a
+    negative block on t* (the boundary state of the tests: det +7.5e-11 on
+    t* = 1 at 3 x 3); the search then certifies the first negative block
+    on a later anti-diagonal, a as in step 2 and b the first later one with
+    |rho[b, a]| > ENTRY_NONZERO_TOL whose block is negative (there: t = 2,
+    det -1/16).
 
     Ties are broken toward the smallest anti-diagonal, then the smallest
     positions, so certificates are deterministic.  This is the stacked
     search ``_witnesses`` on a stack of one; ``run_npt_suite`` runs it on
-    whole chunks of states.  Raises NoWitness where no position b pairs
-    with a or the block's determinant is not negative.  Neither happens
-    while rho[a, a] is well above the zero scale; a state whose weight on
-    its first anti-diagonals is near that scale can reach the second (see
-    the tests' boundary state: det +7.5e-11 on t* = 1 at 3 x 3).
+    whole chunks of states.  Raises NoWitness, naming the block on t*, only
+    where no anti-diagonal has a negative block.
     """
     if isinstance(state, Ensemble):
         rho = _mixture(state.vectors, state.probs)
@@ -348,7 +352,8 @@ def _witnesses(rho: np.ndarray, rho_pt: np.ndarray, dims: BipartiteDims) -> _Wit
     order, t_of, j_of = _search_order(dims)
     rows = np.arange(k)
     diag = rho.diagonal(axis1=-2, axis2=-1).real[:, order]
-    first = (diag > CONTAINS_RTOL * np.linalg.norm(rho, axis=(-2, -1))[:, None]).argmax(axis=1)
+    zero = CONTAINS_RTOL * np.linalg.norm(rho, axis=(-2, -1))
+    first = (diag > zero[:, None]).argmax(axis=1)
     t = t_of[first]
     mix = rho[rows, :, order[first]][:, order]  # rho[b, a] for b in search order
     later = (np.arange(dims.total) > first[:, None]) & (t_of == t[:, None])
@@ -359,19 +364,41 @@ def _witnesses(rho: np.ndarray, rho_pt: np.ndarray, dims: BipartiteDims) -> _Wit
     corners = np.stack([row_b * n + t - row_a, row_a * n + t - row_b], axis=-1)
     sub = rho_pt[rows[:, None, None], corners[:, :, None], corners[:, None, :]]
     det = (sub[:, 0, 0] * sub[:, 1, 1]).real - np.abs(sub[:, 0, 1]) ** 2
+    mix_ba = mix[rows, second]
 
     errors = [None] * k
     for i in np.flatnonzero(~inside | ~has_b | ~(det < 0)).tolist():
-        if not inside[i]:
+        past = _past_first(rho[i], rho_pt[i], diag[i], zero[i], t[i], dims) if inside[i] else None
+        if past is not None:
+            t[i], row_a[i], row_b[i], mix_ba[i], sub[i], det[i] = past
+        elif not inside[i]:
             errors[i] = NotInSubspace(
                 f"||(I - P) rho||_F > {CONTAINS_RTOL:g} ||rho||_F: the range is not in S")
-            continue
-        why = (f"its block with b = |{row_b[i]},{t[i] - row_b[i]}> has determinant "
-               f"{det[i]:.3e}, not negative" if has_b[i]
-               else f"no later |rho[b, a]| exceeds {ENTRY_NONZERO_TOL:g}")
-        errors[i] = NoWitness(f"anti-diagonal {t[i]}, a = |{row_a[i]},{t[i] - row_a[i]}> "
-                              f"(rho[a, a] = {diag[i, first[i]]:.3e}): {why}")
-    return _Witnesses(t, row_a, row_b, mix[rows, second], sub, det, errors)
+        else:
+            why = (f"its block with b = |{row_b[i]},{t[i] - row_b[i]}> has determinant "
+                   f"{det[i]:.3e}, not negative" if has_b[i]
+                   else f"no later |rho[b, a]| exceeds {ENTRY_NONZERO_TOL:g}")
+            errors[i] = NoWitness(f"anti-diagonal {t[i]}, a = |{row_a[i]},{t[i] - row_a[i]}> "
+                                  f"(rho[a, a] = {diag[i, first[i]]:.3e}): {why}")
+    return _Witnesses(t, row_a, row_b, mix_ba, sub, det, errors)
+
+
+def _past_first(rho, rho_pt, diag, zero: float, t_star: int, dims: BipartiteDims):
+    """(t, row_a, row_b, rho[b, a], block, determinant) of one state's first
+    negative block after anti-diagonal t_star, by the rule that
+    ``locate_witness`` states, or None; ``diag`` is in search order."""
+    order, t_of, j_of = _search_order(dims)
+    for t in range(t_star + 1, dims.m + dims.n - 1):
+        on = np.flatnonzero(t_of == t)
+        big = on[diag[on] > zero]
+        for b in on[on > big[0]] if big.size else ():
+            a, row_a, row_b = order[big[0]], j_of[big[0]], j_of[b]
+            corners = np.array([row_b * dims.n + t - row_a, row_a * dims.n + t - row_b])
+            sub = rho_pt[np.ix_(corners, corners)]
+            det = (sub[0, 0] * sub[1, 1]).real - abs(sub[0, 1]) ** 2
+            if abs(rho[order[b], a]) > ENTRY_NONZERO_TOL and det < 0:
+                return t, row_a, row_b, rho[order[b], a], sub, det
+    return None
 
 
 def sample_mixture_in_subspace(

@@ -57,6 +57,19 @@ def tiny_generator_matrix():
     return np.outer(v, v.conj()), D33
 
 
+def boundary_matrix():
+    """The 3 x 3 state of halves of v ~ 5.5e-5 g(0,0) + g(1,1) and
+    g(0,1) / sqrt 2, plus 3e-10 |00><00|: its block on anti-diagonal 1 is
+    not negative, its block on anti-diagonal 2 is."""
+    g = build_subspace(D33).generators
+    v = np.sqrt(3e-9) * g[:, 0] + g[:, 3]
+    v /= np.linalg.norm(v)
+    u = g[:, 1] / np.sqrt(2)
+    mat = (np.outer(v, v.conj()) + np.outer(u, u.conj())) / 2
+    mat[0, 0] += 3e-10
+    return mat / np.trace(mat).real, D33
+
+
 def write_state(path, mat, dims):
     cli.save_matrix(path, mat, dims, {"seed": 0})
     return path
@@ -1145,20 +1158,28 @@ class TestWitnessCommand:
         assert capsys.readouterr().err == (
             "not in subspace: ||(I - P) rho||_F > 1e-09 ||rho||_F: the range is not in S\n")
 
-    def test_no_witness_exits_1(self, tmp_path, capsys):
-        # a NoWitness (a RuntimeError) is reported, not raised out of main
-        g = build_subspace(D33).generators
-        v = np.sqrt(3e-9) * g[:, 0] + g[:, 3]
-        v /= np.linalg.norm(v)
-        u = g[:, 1] / np.sqrt(2)
-        mat = (np.outer(v, v.conj()) + np.outer(u, u.conj())) / 2
-        mat[0, 0] += 3e-10
-        path = write_state(tmp_path / "boundary.json", mat / np.trace(mat).real, D33)
+    def test_boundary_state_is_certified_past_the_first_antidiagonal(self, tmp_path, capsys):
+        # the block on anti-diagonal 1 has determinant +7.5e-11, so the
+        # search goes on to anti-diagonal 2: a = |1,1>, b = |0,2>
+        path = write_state(tmp_path / "boundary.json", *boundary_matrix())
+        assert cli.main(["witness", "--in", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "alpha: |0,1> (index 1)" in out
+        assert "beta:  |1,2> (index 5)" in out
+        assert "anti-diagonal index: 2" in out
+        assert "determinant: -0.0625" in out
+
+    def test_no_witness_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a NoWitness (a RuntimeError) is reported, not raised out of main:
+        # with every entry rho[b, a] counted as zero no anti-diagonal pairs
+        # a with b, and the message names the first one searched
+        no_entry_is_nonzero(monkeypatch)
+        path = write_state(tmp_path / "boundary.json", *boundary_matrix())
         assert cli.main(["witness", "--in", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("no witness: anti-diagonal 1, a = |1,0> ")
-        assert captured.err.endswith("not negative\n")
+        assert captured.err.endswith("no later |rho[b, a]| exceeds 10\n")
 
     def test_dims_flag_mismatch(self, tmp_path):
         path = write_state(tmp_path / "singlet.json", singlet_matrix(), D22)

@@ -17,9 +17,10 @@ from nptsub import (
     solve_construction_sdp,
     subspace_projector,
 )
-from nptsub import sdp
+from nptsub import _layout, sdp
+from nptsub._layout import _pictures
 from nptsub.linalg import _clamp_psd
-from nptsub.sdp import _ConePair, _max_shift, _pictures, _round_to_ppt
+from nptsub.sdp import _ConePair, _max_shift, _round_to_ppt
 
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
@@ -40,7 +41,7 @@ def no_frame(monkeypatch):
     """Find no local frame, so that a locally rotated projector runs on one
     complex block of all mn x mn entries: the path of every input that no
     local unitary takes to real sector blocks."""
-    monkeypatch.setattr(sdp, "_local_frame", lambda *args: None)
+    monkeypatch.setattr(_layout, "_local_frame", lambda *args: None)
 
 
 def npt_projector(dims):
@@ -537,6 +538,22 @@ class TestPinnedOutputs:
         assert dec.c == pytest.approx(c, rel=0, abs=1e-9)
         assert dec.c_lower < dec.c < 1.0
 
+    @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (3, 4), (4, 4), (5, 5), (5, 6), (6, 6)])
+    @pytest.mark.parametrize("s", [1.0, 1 + 2.0 ** -52, 1 + 2.0 ** -51, 1 + 2.0 ** -50])
+    def test_claim_stop_is_stable_in_the_last_bits(self, m, n, s):
+        # s P differs from P in the last bits of its entries; each route
+        # still claims at its round on P with the full count.  Off P the
+        # claim stop is not this stable: the antisymmetric projector at
+        # 4 x 4 claims at round 50 at s = 1 and at round 2,550 at 1 + 2^-52
+        dims = BipartiteDims(m, n)
+        P, target = npt_projector(dims).P * s, (m - 1) * (n - 1)
+        dec = construct_via_dual_cone(dims, P)
+        assert dec.iterations == (100 if (m, n) == (6, 6) else 50)
+        assert count_negative_eigenvalues(partial_transpose(dec.rho.mat, dims))[0] == target
+        sol = solve_construction_sdp(dims, P)
+        assert sol.converged and sol.iterations == 50 and sol.d > 1.0
+        assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == target
+
 
 class TestSectorLayout:
     """The solver iterates' storage: entry vectors on diagonal blocks."""
@@ -857,7 +874,7 @@ class TestLocalFrame:
         dims = BipartiteDims(m, n)
         P = npt_projector(dims).P
         R = rotated_projector(dims, np.random.default_rng(m * n))
-        U, V, M = sdp._local_frame(dims, R, sector_mask(dims))
+        U, V, M = _layout._local_frame(dims, R, sector_mask(dims))
         assert not np.iscomplexobj(M)
         assert np.abs(M - P).max() <= 1e-14
         K = np.kron(U, V)
@@ -887,7 +904,7 @@ class TestLocalFrame:
         assert np.abs(R.imag).max() <= 1e-15
         R = R.real
         assert np.abs(R[sector_mask(dims)]).max() > 0.1
-        U, V, M = sdp._local_frame(dims, R, sector_mask(dims))
+        U, V, M = _layout._local_frame(dims, R, sector_mask(dims))
         assert np.abs(M - P).max() <= 1e-14
 
     def test_no_frame_for_a_nonlocal_perturbation(self):
@@ -897,7 +914,7 @@ class TestLocalFrame:
         dims = BipartiteDims(4, 4)
         R = rotated_projector(dims, np.random.default_rng(16))
         R = R + 1e-12 * TestBoundRecheck.objective("random", dims)
-        assert sdp._local_frame(dims, R, sector_mask(dims)) is None
+        assert _layout._local_frame(dims, R, sector_mask(dims)) is None
         assert _pictures(dims, R)[0].shape == (1, 16, 16)
 
     @pytest.mark.parametrize("n", [7, 8, 9, 10])

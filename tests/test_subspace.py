@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -568,13 +569,27 @@ class TestWitness:
     def test_non_negative_block_is_no_witness(self):
         # 7.5e-10 on t = 1, just above the zero scale, pairs a with b, but
         # the 3e-10 on |00> (inside the containment tolerance) makes the
-        # block's determinant positive: NoWitness, not a false certificate
+        # block's determinant +7.5e-11: the search does not certify it and
+        # goes on to t = 2, where a = |1,1> and b = |0,2> give -1/16.  The
+        # certificate's alpha carries the state's own diagonal, 7.5e-10
         rho = boundary_state()
         assert range_in_subspace(build_subspace(D33), rho)
         assert count_negative_eigenvalues(partial_transpose(rho.mat, D33))[0] == 2
-        with pytest.raises(errors.NoWitness, match=r"^anti-diagonal 1, a = \|1,0> \(rho\[a, a\] = "
-                           r"7\.500e-10\): its block with b = \|0,1> has determinant 7\.500e-11, not negative$"):
-            locate_witness(rho)
+        cert = locate_witness(rho)
+        assert (cert.alpha, cert.beta, cert.antidiag_index) == ((0, 1), (1, 2), 2)
+        assert cert.determinant == pytest.approx(-0.0625, abs=1e-9)
+        assert cert.submatrix[0, 0].real == pytest.approx(7.5e-10, rel=1e-6)
+        assert cert.mixture_sum == rho.mat[2, 4]
+
+    def test_no_negative_block_on_any_antidiagonal_is_no_witness(self):
+        # the boundary state with I added to its partial transpose: every
+        # 2x2 block is then positive definite, so no anti-diagonal gives a
+        # witness and the error names the block on t* = 1
+        rho = boundary_state().mat
+        found = _witnesses(rho[None], partial_transpose(rho, D33)[None] + np.eye(9), D33)
+        assert isinstance(found.errors[0], errors.NoWitness)
+        assert re.fullmatch(r"anti-diagonal 1, a = \|1,0> \(rho\[a, a\] = 7\.500e-10\): its block with "
+                            r"b = \|0,1> has determinant 1\.250e\+00, not negative", str(found.errors[0]))
 
     def test_deterministic(self):
         basis = build_subspace(D34)
