@@ -669,8 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="objective tolerance: for direct, the certified gap on d at which "
                         "the route stops if no earlier round certifies d > 1 with the full "
                         "count (up to 10x10 the closed-form state certifies it, so the route "
-                        "stops at its first certify round, or before any iteration where the "
-                        "starting bracket is already within the gap, as from 7x7 on; "
+                        "returns before any iteration, whatever the gap; "
                         f"default {DEFAULT_TOL_GAP:g}); "
                         "for dual-cone, the bracket on c "
                         "at which the route stops if no earlier round certifies c < 1 with "

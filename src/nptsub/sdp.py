@@ -23,7 +23,10 @@ the direct route stops at the first round whose feasible state certifies
 d > 1 and has the count.  Its bracket starts at two certificates that
 need no iteration (``solve_construction_sdp``): the closed-form state
 and the product state a (x) b that maximizes <ab|P|ab> (Wei & Goldbart,
-PRA 68, 042307 (2003)).  The starts move only the bracket.
+PRA 68, 042307 (2003)).  A claiming closed-form state with a finite
+product bound is the first certify round, so on the NPT projector and
+its local rotations, from 2 x 2 to 10 x 10, the direct route returns at
+iteration 0.  The starts never change the iterates.
 
 ``_split`` is an over-relaxed iteration between an affine set and the
 product of two PSD cones, with scaled duals and a penalty beta,
@@ -39,7 +42,7 @@ projector to 1e-6 at 7 x 7: 6,500 -> 1,400; at 9 x 9: 93,400 -> 40,700)
 while every such solve that certifies within 200 iterations keeps the
 plain arithmetic.  Accelerating those from the start too took the 7 x 7
 solve to 2,100 iterations and slowed the direct ladder on P (4 x 4 to
-7 x 7, which runs at most 50 iterations) by about 30%.  Each problem
+7 x 7, which then ran at most 50 iterations) by about 30%.  Each problem
 supplies only two steps:
 
 * its affine step, the closed-form proximal point of its affine set:
@@ -200,8 +203,8 @@ def _check_budget(max_iter: int, **tols: float) -> None:
     """Raise ValueError unless ``max_iter`` is an integer of at least 1 and
     every named tolerance is finite and positive.
 
-    A solve returns at iteration 0 only when its starting bracket is
-    already within tolerance; any other start needs a certify round, which
+    A solve returns at iteration 0 only when its starting bracket already
+    stops it (see ``_split``); any other start needs a certify round, which
     a budget of 0 would never reach.  A count that is not an integer, or a
     NaN, infinite, zero or negative tolerance, would otherwise fail only
     after the set-up or after the whole iteration budget.
@@ -346,29 +349,28 @@ def _split(cones: _ConePair, z, affine, certify, lower, upper, tol: float, max_i
     A finite starting lb is a seed that ``stop_lower`` accepts (the caller
     asks it), so it counts as accepted; a finite starting ub is never
     offered to ``stop_upper``.  The starting bracket counts as a certify
-    round for the gap rule only: if ub - lb <= ``tol`` already, the run
-    returns at iteration 0 with both starting ends, before any iteration
-    or certify step.  ``stop_lower(lb, primal)`` is asked on every improved
-    lower end, ``stop_upper(ub, dual)`` on every improved upper end.  The
-    run stops at the first certify round at which ub - lb <= ``tol``, the
-    current lower end is accepted, or the improved upper end is.  So a
-    seeded lower end with an open starting gap ends the run at the first
-    certify round, with the smaller of the starting and that round's upper
-    bound, unless the round improves the lower end to one that
-    ``stop_lower`` rejects.  The starts never change the iterates.
+    round: if ub - lb <= ``tol`` already, or the lower end is accepted and
+    ub is finite (a stop returns a dual certificate), the run returns at
+    iteration 0 with both starting ends, before any iteration or certify
+    step.  ``stop_lower(lb, primal)`` is asked on
+    every improved lower end, ``stop_upper(ub, dual)`` on every improved
+    upper end.  The run stops at the first certify round at which
+    ub - lb <= ``tol``, the current lower end is accepted, or the improved
+    upper end is.  The starts never change the iterates.
     Returns (iterations, lb, primal, ub, dual, stopped), ``stopped``
-    telling whether a stop predicate ended the run (never at iteration 0).
-    ``max_iter`` is at least 1 (``_check_budget``), so a run whose starting
-    gap is open runs at least one certify step.
+    telling whether a stop predicate ended the run (at iteration 0,
+    whether the starting lower end is accepted).  ``max_iter`` is at least
+    1 (``_check_budget``), so a run that does not return at iteration 0
+    runs at least one certify step.
     """
 
     def norm(v):
         return sum(np.linalg.norm(c) for c in cones.split(v))
 
     (lb, primal), (ub, dual) = lower, upper
-    if ub - lb <= tol:
-        return 0, lb, primal, ub, dual, False
     accepted = lb > -np.inf
+    if ub - lb <= tol or (accepted and ub < np.inf):
+        return 0, lb, primal, ub, dual, accepted
     beta = 1.0
     u = np.zeros_like(z)
     s = z
@@ -444,19 +446,21 @@ def solve_construction_sdp(
     mixture of product states) and scaled to <Y0, P> = 1, and its bound
     Tr Y0 - lambda_min(Y0^G) is the one every certify round computes.  It
     is about 1/c: for the NPT projector 1 - c is 2.7e-5 at 7 x 7 and
-    3.8e-8 at 10 x 10, whatever the local basis.  A starting bracket
-    already within ``tol_gap`` returns at iteration 0, with the seed's
-    state and the product bound: the NPT projector and its local rotations
-    from 7 x 7 to 10 x 10.  Otherwise iteration stops at the first certify round whose current
-    lower end claims, the seed included, by the package's negativity rule,
-    counted dense on the state the route would return; it is then
-    ``converged`` whatever its gap.  So a seeded solve with an open
-    starting gap stops at round 50, with the smaller of that round's dual
-    bound and the product bound and the larger of that round's d and the
-    seed's, unless round 50 improves d to a state without the count.
-    Otherwise, and always for a P of rank 0, which has no claim, iteration
-    stops once the certified gap is at most ``tol_gap``.  No stop and no
-    start changes the iterates; only the round moves.
+    3.8e-8 at 10 x 10, whatever the local basis.  The claim is decided by
+    the package's negativity rule, counted dense on the state the route
+    would return, and a solve that stops on it is ``converged`` whatever
+    its gap.  A seed that claims, with a finite product bound, is the
+    first certify round: the solve returns at iteration 0 with the seed's
+    state and the bracket [d of the seed, the product bound], so on the
+    NPT projector and its local rotations from 2 x 2 to 10 x 10 it never
+    iterates, whatever ``tol_gap``.  A starting bracket within
+    ``tol_gap`` also returns at iteration 0.  Otherwise iteration stops at
+    the first certify round whose current lower end claims (with a seed
+    but an infinite product bound, from a vanishing overlap, that is round
+    50, unless round 50 improves d to a state without the count), or, and
+    always for a P of rank 0, which has no claim, once the certified gap
+    is at most ``tol_gap``.  No stop and no start changes the iterates;
+    only the round moves.
     The solution is returned only when the solve stopped on the claim or
     closed its gap, the dense residual lambda_max(rho^G + d P - I) is at
     most 1e-7, and the bracket decides d against 1: it does not hold 1 with

@@ -159,17 +159,24 @@ class TestInputValidation:
 
 
 class TestConstructionSdp:
-    def test_2x2_analytic_optimum(self):
+    def test_2x2_analytic_optimum(self, monkeypatch):
         # sandwiching the constraint with the singlet forces d <= 3/2,
-        # attained by the maximally entangled state
-        sol = solve_construction_sdp(D22, npt_projector(D22))
-        assert sol.converged
-        assert sol.d == pytest.approx(1.5, abs=1e-4)
-        assert sol.upper_bound - sol.lower_bound <= 1e-4 + 1e-12
-        assert frob_inner(maximally_entangled(), sol.rho.mat) >= 0.999
-        count, negs = count_negative_eigenvalues(partial_transpose(sol.rho.mat, D22))
-        assert count == 1
-        assert negs[0] == pytest.approx(-0.5, abs=1e-3)
+        # attained by the maximally entangled state.  That state is the
+        # closed-form seed, returned at iteration 0 with the product bound
+        # 2 above it; unseeded, the loop closes the gap on 3/2
+        seeded = solve_construction_sdp(D22, npt_projector(D22))
+        assert seeded.iterations == 0
+        assert seeded.upper_bound == pytest.approx(2.0, rel=0, abs=1e-12)
+        TestClosedFormSeed.unseeded(monkeypatch)
+        plain = solve_construction_sdp(D22, npt_projector(D22))
+        assert plain.upper_bound - plain.lower_bound <= 1e-4 + 1e-12
+        for sol in (seeded, plain):
+            assert sol.converged
+            assert sol.d == pytest.approx(1.5, abs=1e-4)
+            assert frob_inner(maximally_entangled(), sol.rho.mat) >= 0.999
+            count, negs = count_negative_eigenvalues(partial_transpose(sol.rho.mat, D22))
+            assert count == 1
+            assert negs[0] == pytest.approx(-0.5, abs=1e-3)
 
     def test_2x2_certified_feasibility(self):
         sol = solve_construction_sdp(D22, npt_projector(D22))
@@ -197,16 +204,22 @@ class TestConstructionSdp:
         (0.6 * singlet_projector(), 1.5 / 0.6),
         (np.diag([0.4, 0.0, 0.0, 0.0]), 2.5),
     ], ids=["0.45-singlet", "0.6-singlet", "diag-0.4"])
-    def test_small_trace_is_certified(self, P, optimum):
+    def test_small_trace_is_certified(self, P, optimum, monkeypatch):
         # a P of trace below 1 runs the same certified solve: the singlet
-        # bound d <= 3/2 scales to 1.5/s, and |11><11| attains 1/0.4
-        sol = solve_construction_sdp(D22, P)
-        assert sol.converged
-        assert sol.lower_bound <= optimum + 1e-9
-        assert sol.upper_bound >= optimum - 1e-9
-        assert sol.lower_bound <= sol.upper_bound <= sol.lower_bound + 1e-4
-        M = partial_transpose(sol.rho.mat, D22) + sol.lower_bound * P - np.eye(4)
-        assert np.linalg.eigvalsh(M)[-1] <= 1e-12
+        # bound d <= 3/2 scales to 1.5/s, and |11><11| attains 1/0.4.  At
+        # s = 0.6 (rank 1) the seed claims, so the seeded bracket is
+        # [2.5, 1/0.3] from iteration 0; unseeded, the loop closes it
+        seeded = solve_construction_sdp(D22, P)
+        TestClosedFormSeed.unseeded(monkeypatch)
+        plain = solve_construction_sdp(D22, P)
+        assert plain.upper_bound <= plain.lower_bound + 1e-4
+        for sol in (seeded, plain):
+            assert sol.converged
+            assert sol.lower_bound <= optimum + 1e-9
+            assert sol.upper_bound >= optimum - 1e-9
+            assert sol.lower_bound <= sol.upper_bound
+            M = partial_transpose(sol.rho.mat, D22) + sol.lower_bound * P - np.eye(4)
+            assert np.linalg.eigvalsh(M)[-1] <= 1e-12
 
     def test_wide_bracket_inversion_raises(self, monkeypatch):
         # a lower bound far above the dual bound is not rounding: the
@@ -219,14 +232,14 @@ class TestConstructionSdp:
 
     def test_dense_residual_raises_after_a_claim_stop(self, monkeypatch, no_frame):
         # a claim stop waives the gap, not the dense feasibility recheck:
-        # neither on P, whose closed-form seed stops the solve at round 50,
-        # nor on the Haar-rotated P on one complex block, which the seed
+        # neither on P, whose closed-form seed stops the solve at iteration
+        # 0, nor on the Haar-rotated P on one complex block, which the seed
         # does not fit and whose solve stops at round 250
         residuals = sdp._construction_residuals
         monkeypatch.setattr(sdp, "_construction_residuals",
                             lambda *args: {**residuals(*args), "pt_constraint_gap": 1e-6})
         dims = BipartiteDims(5, 6)
-        for P, iterations in ((npt_projector(dims), 50),
+        for P, iterations in ((npt_projector(dims), 0),
                               (rotated_projector(dims, np.random.default_rng(30)), 250)):
             with pytest.raises(errors.NoConvergence, match="^construction SDP dense residual "
                                f"1.000e-06 above 1e-07 after {iterations} iterations$") as err:
@@ -277,13 +290,14 @@ class TestConstructionSdp:
     def test_claim_stop(self, no_frame):
         # the gap-closing solve takes 450 iterations here.  On P the
         # closed-form state certifies d > 1 with all 20 negatives before the
-        # first iteration, so the solve stops at round 50, the first round
-        # with a dual bound; the Haar-rotated projector (one complex block),
-        # which the seed does not fit, certifies the claim at round 250
+        # first iteration, and the product bound is finite, so the solve
+        # stops at iteration 0; the Haar-rotated projector (one complex
+        # block), which the seed does not fit, certifies the claim at round
+        # 250
         dims = BipartiteDims(5, 6)
         sol = solve_construction_sdp(dims, npt_projector(dims))
         rot = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(30)))
-        for s, iterations in ((sol, 50), (rot, 250)):
+        for s, iterations in ((sol, 0), (rot, 250)):
             assert s.converged
             assert s.iterations == iterations
             assert 1.0 < s.lower_bound <= s.upper_bound < np.inf
@@ -321,45 +335,70 @@ def antisymmetric_projector():
     return (np.eye(9) - F) / 2
 
 
+def dense_shift(dims, P, rho):
+    """Largest d with d P <= I - rho^G, from one dense eigh: 1 over the top
+    eigenvalue of M^(-1/2) P M^(-1/2), M = I - rho^G."""
+    w, V = np.linalg.eigh(np.eye(dims.total) - partial_transpose(rho, dims))
+    M_isqrt = (V / np.sqrt(w)) @ V.conj().T
+    return 1.0 / np.linalg.eigvalsh(M_isqrt @ P @ M_isqrt)[-1]
+
+
+SEED_SIZES = [(m, n) for m in range(2, 11) for n in range(m, 11)]
+SEED_ROTATIONS = [(2, 4), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6)]
+
+
 class TestClosedFormSeed:
     """The direct route starts its bracket's lower end at the closed-form
     state when that state already certifies the claim, d > 1 with rank P
-    negatives, and its upper end at the product-state bound 1 / c."""
+    negatives, and its upper end at the product-state bound 1 / c.  A
+    claiming start with a finite upper end is the first certify round: the
+    solve returns it at iteration 0, on P and on its local rotations from
+    2 x 2 to 10 x 10.  The splitting loop itself runs on the unseeded
+    solve (``unseeded``), which the tests that pin its rounds use."""
 
     @staticmethod
     def unseeded(monkeypatch):
         # the maximally mixed state never claims: its shift is 1 - 1/mn < 1
         monkeypatch.setattr(sdp, "_closed_form", lambda dims: np.eye(dims.total) / dims.total)
 
-    @pytest.mark.parametrize("m,n", [(7, 7), (8, 8), (9, 9), (10, 10)])
-    def test_claim_at_the_first_certify_round(self, m, n):
+    @pytest.mark.parametrize("m,n,rotated", [
+        *[pytest.param(m, n, False, id=f"{m}-{n}") for m, n in SEED_SIZES],
+        *[pytest.param(m, n, True, id=f"rotated-{m}-{n}") for m, n in SEED_ROTATIONS],
+    ])
+    def test_claim_at_the_first_certify_round(self, m, n, rotated):
         # the starting bracket, [d of the closed form, the product bound],
-        # is within tol_gap here, so it counts as the first certify round
-        # and the solve returns at iteration 0 (unseeded, the 7 x 7 bracket
-        # closes around 1 after 550 iterations with 33 of 36 negatives, and
-        # 8 x 8's after 400 with 41 of 49)
+        # already claims, so the solve returns it at iteration 0 whatever
+        # its gap (unseeded, the 7 x 7 bracket closes around 1 after 550
+        # iterations with 33 of 36 negatives, and 8 x 8's after 400 with 41
+        # of 49).  A Haar rotation is solved in its local frame, with the
+        # seed taken in the frame: the same d, to rounding
+        dims = BipartiteDims(m, n)
+        P = npt_projector(dims).P
+        rho_cf = closed_form_state(dims).mat
+        M = rotated_projector(dims, np.random.default_rng(m * n)) if rotated else P
+        assert (_pictures(dims, M)[0].frame is not None) == rotated
+        sol = solve_construction_sdp(dims, M)
+        assert sol.converged
+        assert sol.iterations == 0
+        assert sol.lower_bound == pytest.approx(dense_shift(dims, P, rho_cf), rel=0, abs=1e-12)
+        assert 1.0 < sol.lower_bound <= sol.upper_bound
+        assert sol.upper_bound == pytest.approx(1.0 / sdp._product_state(dims, M)[0], rel=0, abs=1e-12)
+        assert sol.residuals["pt_constraint_gap"] <= sdp._TOL_FEAS
+        assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == dims.npt_dim
+        if not rotated:
+            assert sol.rho.mat.dtype == rho_cf.dtype and sol.rho.mat.tobytes() == rho_cf.tobytes()
+
+    @pytest.mark.parametrize("m,n,lb", [(5, 6, 1.000059535999984), (6, 6, 1.000015005101734)])
+    def test_open_starting_gap_stops_at_iteration_0(self, m, n, lb):
+        # the product bound is 1 + 7.2e-4 and 1 + 2.3e-4 here, so the
+        # starting gap is open: the seeded solve still returns at iteration
+        # 0, with the seed's d, which round 50 did not beat, and the product
+        # bound, tighter than round 50's (1 + 1.8e-3 and 1 + 1.5e-3)
         dims = BipartiteDims(m, n)
         P = npt_projector(dims)
         sol = solve_construction_sdp(dims, P)
         assert sol.converged
         assert sol.iterations == 0
-        assert 1.0 < sol.lower_bound <= sol.upper_bound <= sol.lower_bound + sdp.DEFAULT_TOL_GAP
-        assert sol.upper_bound == pytest.approx(1.0 / sdp._product_state(dims, P.P)[0], rel=0, abs=1e-12)
-        assert sol.residuals["pt_constraint_gap"] <= sdp._TOL_FEAS
-        assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == dims.npt_dim
-        assert np.array_equal(sol.rho.mat, closed_form_state(dims).mat)
-
-    @pytest.mark.parametrize("m,n,lb", [(5, 6, 1.000059535999984), (6, 6, 1.000015005101734)])
-    def test_open_starting_gap_stops_at_round_50(self, m, n, lb):
-        # the product bound is 1 + 7.2e-4 and 1 + 2.3e-4 here, so the
-        # starting gap is open: the seeded solve still stops at round 50
-        # with that round's d, and its upper end is the product bound,
-        # tighter than round 50's (1 + 1.8e-3 and 1 + 1.5e-3)
-        dims = BipartiteDims(m, n)
-        P = npt_projector(dims)
-        sol = solve_construction_sdp(dims, P)
-        assert sol.converged
-        assert sol.iterations == 50
         assert sol.lower_bound == pytest.approx(lb, rel=0, abs=1e-9)
         assert sol.upper_bound - sol.lower_bound > sdp.DEFAULT_TOL_GAP
         assert sol.upper_bound == pytest.approx(1.0 / sdp._product_state(dims, P.P)[0], rel=0, abs=1e-12)
@@ -476,10 +515,11 @@ class TestPinnedOutputs:
     stops its solve at the first certify round that certifies the claim
     with the full count, so the rows pin that round.  The direct route's
     bracket starts at the closed-form state, which claims from 2 x 2 to
-    10 x 10, so its solve on P stops at round 50.  The 3 x 3 and 4 x 4 rows
-    are the round-50 certify values of the gap-closing solve, recorded
-    before the direct route stopped on the claim, and beat the seed; the
-    5 x 5 row is the seed's own d, which round 50 does not beat.  The
+    10 x 10, and at the finite product bound, so its solve on P returns at
+    iteration 0: the 5 x 5 row is the seed's own d.  The 3 x 3 and 4 x 4
+    rows pin the splitting loop on the unseeded solve: the round-50
+    certify values of the gap-closing solve, recorded before the direct
+    route stopped on the claim, which beat the seed.  The
     direct rows and the gap-closing PPT solve on P at 3 x 4 and 4 x 4 run
     within 200 iterations and keep the plain arithmetic, which the shared
     core keeps from when each route ran its own copy of the splitting
@@ -495,10 +535,13 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("m,n,iterations,lb", [
         (3, 3, 50, 1.034649909496204),
         (4, 4, 50, 1.0036586588767948),
-        (5, 5, 50, 1.0001979150369023),
+        (5, 5, 0, 1.0001979150369023),
     ])
-    def test_direct_route(self, m, n, iterations, lb):
+    def test_direct_route(self, m, n, iterations, lb, monkeypatch):
+        # a row of 0 iterations is the seeded solve; the others pin the loop
         dims = BipartiteDims(m, n)
+        if iterations:
+            TestClosedFormSeed.unseeded(monkeypatch)
         sol = solve_construction_sdp(dims, npt_projector(dims))
         assert sol.iterations == iterations
         assert sol.lower_bound == pytest.approx(lb, rel=0, abs=1e-9)
@@ -542,7 +585,8 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("s", [1.0, 1 + 2.0 ** -52, 1 + 2.0 ** -51, 1 + 2.0 ** -50])
     def test_claim_stop_is_stable_in_the_last_bits(self, m, n, s):
         # s P differs from P in the last bits of its entries; each route
-        # still claims at its round on P with the full count.  Off P the
+        # still claims at its round on P with the full count (the direct
+        # route at iteration 0, from the closed-form seed).  Off P the
         # claim stop is not this stable: the antisymmetric projector at
         # 4 x 4 claims at round 50 at s = 1 and at round 2,550 at 1 + 2^-52
         dims = BipartiteDims(m, n)
@@ -551,7 +595,7 @@ class TestPinnedOutputs:
         assert dec.iterations == (100 if (m, n) == (6, 6) else 50)
         assert count_negative_eigenvalues(partial_transpose(dec.rho.mat, dims))[0] == target
         sol = solve_construction_sdp(dims, P)
-        assert sol.converged and sol.iterations == 50 and sol.d > 1.0
+        assert sol.converged and sol.iterations == 0 and sol.d > 1.0
         assert count_negative_eigenvalues(partial_transpose(sol.rho.mat, dims))[0] == target
 
 
@@ -825,21 +869,21 @@ class TestRotationEquivalence:
     certified values.
     That holds past the start of the Anderson acceleration (5 x 5 and
     6 x 6), whose inner products are invariant under the local unitary.
-    The direct route on P starts its bracket at the closed-form state,
-    which the rotated projector does not fit; the rotated solve retraces
-    the solve on P only where round 50 beats that seed (up to 4 x 4), and
-    larger rotated solves keep the values of the unseeded solve."""
+    The direct route on P returns the closed-form seed at iteration 0, and
+    the rotated projector on one block does not fit that seed, so the
+    rotated direct solve retraces the unseeded solve on P."""
 
     @pytest.fixture(autouse=True)
     def one_block(self, no_frame):
         pass
 
     @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4)])
-    def test_direct_route(self, m, n):
+    def test_direct_route(self, m, n, monkeypatch):
         dims = BipartiteDims(m, n)
-        base = solve_construction_sdp(dims, npt_projector(dims))
         rot = solve_construction_sdp(dims, rotated_projector(dims, np.random.default_rng(m * n)))
-        assert rot.iterations == base.iterations
+        TestClosedFormSeed.unseeded(monkeypatch)
+        base = solve_construction_sdp(dims, npt_projector(dims))
+        assert rot.iterations == base.iterations == 50
         assert rot.lower_bound == pytest.approx(base.lower_bound, rel=0, abs=1e-9)
 
     def test_direct_route_past_the_acceleration_at_6x6(self):
@@ -1086,14 +1130,21 @@ class TestDualConeRoute:
         c_dual, _ = count_negative_eigenvalues(partial_transpose(dec.rho.mat, dims))
         assert c_direct == c_dual == dims.npt_dim
 
-    def test_monotonicity_bound(self):
+    def test_monotonicity_bound(self, monkeypatch):
         # the dual-cone output yields a feasible point of the direct SDP
-        # at 1 + (1/c - 1)/Tr(X2), so the direct optimum dominates it
+        # at 1 + (1/c - 1)/Tr(X2), so no certified upper end of the direct
+        # route lies below it (the seeded solve's is the product bound),
+        # and the loop, unseeded, reaches it (at 3 x 4 the seed's d is
+        # 1.00896, below the feasible point 1.01137)
         for dims in (D22, D33, D34):
             P = npt_projector(dims)
             dec = construct_via_dual_cone(dims, P)
-            sol = solve_construction_sdp(dims, P)
             bound = 1.0 + (1.0 / dec.c - 1.0) / np.trace(dec.X2).real
+            assert bound <= solve_construction_sdp(dims, P).upper_bound + 1e-12
+            with monkeypatch.context() as unseeded:
+                TestClosedFormSeed.unseeded(unseeded)
+                sol = solve_construction_sdp(dims, P)
+            assert bound <= sol.upper_bound + 1e-12
             assert sol.d >= bound - 1e-4
 
     @pytest.mark.parametrize("m,n", [*[(2, n) for n in range(2, 9)], (3, 3)])
