@@ -23,6 +23,16 @@ that holds all mn x mn entries (the Haar-rotated 7 x 7 there: its bracket
 closes around 1 after 200 iterations, so at the default ``tol_gap`` the
 route raises).
 
+A layout is a pure function of (m, n) and its kind: sector blocks with
+mirror orbits, sector blocks with one orbit per block, or one complex
+block.  ``_layout_pair`` builds it once per size and kind, with its
+partial-transpose gathers, and every later solve at that size shares its
+index arrays, which are read-only.  This cache, like that of the
+closed-form state in ``subspace``, is keyed by the size alone and bounded
+by ``_CACHE_SIZE``.  What depends on the input stays per call: the sector
+and mirror tests, the frame search, and the frame each picture carries
+into ``pack`` and ``unpack``.
+
 A sector-block input that is also invariant under the local reflection
 (j, k) -> (m-1-j, n-1-k), flat index i -> d-1-i, as P is exactly,
 keeps every iterate invariant: the splitting starts at I/d and every step
@@ -47,9 +57,12 @@ which the partial transpose is no longer a gather.
 
 from __future__ import annotations
 
+import copy
+from functools import lru_cache
+
 import numpy as np
 
-from .bipartite import BipartiteDims, partial_transpose
+from .bipartite import _CACHE_SIZE, BipartiteDims, partial_transpose
 from .errors import ShapeMismatch
 
 #: Largest entry of |M - M reflected| (relative to max(1, max |M|)) for
@@ -70,8 +83,8 @@ class _Picture:
     stack of blocks, ``diag`` the positions of the diagonal entries.
     ``pad`` lists the padded diagonal slots of the stack and ``live`` marks,
     per block, the first (block size) of its s eigenvalue slots.  ``pt`` is
-    set by ``_pictures``: the partial transpose of x, stored in the other
-    picture, is ``x[pt]``.
+    set by ``_layout_pair``: the partial transpose of x, stored in the
+    other picture, is ``x[pt]``.
 
     With ``mirror`` the matrices are taken to be reflection-invariant, and
     the first ceil(K/2) blocks represent the mirror orbits: their entries,
@@ -83,11 +96,17 @@ class _Picture:
     With a ``frame`` F (a local U (x) V, see ``_local_frame``), the blocks
     are those of F^dag M F: ``pack`` and ``unpack`` rotate into and out of
     the frame, and everything else works on entries, in the frame.
+
+    The index arrays (``flat``, ``stack``, ``src``, ``rep``, ``diag``,
+    ``live``, ``pad``, ``eye`` and ``pt``) depend only on the size and the
+    layout kind: they are read-only and shared by every picture of that
+    layout (``framed`` copies a picture, not its arrays).  The frame is
+    each call's own.
     """
 
-    def __init__(self, labels: np.ndarray, dtype, mirror: bool = False, frame=None):
+    def __init__(self, labels: np.ndarray, dtype, mirror: bool = False):
         d = labels.size
-        self.d, self.dtype, self.frame = d, dtype, frame
+        self.d, self.dtype, self.frame = d, dtype, None
         blocks = [np.flatnonzero(labels == s) for s in sorted(set(labels.tolist()))]
         sizes = np.array([b.size for b in blocks])
         s_max = int(sizes.max())
@@ -113,6 +132,15 @@ class _Picture:
         self.pad = (k * s_max + t) * s_max + t
         self.eye = np.zeros(self.flat.size, dtype)
         self.eye[self.diag] = 1.0
+        for arr in (self.flat, self.stack, self.src, self.rep, self.diag, self.live, self.pad, self.eye):
+            arr.flags.writeable = False  # shared by every solve at this size
+
+    def framed(self, frame) -> _Picture:
+        """This layout in ``frame`` (None: the caller's basis), sharing
+        every index array."""
+        pic = copy.copy(self)
+        pic.frame = frame
+        return pic
 
     def pack(self, M: np.ndarray) -> np.ndarray:
         """Entry vector of M, a matrix of the caller's basis; the rest of
@@ -171,7 +199,10 @@ def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
     by j-k in the other (in the frame of ``_local_frame``, U (x) V and
     U (x) conj(V), if M needs one), mirror orbits when M is
     reflection-invariant to within ``_MIRROR_TOL``, or else one complex
-    block.  Raises ShapeMismatch unless M is mn x mn.
+    block.  The layout is ``_layout_pair``'s, shared by every call at
+    this size; the sector and mirror tests, the frame search and the
+    frame each picture carries are this call's.  Raises ShapeMismatch
+    unless M is mn x mn.
     """
     d = dims.total
     M = np.asarray(M)
@@ -181,22 +212,41 @@ def _pictures(dims: BipartiteDims, M: np.ndarray) -> tuple[_Picture, _Picture]:
     off = (j + k)[:, None] != (j + k)[None, :]
     sector = not (np.iscomplexobj(M) and M.imag.any()) and not M[off].any()
     frame = None if sector else _local_frame(dims, M, off)
-    if sector or frame is not None:
-        F_a = F_b = None
-        if frame is not None:
-            U, V, M = frame
-            F_a, F_b = np.kron(U, V), np.kron(U, V.conj())
-        defect = np.abs(M - M[::-1, ::-1]).max(initial=0.0)
-        mirror = bool(defect <= _MIRROR_TOL * np.abs(M).max(initial=1.0))
-        a, b = _Picture(j + k, float, mirror, F_a), _Picture(j - k, float, mirror, F_b)
-    else:
+    if not sector and frame is None:
+        a, b = _layout_pair(dims, "dense")
+        return a.framed(None), b.framed(None)
+    F_a = F_b = None
+    if frame is not None:
+        U, V, M = frame
+        F_a, F_b = np.kron(U, V), np.kron(U, V.conj())
+    defect = np.abs(M - M[::-1, ::-1]).max(initial=0.0)
+    mirror = bool(defect <= _MIRROR_TOL * np.abs(M).max(initial=1.0))
+    a, b = _layout_pair(dims, "mirror" if mirror else "sector")
+    return a.framed(F_a), b.framed(F_b)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _layout_pair(dims: BipartiteDims, kind: str) -> tuple[_Picture, _Picture]:
+    """The two pictures of ``_pictures`` at one size, in the caller's basis,
+    with their partial-transpose gathers ``pt``: real sector blocks with
+    mirror orbits (``kind`` "mirror") or trivial ones ("sector"), or one
+    complex block ("dense").  A pure function of (m, n) and ``kind``, so
+    every solve at this size shares its read-only arrays.
+    """
+    d = dims.total
+    if kind == "dense":
         one = np.zeros(d, dtype=int)
         a, b = _Picture(one, complex), _Picture(one, complex)
+    else:
+        j, k = np.divmod(np.arange(d), dims.n)
+        mirror = kind == "mirror"
+        a, b = _Picture(j + k, float, mirror), _Picture(j - k, float, mirror)
     perm = partial_transpose(np.arange(d * d).reshape(d, d), dims).ravel()
     for src, dst in ((a, b), (b, a)):
         position = np.empty(d * d, dtype=int)
         position[src.flat] = np.arange(src.flat.size)
         src.pt = position[perm[dst.flat]]
+        src.pt.flags.writeable = False
     return a, b
 
 

@@ -27,6 +27,12 @@ NEGATIVE_ABS_FLOOR = 1e-10
 NEGATIVE_REL = 1e-9
 
 
+#: Bound of every cache of arrays that depend only on (m, n): entries kept,
+#: one per size (and layout kind), before the least recently used is
+#: rebuilt.  The cached arrays are read-only and shared by every caller.
+_CACHE_SIZE = 64
+
+
 def freeze(arr: np.ndarray) -> np.ndarray:
     """Read-only copy; value types hold these so instances stay immutable."""
     out = np.array(arr, dtype=complex, copy=True)

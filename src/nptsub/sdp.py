@@ -57,7 +57,11 @@ supplies only two steps:
 
 The iterates live on the block layout of ``_layout``: sector blocks and
 mirror orbits, in a recovered local frame for a local rotation of P, or
-one complex block.  Every PSD projection of entry vectors, in the
+one complex block.  The layout's index arrays and the closed-form seed
+are pure functions of (m, n), so they are built once per size and
+shared, read-only, by every later solve at that size; the layout tests,
+the frame and every matrix value stay per call, and the arithmetic is
+the same cold or warm.  Every PSD projection of entry vectors, in the
 iteration and in the certify steps, goes through ``_ConePair``: both
 cones share one batched eigh over one buffer, allocated once per solve.
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
 from .bipartite import (
+    _CACHE_SIZE,
     BipartiteDims,
     DensityMatrix,
     Ensemble,
@@ -120,7 +121,7 @@ def build_subspace(dims: BipartiteDims) -> SubspaceBasis:
     return SubspaceBasis(dims, gens, Q * np.sign(R.diagonal().real))
 
 
-@cache
+@lru_cache(maxsize=_CACHE_SIZE)
 def _antidiagonals(dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray]:
     """Anti-diagonal indicator A[t, j*n + k] = [j + k == t] and weights 1/N_t = 1/sum_i A[t, i]."""
     j, k = np.divmod(np.arange(dims.total), dims.n)
@@ -178,9 +179,10 @@ def closed_form_state(dims: BipartiteDims) -> DensityMatrix:
     return DensityMatrix(dims, _closed_form(dims))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _closed_form(dims: BipartiteDims) -> np.ndarray:
     """The matrix of ``closed_form_state``, unvalidated (the direct route
-    validates the state it returns)."""
+    validates the state it returns); read-only, shared by every caller."""
     m, n = dims.m, dims.n
     if dims.npt_dim == 0:
         raise DegenerateSubspace(f"NPT subspace is trivial at dims {dims}")
@@ -191,7 +193,9 @@ def _closed_form(dims: BipartiteDims) -> np.ndarray:
     D = np.array([1.0 / (math.comb(m - 1, a) * math.comb(n - 1, b))
                   for a, b in zip(j.tolist(), k.tolist())])
     rho = partial_transpose(T, dims) - np.diag(D) / math.comb(m + n - 2, m - 1)
-    return rho / np.trace(rho)
+    rho = rho / np.trace(rho)
+    rho.flags.writeable = False  # shared by every caller
+    return rho
 
 
 def contains(basis: SubspaceBasis, v: np.ndarray) -> bool:
@@ -298,7 +302,7 @@ def locate_witness(state, basis: SubspaceBasis | None = None) -> WitnessCertific
     return found.certificate(0)
 
 
-@cache
+@lru_cache(maxsize=_CACHE_SIZE)
 def _search_order(dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices j*n + k in the witness search order (anti-diagonal
     t = j + k ascending, row j descending within one), with the t and j of

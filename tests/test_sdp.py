@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from nptsub import (
     solve_construction_sdp,
     subspace_projector,
 )
-from nptsub import _layout, sdp
+from nptsub import _layout, sdp, subspace
 from nptsub._layout import _pictures
 from nptsub.linalg import _clamp_psd
 from nptsub.sdp import _ConePair, _max_shift, _round_to_ppt
@@ -832,6 +833,99 @@ class TestSectorLayout:
         pic_S, _ = _pictures(dims, npt_projector(dims).P)
         assert _max_shift(pic_S, -pic_S.eye, pic_S.pack(npt_projector(dims).P)) == -np.inf
 
+    # the index arrays of a layout, all a pure function of the size
+    INDEX_ARRAYS = ("flat", "stack", "src", "rep", "diag", "live", "pad", "eye", "pt")
+
+    @staticmethod
+    def assert_read_only(arr):
+        # the assignment would write the same values, were it allowed
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = arr.copy()
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    def test_layout_is_shared_and_read_only(self, m, n):
+        # two calls at one size get two picture objects that share every
+        # index array, and each cone pair still gets its own buffer
+        dims = BipartiteDims(m, n)
+        P = npt_projector(dims).P
+        first, second = _pictures(dims, P), _pictures(dims, P)
+        for a, b in zip(first, second):
+            assert a is not b
+            for name in self.INDEX_ARRAYS:
+                assert getattr(a, name) is getattr(b, name)
+                self.assert_read_only(getattr(a, name))
+        cones = _ConePair(*first), _ConePair(*second)
+        assert cones[0].buffer is not cones[1].buffer
+        assert cones[0].buffer.flags.writeable
+
+    def test_reflection_test_is_per_call(self, monkeypatch):
+        # a real sector-block W that is not reflection-invariant, solved
+        # right after P at the same size, gets one orbit per block; P,
+        # solved after it, gets its ceil(K/2) orbits again
+        dims = BipartiteDims(4, 5)
+        P = npt_projector(dims).P
+        W = P.copy()
+        W[0, 0] += 0.1  # the (0, 0) sector is a block of its own
+        orbits = []
+
+        def spy(dims, M):
+            pics = _pictures(dims, M)
+            orbits.append([pic.orbits[0] for pic in pics])
+            return pics
+
+        monkeypatch.setattr(sdp, "_pictures", spy)
+        solve_construction_sdp(dims, P)
+        optimize_over_ppt(dims, W, tol=1e-3)
+        solve_construction_sdp(dims, P)
+        assert orbits == [[4, 4], [8, 8], [4, 4]]
+
+    def test_rotation_shares_the_layout_not_the_frame(self):
+        # Haar rotations of P get P's very index arrays, each carrying its
+        # own frame, and P after them still carries none
+        dims = D34
+        P = npt_projector(dims).P
+        rotations = [rotated_projector(dims, np.random.default_rng(seed)) for seed in (5, 6)]
+        framed = [_pictures(dims, R) for R in rotations]
+        plain = _pictures(dims, P)
+        for ref, one, other in zip(plain, *framed):
+            assert ref.frame is None
+            assert one.frame is not None and other.frame is not None
+            assert np.abs(one.frame - other.frame).max() > 0.1
+            for name in self.INDEX_ARRAYS:
+                assert getattr(one, name) is getattr(ref, name) is getattr(other, name)
+        for R, pics in zip(rotations, framed):
+            assert np.abs(pics[0].unpack(pics[0].pack(R)) - R).max() <= 1e-14
+
+    def test_no_frame_forces_one_block_at_a_warm_size(self, monkeypatch):
+        # with the sector layout of this size cached by a framed call, an
+        # input whose frame search finds none still gets one complex block
+        dims = D34
+        R = rotated_projector(dims, np.random.default_rng(5))
+        assert _pictures(dims, R)[0].frame is not None
+        monkeypatch.setattr(_layout, "_local_frame", lambda *args: None)
+        for pic in _pictures(dims, R):
+            assert pic.frame is None
+            assert pic.dtype is complex
+            assert pic.shape == (1, dims.total, dims.total)
+        sol = solve_construction_sdp(dims, R)
+        assert sol.converged and sol.iterations == 50
+
+    def test_closed_form_state_is_a_fresh_copy(self):
+        # the state copies the shared matrix, which neither route changes
+        dims = D34
+        cached = subspace._closed_form(dims)
+        before = cached.copy()
+        self.assert_read_only(cached)
+        a, b = closed_form_state(dims), closed_form_state(dims)
+        assert a.mat is not b.mat
+        assert not np.shares_memory(a.mat, cached)
+        for M in (npt_projector(dims).P, rotated_projector(dims, np.random.default_rng(5))):
+            sol = solve_construction_sdp(dims, M)
+            construct_via_dual_cone(dims, M)
+            assert not np.shares_memory(sol.rho.mat, cached)
+        assert subspace._closed_form(dims) is cached
+        assert np.array_equal(cached, before)
+
 
 class TestAnderson:
     """The acceleration of the splitting core's fixed-point map."""
@@ -900,6 +994,56 @@ class TestRotationEquivalence:
         rot = construct_via_dual_cone(dims, rotated_projector(dims, np.random.default_rng(m * n)))
         assert rot.iterations == base.iterations
         assert rot.c == pytest.approx(base.c, rel=0, abs=1e-9)
+
+
+def fingerprint(x):
+    """Every float of a solver output as its repr and every array as its
+    dtype, shape and bytes, walking dataclasses, dicts and tuples."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, dict):
+        return tuple((key, fingerprint(value)) for key, value in sorted(x.items()))
+    if isinstance(x, (tuple, list)):
+        return tuple(fingerprint(value) for value in x)
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, fingerprint(getattr(x, f.name))) for f in dataclasses.fields(x))
+    assert isinstance(x, (bool, int, str, type(None))), type(x)
+    return repr(x)
+
+
+class TestLayoutCache:
+    """The per-size caches of the layouts and the closed form change no
+    output: a solve with every cache cleared and the same solve again,
+    warm, agree byte for byte."""
+
+    CACHES = (_layout._layout_pair, subspace._closed_form, subspace._antidiagonals,
+              subspace._search_order)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 4), (5, 6)])
+    @pytest.mark.parametrize("kind", ["P", "rotated", "no_frame"])
+    def test_cold_and_warm_calls_agree(self, m, n, kind, monkeypatch):
+        dims = BipartiteDims(m, n)
+        if kind == "P":
+            M = npt_projector(dims).P
+        else:
+            M = rotated_projector(dims, np.random.default_rng(m * n))
+        if kind == "no_frame":
+            monkeypatch.setattr(_layout, "_local_frame", lambda *args: None)
+
+        def solve():
+            return [fingerprint(route(dims, M)) for route in (solve_construction_sdp, construct_via_dual_cone)]
+
+        for cache in self.CACHES:
+            cache.cache_clear()
+        cold = solve()
+        assert all(cache.cache_info().maxsize for cache in self.CACHES)
+        assert _layout._layout_pair.cache_info().currsize == 1
+        assert solve() == cold
+        assert _layout._layout_pair.cache_info().hits >= 2
+        assert (_pictures(dims, M)[0].frame is not None) == (kind == "rotated")
+        assert _pictures(dims, M)[0].dtype is (complex if kind == "no_frame" else float)
 
 
 def sector_mask(dims):
